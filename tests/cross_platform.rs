@@ -209,3 +209,145 @@ fn guest_stats_agree_across_platforms_at_same_point() {
     let per_frame_lv = lv.bytes / lv.frames as u64;
     assert_eq!(per_frame_raw, per_frame_lv);
 }
+
+/// Retired instructions (all cores), NIC bytes on the wire, the
+/// guest/monitor/host/idle cycle split and the per-cause exit counts after
+/// running `p` for `cycles`.
+type ExitPathPin = (u64, u64, [u64; 4], Vec<u64>);
+
+fn exit_path_pin(p: &mut dyn Platform, cycles: u64) -> ExitPathPin {
+    p.run_for(cycles);
+    let m = p.machine();
+    let t = p.time_stats();
+    (
+        (0..m.num_cores()).map(|i| m.core(i).instret()).sum(),
+        m.nic.counters().tx_bytes,
+        [t.guest, t.monitor, t.host_model, t.idle],
+        m.obs.exits.counts().to_vec(),
+    )
+}
+
+/// The streaming workload on a `cores`-core machine (secondaries stay
+/// parked: the kernel never sends a startup IPI).
+fn boot_streaming(cores: usize) -> Machine {
+    let mut machine = Machine::new(MachineConfig {
+        num_cores: cores,
+        ..MachineConfig::default()
+    });
+    let program = Workload::new(100).build(&machine).unwrap();
+    machine.load_program(&program);
+    machine
+}
+
+/// The cross-core tracepoint guest on two cores: an IPI per round trip,
+/// so the per-core virtual CPU swap and the virtual-IPI latch run hot.
+fn boot_ipi_rounds() -> (Machine, u32) {
+    let program = lwvmm::guest::apps::smp_trace_guest();
+    let mut machine = Machine::new(MachineConfig {
+        num_cores: 2,
+        ..MachineConfig::default()
+    });
+    machine.load_program(&program);
+    (machine, program.symbols.get("start").unwrap())
+}
+
+/// Exact numbers for both monitors' exit paths, captured before the two
+/// monitors shared one trap-and-emulate core: any change to exit costs,
+/// routing, counters or the SMP virtual-CPU/IPI paths shows up here. The
+/// streaming run is identical at one and two cores (the second core never
+/// starts); the IPI guest keeps both cores busy.
+#[test]
+fn monitor_exit_paths_are_pinned_at_one_and_two_cores() {
+    use lwvmm::hosted::HostedStats;
+    use lwvmm::monitor::LvmmStats;
+    let window = MachineConfig::default().clock_hz / 50;
+
+    let lv_stream: ExitPathPin = (
+        300_173,
+        245_746,
+        [578_727, 1_595_410, 0, 842_916],
+        vec![1313, 194, 66, 191, 191, 0, 0, 0],
+    );
+    let lv_stream_counters = LvmmStats {
+        exits_privileged: 1313,
+        exits_mmio: 194,
+        exits_shadow: 66,
+        exits_irq_reflect: 191,
+        exits_debug: 0,
+        faults_injected: 0,
+        irqs_injected: 191,
+        protection_violations: 0,
+        emulated_stores: 0,
+        emulated_loads: 0,
+    };
+    let ho_stream: ExitPathPin = (
+        62_839,
+        46_438,
+        [147_150, 586_150, 1_920_608, 375_184],
+        vec![348, 180, 17, 56, 56, 0, 0, 75],
+    );
+    let ho_stream_counters = HostedStats {
+        exits_privileged: 348,
+        exits_mmio: 180,
+        exits_shadow: 17,
+        exits_irq: 56,
+        irqs_injected: 56,
+        faults_injected: 0,
+        host_relay_ops: 75,
+        protection_violations: 0,
+    };
+    for cores in [1, 2] {
+        let mut lv = LvmmPlatform::new(boot_streaming(cores), layout::ENTRY);
+        assert_eq!(exit_path_pin(&mut lv, window), lv_stream, "lvmm/{cores}");
+        assert_eq!(lv.monitor_stats(), lv_stream_counters, "lvmm/{cores}");
+        assert_eq!(lv.shadow_stats().fills, 66, "lvmm/{cores}");
+        let mut ho = HostedPlatform::new(boot_streaming(cores), layout::ENTRY);
+        assert_eq!(exit_path_pin(&mut ho, window), ho_stream, "hosted/{cores}");
+        assert_eq!(ho.hosted_stats(), ho_stream_counters, "hosted/{cores}");
+    }
+
+    let (machine, entry) = boot_ipi_rounds();
+    let mut lv = LvmmPlatform::new(machine, entry);
+    assert_eq!(
+        exit_path_pin(&mut lv, window),
+        (
+            1_198_541,
+            0,
+            [2_893_628, 106_430, 0, 0],
+            vec![32, 32, 3, 30, 30, 0, 0, 0]
+        )
+    );
+    assert_eq!(
+        lv.monitor_stats(),
+        LvmmStats {
+            exits_privileged: 32,
+            exits_mmio: 32,
+            exits_shadow: 3,
+            exits_irq_reflect: 30,
+            irqs_injected: 30,
+            ..LvmmStats::default()
+        }
+    );
+    let (machine, entry) = boot_ipi_rounds();
+    let mut ho = HostedPlatform::new(machine, entry);
+    assert_eq!(
+        exit_path_pin(&mut ho, window),
+        (
+            1_159_127,
+            0,
+            [2_797_333, 202_700, 0, 0],
+            vec![32, 122, 2, 30, 30, 0, 0, 0]
+        )
+    );
+    assert_eq!(
+        ho.hosted_stats(),
+        HostedStats {
+            exits_privileged: 32,
+            exits_mmio: 122,
+            exits_shadow: 2,
+            exits_irq: 30,
+            irqs_injected: 30,
+            ..HostedStats::default()
+        }
+    );
+}
