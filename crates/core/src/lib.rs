@@ -9,8 +9,8 @@
 //!   monitor memory, speaking the `rdbg` protocol over the UART it owns.
 //!   Because the stub and its state are unreachable by the guest, debugging
 //!   keeps working no matter how badly the guest misbehaves.
-//! * **Partial hardware emulation** ([`chipset`] and the emulation paths in
-//!   [`platform`]): only the
+//! * **Partial hardware emulation** ([`chipset`] and the trap-and-emulate
+//!   core in [`virt`], shared with the hosted baseline): only the
 //!   interrupt controller, the timer and the CPU resources (status word,
 //!   trap vector, page tables) are virtualized. The guest kernel is
 //!   **deprivileged to user mode** (ring compression); its privileged
@@ -64,6 +64,7 @@ pub mod replay;
 pub mod shadow;
 pub mod stub;
 pub mod vcpu;
+pub mod virt;
 
 pub use platform::{LvmmConfig, LvmmPlatform, LvmmStats, UartLink};
 pub use replay::ReplayDriver;

@@ -17,21 +17,27 @@
 //!   including while the guest streams I/O at full rate, and including when
 //!   the guest has destroyed its own memory.
 
+//!
+//! The trap-and-emulate paths themselves live in [`crate::virt`], shared
+//! with the hosted monitor; this module supplies the lightweight monitor's
+//! policy: device passthrough and the debug stub.
+
 use crate::chipset::VChipset;
 use crate::costs;
-use crate::shadow::{classify, guest_walk, GuestWalkErr, PageClass, ShadowPager, ShadowStats};
+use crate::shadow::ShadowStats;
 use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
 use crate::vcpu::VCpu;
+use crate::virt::{ExitCosts, ExitStats, RunState, VirtCore, VirtPolicy};
 use hx_cpu::csr::{Csr, Status};
-use hx_cpu::isa::{Instr, LoadKind, StoreKind, SysOp, EBREAK_WORD};
+use hx_cpu::isa::{Instr, LoadKind, StoreKind, EBREAK_WORD};
 use hx_cpu::mmu::{pte, Access, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::{MemSize, Mode};
-use hx_machine::engine::{ExitPolicy, FlightRecorder, ProgressGuard};
+use hx_machine::engine::{ExitPolicy, FlightRecorder};
 use hx_machine::platform::PlatformStep;
-use hx_machine::{map, smp, Machine, Platform, TimeBucket, TimeStats};
+use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
 use hx_obs::journal::{fnv1a, FNV_OFFSET};
-use hx_obs::{EventKind, ExitCause, HostPhase, JournalInput, ReplayCursor, StateDigest};
+use hx_obs::{ExitCause, HostPhase, JournalInput, ReplayCursor, StateDigest};
 use hx_query::{Expr, SliceCtx};
 use rdbg::msg::{Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason};
 use rdbg::wire::{self, WireEvent};
@@ -56,94 +62,33 @@ impl Default for LvmmConfig {
     }
 }
 
-/// Exit counters — the paper-adjacent ablation data (Table A).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LvmmStats {
-    /// Privileged-instruction emulations (CSR, `tret`, `wfi`, `tlbflush`).
-    pub exits_privileged: u64,
-    /// Emulated MMIO accesses (virtual PIC/PIT/UART).
-    pub exits_mmio: u64,
-    /// Shadow page-table fills.
-    pub exits_shadow: u64,
-    /// Real device interrupts reflected into the virtual PIC.
-    pub exits_irq_reflect: u64,
-    /// Debug exits (breakpoints, single steps, watchpoints, break-ins).
-    pub exits_debug: u64,
-    /// Guest faults re-injected to the guest's own handler.
-    pub faults_injected: u64,
-    /// Virtual interrupts injected.
-    pub irqs_injected: u64,
-    /// Guest attempts to reach monitor memory or page tables outside guest
-    /// RAM — all blocked.
-    pub protection_violations: u64,
-    /// Single guest stores emulated because a watchpoint shares their page.
-    pub emulated_stores: u64,
-    /// Single guest loads emulated because a read watchpoint shares their
-    /// page.
-    pub emulated_loads: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunState {
-    Running,
-    GuestIdle,
-    Stopped,
-}
+/// The lightweight monitor's exit counters (shared with the hosted
+/// monitor's core).
+pub type LvmmStats = ExitStats;
 
 /// Everything that changes as the platform runs — the restorable part of a
-/// flight-recorder checkpoint. Immutable construction parameters (`entry`,
-/// `monitor_base`, `ram_size`, `cfg`) are deliberately excluded.
+/// flight-recorder checkpoint.
 #[derive(Debug, Clone)]
 struct LvmmSnapshot {
-    machine: Machine,
-    vcpu: VCpu,
-    vcpus: Vec<VCpu>,
-    cur_core: usize,
-    vipi: Vec<u8>,
-    shadow: ShadowPager,
-    chipset: VChipset,
+    core: VirtCore,
     stub: Stub,
-    stats: TimeStats,
-    mstats: LvmmStats,
-    state: RunState,
-    progress: ProgressGuard,
 }
 
 /// The lightweight-VMM platform (see the [module docs](self)).
 ///
 /// The run loop, cycle charging and instruction batching come from the
-/// shared [`ExitPolicy`] engine; this type implements the lvmm-specific
-/// exit handling (privileged emulation, shadow paging, the debug stub) plus
-/// the time-travel [`FlightRecorder`] (boxed so a platform without the
+/// shared [`ExitPolicy`] engine and the exit paths from the shared
+/// [`VirtPolicy`] core; this type adds device passthrough, the debug stub
+/// and the time-travel [`FlightRecorder`] (boxed so a platform without the
 /// recorder pays one pointer of overhead).
 #[derive(Debug)]
 pub struct LvmmPlatform {
-    machine: Machine,
-    vcpu: VCpu,
-    /// Seat storage for every core's virtual CPU; `vcpus[cur_core]` holds a
-    /// stale placeholder while that core's state lives in `self.vcpu`
-    /// (mirrors how [`Machine`] seats its real CPUs).
-    vcpus: Vec<VCpu>,
-    /// The core whose virtual CPU is in `self.vcpu`.
-    cur_core: usize,
-    /// Per-core pending *virtual* IPI line masks: the monitor consumed the
-    /// real IPI and owes the guest core an injected vector.
-    vipi: Vec<u8>,
-    shadow: ShadowPager,
-    chipset: VChipset,
+    core: VirtCore,
     stub: Stub,
-    stats: TimeStats,
-    mstats: LvmmStats,
-    state: RunState,
     entry: u32,
-    monitor_base: u32,
-    ram_size: u32,
     cfg: LvmmConfig,
-    // Livelock guard: identical consecutive shadow faults indicate a bug.
-    progress: ProgressGuard,
     flight: Option<Box<FlightRecorder<LvmmSnapshot>>>,
 }
-
 impl LvmmPlatform {
     /// Installs the monitor on `machine` and prepares the guest to boot at
     /// `entry` (image already loaded). The guest starts in *virtual*
@@ -164,55 +109,24 @@ impl LvmmPlatform {
     /// # Panics
     ///
     /// Panics if the machine's RAM is too small for the monitor region.
-    pub fn with_config(mut machine: Machine, entry: u32, cfg: LvmmConfig) -> LvmmPlatform {
+    pub fn with_config(machine: Machine, entry: u32, cfg: LvmmConfig) -> LvmmPlatform {
         let ram_size = machine.config().ram_size as u32;
         assert!(cfg.monitor_mem < ram_size, "monitor region exceeds RAM");
         let monitor_base = ram_size - cfg.monitor_mem;
-        let mut shadow = ShadowPager::new(monitor_base, ram_size);
-
-        // Deprivilege the guest; the monitor owns the real privileged state.
-        machine.cpu.set_mode(Mode::User);
-        machine.cpu.set_pc(entry);
-        machine.cpu.write_csr(Csr::Status, Status::IE);
-        // Identity shadow context (guest paging off), kernel view active.
-        let root = shadow.root_for(&mut machine.mem, 0, Mode::Supervisor);
-        machine.cpu.write_csr(Csr::Ptbr, root | 1);
-        // Secondary cores boot deprivileged too, sharing the identity
-        // shadow until they install their own address space; their PC is
-        // set by the startup IPI when the guest brings them online.
-        let cores = machine.num_cores();
-        for i in 1..cores {
-            let c = machine.core_mut(i);
-            c.set_mode(Mode::User);
-            c.write_csr(Csr::Status, Status::IE);
-            c.write_csr(Csr::Ptbr, root | 1);
-        }
+        let mut core = VirtCore::new(machine, entry, monitor_base, ram_size);
         // The monitor listens to the real UART.
-        machine
+        core.machine
             .bus_write(
                 map::UART_BASE + hx_machine::uart::reg::CTRL,
                 1,
                 MemSize::Word,
             )
             .expect("UART present");
-
         LvmmPlatform {
-            machine,
-            vcpu: VCpu::new(),
-            vcpus: vec![VCpu::new(); cores],
-            cur_core: 0,
-            vipi: vec![0; cores],
-            shadow,
-            chipset: VChipset::new(),
+            core,
             stub: Stub::new(),
-            stats: TimeStats::new(),
-            mstats: LvmmStats::default(),
-            state: RunState::Running,
             entry,
-            monitor_base,
-            ram_size,
             cfg,
-            progress: ProgressGuard::new(),
             flight: None,
         }
     }
@@ -227,8 +141,8 @@ impl LvmmPlatform {
     /// Enable this *before* running the workload — a journal that misses
     /// early inputs cannot reproduce the run.
     pub fn enable_flight_recorder(&mut self, every: u64) {
-        self.machine.obs.enable_journal(self.name());
-        let now = self.machine.now();
+        self.core.machine.obs.enable_journal(self.name());
+        let now = self.core.machine.now();
         let digest = self.state_digest();
         let snap = self.snapshot();
         self.flight = Some(Box::new(FlightRecorder::new(every, now, digest, snap)));
@@ -247,13 +161,13 @@ impl LvmmPlatform {
     /// Checksums of guest-visible machine state, used to audit replay
     /// fidelity across checkpoints.
     fn state_digest(&self) -> StateDigest {
-        let ram = fnv1a(FNV_OFFSET, self.machine.mem.as_bytes());
+        let ram = fnv1a(FNV_OFFSET, self.core.machine.mem.as_bytes());
         let mut regs = FNV_OFFSET;
         // Every core folds in, in index order; on a single-core machine the
         // loop body runs once over the active CPU, so the digest is
         // bit-identical to the pre-SMP formula.
-        for i in 0..self.machine.num_cores() {
-            let cpu = self.machine.core(i);
+        for i in 0..self.core.machine.num_cores() {
+            let cpu = self.core.machine.core(i);
             for r in cpu.regs() {
                 regs = fnv1a(regs, &r.to_le_bytes());
             }
@@ -262,7 +176,7 @@ impl LvmmPlatform {
                 regs = fnv1a(regs, &cpu.read_csr(csr).to_le_bytes());
             }
         }
-        let s = self.shadow.stats;
+        let s = self.core.shadow.stats;
         let mut shadow = FNV_OFFSET;
         for v in [s.fills, s.flushes, s.contexts, s.protection_violations] {
             shadow = fnv1a(shadow, &v.to_le_bytes());
@@ -272,41 +186,21 @@ impl LvmmPlatform {
 
     fn snapshot(&self) -> LvmmSnapshot {
         LvmmSnapshot {
-            machine: self.machine.clone(),
-            vcpu: self.vcpu.clone(),
-            vcpus: self.vcpus.clone(),
-            cur_core: self.cur_core,
-            vipi: self.vipi.clone(),
-            shadow: self.shadow.clone(),
-            chipset: self.chipset.clone(),
+            core: self.core.clone(),
             stub: self.stub.clone(),
-            stats: self.stats,
-            mstats: self.mstats,
-            state: self.state,
-            progress: self.progress,
         }
     }
 
     fn restore(&mut self, snap: LvmmSnapshot) {
-        self.machine = snap.machine;
-        self.vcpu = snap.vcpu;
-        self.vcpus = snap.vcpus;
-        self.cur_core = snap.cur_core;
-        self.vipi = snap.vipi;
-        self.shadow = snap.shadow;
-        self.chipset = snap.chipset;
+        self.core = snap.core;
         self.stub = snap.stub;
-        self.stats = snap.stats;
-        self.mstats = snap.mstats;
-        self.state = snap.state;
-        self.progress = snap.progress;
     }
 
     /// Takes a checkpoint when one is due. Runs during replay too: a seek
     /// truncates the checkpoint store to its restore point and the re-run
     /// rebuilds the later checkpoints on the (identical) new timeline.
     fn maybe_checkpoint(&mut self) {
-        let now = self.machine.now();
+        let now = self.core.machine.now();
         let due = self.flight.as_ref().is_some_and(|f| f.checkpoints.due(now));
         if !due {
             return;
@@ -314,63 +208,72 @@ impl LvmmPlatform {
         // Checkpoint capture is heavy host work (a full-state clone) that
         // happens *after* deferred guest-execution time; close the guest
         // window first so the clone is charged to Journal, not GuestExec.
-        self.machine.obs.host_mark(HostPhase::GuestExec);
+        self.core.machine.obs.host_mark(HostPhase::GuestExec);
         let digest = self.state_digest();
         let snap = self.snapshot();
         if let Some(f) = &mut self.flight {
             f.checkpoints.record(now, digest, snap);
         }
-        self.machine.obs.host_mark(HostPhase::Journal);
+        self.core.machine.obs.host_mark(HostPhase::Journal);
     }
 
     /// Moves the platform to `target` on the recorded timeline.
     ///
-    /// Backward: restores the nearest checkpoint at or before `target`,
-    /// then deterministically re-executes history — re-injecting journaled
-    /// UART bytes and NIC frames at their recorded cycles — until the
-    /// machine reaches `target`. Forward: free-runs to `target`. Either way
-    /// the guest parks there with a [`StopReason::TimeTravel`] stop, and
-    /// subsequent execution rewrites the future (new-branch semantics: the
-    /// journal, checkpoints and stop history beyond the restore point are
-    /// truncated and rebuilt).
+    /// Backward: restores the nearest checkpoint at or before `target` and
+    /// re-executes history up to it (see [`Self::replay`]). Forward:
+    /// free-runs to `target`. Either way the guest parks there with a
+    /// [`StopReason::TimeTravel`] stop, and subsequent execution rewrites
+    /// the future (new-branch semantics: the journal, checkpoints and stop
+    /// history beyond the restore point are truncated and rebuilt).
     fn seek_to(&mut self, target: u64) -> Reply {
-        let Some(fr) = self.flight.as_deref() else {
-            return Reply::Error(err::RECORDER);
-        };
-        if fr.replaying {
-            return Reply::Error(err::RECORDER);
+        let restore = (target < self.core.machine.now()).then_some(target);
+        match self.replay(restore, |p| p.core.machine.now() >= target) {
+            Some(_) => Reply::Ok,
+            None => Reply::Error(err::RECORDER),
+        }
+    }
+
+    /// Restores the nearest checkpoint at or before `restore` (if given),
+    /// then deterministically re-executes history — re-injecting journaled
+    /// UART bytes and NIC frames at their recorded cycles — until `done`
+    /// holds, and parks the guest there with a [`StopReason::TimeTravel`]
+    /// stop. Returns the landing cycle; `None` when the flight recorder
+    /// cannot serve the request.
+    fn replay(
+        &mut self,
+        restore: Option<u64>,
+        mut done: impl FnMut(&mut Self) -> bool,
+    ) -> Option<u64> {
+        if self.flight.as_deref()?.replaying {
+            return None;
         }
         // Full journal as of now — the re-run script. The restored
         // machine's own journal only reaches the checkpoint; re-injection
-        // re-records the segment up to `target` identically.
-        let Some(journal) = self.machine.obs.journal().cloned() else {
-            return Reply::Error(err::RECORDER);
-        };
+        // re-records the segment up to the landing cycle identically.
+        let journal = self.core.machine.obs.journal().cloned()?;
         let mut cursor = ReplayCursor::new(&journal);
-        if target < self.machine.now() {
-            let fr = self.flight.as_mut().expect("checked above");
-            let Some(cp) = fr.checkpoints.nearest_at_or_before(target) else {
-                return Reply::Error(err::RECORDER);
-            };
+        let fr = self.flight.as_mut()?;
+        if let Some(at) = restore {
+            let cp = fr.checkpoints.nearest_at_or_before(at)?;
             let cp_at = cp.at;
             let snap = cp.state.clone();
             fr.checkpoints.truncate_after(cp_at);
             fr.stop_history.retain(|&c| c <= cp_at);
             self.restore(snap);
         }
-        self.flight.as_mut().expect("checked above").replaying = true;
+        self.flight.as_mut()?.replaying = true;
         // Inputs already baked into the (possibly restored) machine state
         // are exactly the ones its own journal holds — skip by count, not
         // by cycle, so records tied with the checkpoint cycle (e.g. a break
         // byte journaled before the initial cycle-0 checkpoint existed) are
         // not wrongly dropped.
-        let done = self.machine.obs.journal().map_or(0, |j| j.inputs.len());
-        cursor.skip_first(done);
-        while self.machine.now() < target {
-            let now = self.machine.now();
+        let obs = &self.core.machine.obs;
+        cursor.skip_first(obs.journal().map_or(0, |j| j.inputs.len()));
+        while !done(self) {
+            let now = self.core.machine.now();
             while let Some(rec) = cursor.pop_due(now) {
                 match rec.input {
-                    JournalInput::UartRx(bytes) => self.machine.uart_input(&bytes),
+                    JournalInput::UartRx(bytes) => self.core.machine.uart_input(&bytes),
                     JournalInput::NicRx(frame) => self.inject_rx_frame(&frame),
                 }
             }
@@ -380,22 +283,22 @@ impl LvmmPlatform {
         }
         // Stub replies regenerated during the re-run were already delivered
         // on the original timeline; the host must not see them twice.
-        let _ = self.machine.uart_output();
-        self.flight.as_mut().expect("checked above").replaying = false;
-        let pc = self.machine.cpu.pc();
-        let cycle = self.machine.now();
+        let _ = self.core.machine.uart_output();
+        self.flight.as_mut()?.replaying = false;
+        let pc = self.core.machine.cpu.pc();
+        let cycle = self.core.machine.now();
         self.stub_stop(StopReason::TimeTravel { pc, cycle });
-        Reply::Ok
+        Some(cycle)
     }
 
     /// Monitor exit/injection counters.
     pub fn monitor_stats(&self) -> LvmmStats {
-        self.mstats
+        self.core.exits
     }
 
     /// Shadow-paging counters.
     pub fn shadow_stats(&self) -> ShadowStats {
-        self.shadow.stats
+        self.core.shadow.stats
     }
 
     /// Debug-stub counters.
@@ -405,7 +308,7 @@ impl LvmmPlatform {
 
     /// The guest's virtual CPU state (diagnostics and tests).
     pub fn vcpu(&self) -> &VCpu {
-        &self.vcpu
+        &self.core.vcpu
     }
 
     /// Is the guest currently stopped under debugger control?
@@ -415,241 +318,43 @@ impl LvmmPlatform {
 
     /// Base of the monitor-reserved memory region.
     pub fn monitor_base(&self) -> u32 {
-        self.monitor_base
+        self.core.monitor_base
     }
 
     /// Virtual-PIC `(IRR, ISR, IMR)` snapshot, for diagnostics.
     pub fn chipset_vpic(&self) -> (u8, u8, u8) {
         (
-            self.chipset.vpic.irr(),
-            self.chipset.vpic.isr(),
-            self.chipset.vpic.imr(),
+            self.core.chipset.vpic.irr(),
+            self.core.chipset.vpic.isr(),
+            self.core.chipset.vpic.imr(),
         )
-    }
-
-    fn consume_monitor(&mut self, cycles: u64) {
-        self.consume(TimeBucket::Monitor, cycles);
-    }
-
-    fn shadow_key(&self) -> u32 {
-        if self.vcpu.paging_enabled() {
-            self.vcpu.ptbr
-        } else {
-            0
-        }
-    }
-
-    /// Activates the shadow view matching the guest's current virtual mode
-    /// and address space.
-    fn activate_shadow(&mut self) {
-        let key = self.shadow_key();
-        let root = self
-            .shadow
-            .root_for(&mut self.machine.mem, key, self.vcpu.vmode);
-        self.machine.cpu.write_csr(Csr::Ptbr, root | 1);
-    }
-
-    /// Injects a virtual trap into the guest (its handler runs next).
-    fn inject_guest_trap(&mut self, cause: Cause, epc: u32, tval: u32) {
-        let unhandled = self.vcpu.tvec == 0;
-        // Double fault: a synchronous fault raised *at the handler entry
-        // itself* means the guest's handler is gone (e.g. overwritten by
-        // the bug under investigation). A real kernel would triple-fault
-        // and reset; the monitor parks the guest for debugging instead —
-        // the stability story of the paper.
-        let double_fault = epc == self.vcpu.tvec
-            && !matches!(cause, Cause::Interrupt | Cause::EcallU | Cause::EcallS);
-        if (unhandled || double_fault) && self.cfg.debug_on_unhandled_fault {
-            self.stub_stop(StopReason::Fault {
-                pc: epc,
-                cause: cause.code(),
-            });
-            return;
-        }
-        let vcause = self.vcpu.virtual_cause(cause);
-        let handler = self.vcpu.enter_trap(vcause, epc, tval);
-        self.activate_shadow();
-        self.machine.cpu.set_pc(handler);
-        self.sync_tf();
-        self.consume_monitor(costs::INJECT_TRAP);
-        self.mstats.faults_injected += 1;
-    }
-
-    /// Aligns the monitor's per-core virtual CPU with the machine's active
-    /// core. The machine rotates cores at its own quantum boundaries; the
-    /// monitor only observes the outcome at its next exit, so every exit
-    /// entry point calls this first. No-op (and byte-free) on single-core.
-    fn sync_core(&mut self) {
-        let active = self.machine.active_core();
-        if active == self.cur_core {
-            return;
-        }
-        let prev = self.cur_core;
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[prev]);
-        std::mem::swap(&mut self.vcpu, &mut self.vcpus[active]);
-        self.cur_core = active;
-        // The real Ptbr travels with the core's seat, but the shadow tables
-        // may have been flushed while another core held the seat — recompute
-        // the root for this core's virtual address space.
-        self.activate_shadow();
-    }
-
-    /// Handles a real inter-processor interrupt surfaced to the active
-    /// core: the monitor consumed it at the machine boundary and re-latches
-    /// it as a *virtual* IPI to inject when the guest's window opens.
-    fn handle_ipi(&mut self, line: u8) {
-        self.consume_monitor(costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.mstats.exits_irq_reflect += 1;
-        self.vipi[self.cur_core] |= 1 << line;
-        self.maybe_inject_irq();
-    }
-
-    /// Opens the virtual interrupt window if possible: injects the highest
-    /// priority pending virtual interrupt. Virtual IPIs outrank the virtual
-    /// PIC (they model the local APIC), matching the machine's own
-    /// arbitration order; the virtual PIC wires to core 0 only, like the
-    /// real one.
-    fn maybe_inject_irq(&mut self) {
-        if self.state == RunState::Stopped || !self.vcpu.interrupts_enabled() {
-            return;
-        }
-        let pending = self.vipi[self.cur_core];
-        if pending != 0 {
-            let line = pending.trailing_zeros() as u8;
-            self.vipi[self.cur_core] &= !(1 << line);
-            let epc = self.machine.cpu.pc();
-            let vector = smp::VECTOR_BASE + line;
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.sync_tf();
-            self.consume_monitor(costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, costs::INJECT_TRAP);
-            self.mstats.irqs_injected += 1;
-            // The injected vector is this core's wake event if it parked.
-            self.machine.wake_core(self.cur_core);
-            self.state = RunState::Running;
-            return;
-        }
-        if self.cur_core != 0 {
-            return;
-        }
-        if let Some((irq, vector)) = self.chipset.vpic.inta() {
-            {
-                let now = self.machine.now();
-                self.machine.obs.prof_irq_entry(irq as u32, now);
-                // Virtual-PIC INTA is the guest's ISR entry under this
-                // monitor — the causal dispatch flow ends here, not at the
-                // monitor's earlier receipt of the real interrupt.
-                self.machine.obs.inta(now, irq as u32);
-            }
-            let epc = self.machine.cpu.pc();
-            let handler = self.vcpu.enter_trap(Cause::Interrupt, epc, vector as u32);
-            self.activate_shadow();
-            self.machine.cpu.set_pc(handler);
-            self.sync_tf();
-            self.consume_monitor(costs::INJECT_TRAP);
-            self.record_exit(ExitCause::IrqInject, costs::INJECT_TRAP);
-            self.mstats.irqs_injected += 1;
-            if self.machine.num_cores() > 1 {
-                self.machine.wake_core(0);
-            }
-            self.state = RunState::Running;
-        }
-    }
-
-    /// Mirrors the *virtual* single-step flag and any stub stepping intent
-    /// onto the real `STATUS.TF`.
-    fn sync_tf(&mut self) {
-        let want = self.stub.step_intent.is_some() || self.vcpu.status.tf();
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, want).0);
-    }
-
-    // ------------------------------------------------------------------
-    // Trap dispatch
-    // ------------------------------------------------------------------
-
-    fn dispatch_trap(&mut self, trap: Trap) {
-        self.sync_core();
-        // Measure the monitor cycles this exit costs, end to end, and
-        // attribute them to one cause in the exit histograms. The trailing
-        // interrupt-window check accounts separately (as `irq-inject`).
-        let monitor_before = self.stats.monitor;
-        let cause = match trap.cause {
-            Cause::PrivilegedInstruction => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.mstats.exits_privileged += 1;
-                self.emulate_privileged(trap);
-                ExitCause::Privileged
-            }
-            Cause::InstrPageFault | Cause::LoadPageFault | Cause::StorePageFault => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.handle_shadow_fault(trap)
-            }
-            Cause::Breakpoint => {
-                self.consume_monitor(costs::EXIT_BASE);
-                if self.stub.breakpoints.contains_key(&trap.epc) {
-                    self.mstats.exits_debug += 1;
-                    if self.bp_condition_holds(trap.epc) {
-                        self.stub_stop(StopReason::Breakpoint { pc: trap.epc });
-                    } else {
-                        // Condition false: silently step over the planted
-                        // `ebreak` and keep running — the guest never
-                        // observes the stop.
-                        self.arm_resume(StepIntent::Resume);
-                    }
-                } else {
-                    // The guest's own `ebreak` (e.g. its embedded debugger).
-                    self.inject_guest_trap(Cause::Breakpoint, trap.epc, trap.tval);
-                }
-                ExitCause::Debug
-            }
-            Cause::DebugStep => {
-                self.consume_monitor(costs::EXIT_BASE);
-                self.handle_debug_step(trap);
-                ExitCause::Debug
-            }
-            other => {
-                // Ecall, misalignments, access faults, illegal instructions:
-                // the guest's business — reflect to its virtual handler.
-                self.consume_monitor(costs::EXIT_BASE);
-                self.inject_guest_trap(other, trap.epc, trap.tval);
-                ExitCause::IrqInject
-            }
-        };
-        let delta = self.stats.monitor - monitor_before;
-        self.record_exit(cause, delta);
-        self.maybe_inject_irq();
     }
 
     fn handle_debug_step(&mut self, trap: Trap) {
         // The intercepted DebugStep did not clear the real TF (no take_trap
         // ran); drop it before deciding what to do next.
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
+        let s = Status(self.core.machine.cpu.read_csr(Csr::Status));
+        self.core
+            .machine
             .cpu
             .write_csr(Csr::Status, s.with(Status::TF, false).0);
 
         if let Some(addr) = self.stub.lifted_bp.take() {
             // Re-plant the breakpoint we stepped off.
             if let Some(pa) = self.debug_translate(addr) {
-                let _ = self.machine.mem.write(pa, EBREAK_WORD, MemSize::Word);
+                let _ = self.core.machine.mem.write(pa, EBREAK_WORD, MemSize::Word);
             }
         }
         match self.stub.step_intent.take() {
             Some(StepIntent::Step) => {
-                self.mstats.exits_debug += 1;
+                self.core.exits.exits_debug += 1;
                 self.stub_stop(StopReason::Step { pc: trap.epc });
             }
             Some(StepIntent::Resume) => {
                 self.sync_tf(); // guest's own vTF may still want stepping
             }
             None => {
-                if self.vcpu.status.tf() {
+                if self.core.vcpu.status.tf() {
                     // The guest is single-stepping its own code.
                     self.inject_guest_trap(Cause::DebugStep, trap.epc, 0);
                 }
@@ -657,351 +362,12 @@ impl LvmmPlatform {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Privileged-instruction emulation (the "CPU-resources emulator")
-    // ------------------------------------------------------------------
-
-    fn emulate_privileged(&mut self, trap: Trap) {
-        let pc = trap.epc;
-        let Ok(instr) = Instr::decode(trap.tval) else {
-            self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-            return;
-        };
-        match instr {
-            Instr::Csr { op, rd, rs1, csr } => {
-                self.consume_monitor(costs::EMUL_CSR);
-                let Some(c) = Csr::from_number(csr) else {
-                    self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                    return;
-                };
-                let old = self.vcpu.read_csr(c, &self.machine.cpu);
-                let writes = match op {
-                    hx_cpu::isa::CsrOp::Rw => true,
-                    _ => rs1 != hx_cpu::Reg::R0,
-                };
-                if writes {
-                    if c.is_read_only() {
-                        self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-                        return;
-                    }
-                    let src = self.machine.cpu.reg(rs1);
-                    let new = match op {
-                        hx_cpu::isa::CsrOp::Rw => src,
-                        hx_cpu::isa::CsrOp::Rs => old | src,
-                        hx_cpu::isa::CsrOp::Rc => old & !src,
-                    };
-                    let sensitive = self.vcpu.write_csr(c, new);
-                    if c == Csr::Ptbr && sensitive {
-                        // Guest address-space switch: activate (and possibly
-                        // build) the matching shadow context.
-                        self.consume_monitor(costs::SHADOW_FLUSH);
-                        self.activate_shadow();
-                    }
-                    if c == Csr::Status {
-                        self.sync_tf();
-                    }
-                }
-                self.machine.cpu.set_reg(rd, old);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            Instr::Sys { op: SysOp::Tret } => {
-                self.consume_monitor(costs::EMUL_TRET);
-                let resume = self.vcpu.leave_trap();
-                self.activate_shadow();
-                self.machine.cpu.set_pc(resume);
-                self.sync_tf();
-            }
-            Instr::Sys { op: SysOp::Wfi } => {
-                self.consume_monitor(costs::EMUL_WFI);
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-                if self.machine.num_cores() > 1 {
-                    // Park just this core at the machine level so the
-                    // scheduler hands the seat to a runnable sibling; the
-                    // platform state stays Running for the others.
-                    self.machine.park_active();
-                } else {
-                    self.state = RunState::GuestIdle;
-                }
-            }
-            Instr::Sys {
-                op: SysOp::TlbFlush,
-            } => {
-                self.consume_monitor(costs::SHADOW_FLUSH);
-                let key = self.shadow_key();
-                self.shadow.flush_context(&mut self.machine.mem, key);
-                self.machine.cpu.tlb_flush();
-                self.machine.cpu.set_pc(pc.wrapping_add(4));
-            }
-            _ => {
-                self.inject_guest_trap(Cause::IllegalInstruction, pc, trap.tval);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Shadow fault handling (paging + partial device emulation + level-3
-    // protection)
-    // ------------------------------------------------------------------
-
-    fn handle_shadow_fault(&mut self, trap: Trap) -> ExitCause {
-        let va = trap.tval;
-        let access = Access::from_fault(trap.cause);
-        let vmode = self.vcpu.vmode;
-        {
-            let now = self.machine.now();
-            self.machine
-                .obs
-                .event(now, EventKind::ShadowFault { vaddr: va });
-        }
-
-        // Resolve the guest-physical address and guest permissions.
-        let (gpa, gperm_w, gflags) = if self.vcpu.paging_enabled() {
-            let root = self.vcpu.page_table_root();
-            match guest_walk(
-                &mut self.machine.mem,
-                root,
-                va,
-                access,
-                vmode,
-                self.monitor_base,
-                true,
-            ) {
-                Ok(w) => (w.gpa, w.pte & pte::W != 0 && w.pte & pte::D != 0, w.pte),
-                Err(GuestWalkErr::GuestFault) => {
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Shadow;
-                }
-                Err(GuestWalkErr::BadTable) => {
-                    self.mstats.protection_violations += 1;
-                    self.shadow.stats.protection_violations += 1;
-                    self.inject_guest_trap(trap.cause, trap.epc, va);
-                    return ExitCause::Protection;
-                }
-            }
-        } else {
-            // Identity: kernel-era physical addressing.
-            (
-                va,
-                true,
-                pte::V | pte::R | pte::W | pte::X | pte::U | pte::A | pte::D,
-            )
-        };
-
-        match classify(gpa, self.monitor_base, self.ram_size) {
-            PageClass::Monitor => {
-                // Level-3 protection: the monitor is untouchable.
-                self.mstats.protection_violations += 1;
-                self.shadow.stats.protection_violations += 1;
-                self.inject_guest_trap(trap.cause, trap.epc, va);
-                ExitCause::Protection
-            }
-            PageClass::Unmapped => {
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-                ExitCause::Shadow
-            }
-            PageClass::EmulatedMmio => {
-                self.mstats.exits_mmio += 1;
-                self.emulate_mmio(trap, va, gpa, access);
-                ExitCause::Mmio
-            }
-            PageClass::PassthroughMmio => {
-                if self.progress.no_progress(&trap) {
-                    self.stub_stop(StopReason::Fault {
-                        pc: trap.epc,
-                        cause: trap.cause.code(),
-                    });
-                    return ExitCause::Debug;
-                }
-                self.mstats.exits_shadow += 1;
-                self.consume_monitor(costs::SHADOW_FILL);
-                let key = self.shadow_key();
-                self.shadow.map(
-                    &mut self.machine.mem,
-                    key,
-                    vmode,
-                    va & !PAGE_MASK,
-                    gpa & !PAGE_MASK,
-                    pte::V | pte::R | pte::W | pte::U | pte::A | pte::D,
-                );
-                ExitCause::Shadow
-            }
-            PageClass::GuestRam => {
-                if self.progress.no_progress(&trap) {
-                    self.stub_stop(StopReason::Fault {
-                        pc: trap.epc,
-                        cause: trap.cause.code(),
-                    });
-                    return ExitCause::Debug;
-                }
-                // Watchpoints first: accesses into a watched page never get
-                // a shadow mapping in the watched direction, so every one
-                // of them faults into the monitor for inspection.
-                let is_store = access == Access::Store;
-                let watched_page = if is_store {
-                    self.stub.watch_overlaps_page_write(va)
-                } else {
-                    access == Access::Load && self.stub.watch_overlaps_page_read(va)
-                };
-                if watched_page {
-                    if let Some(w) = self.stub.watch_hit(va, 4, is_store) {
-                        let cond = w.cond.clone();
-                        let stop = match cond {
-                            None => true,
-                            // Unevaluable conditions stop too — fail safe.
-                            Some(c) => c.eval(self).is_none_or(|v| v != 0),
-                        };
-                        if stop {
-                            self.mstats.exits_debug += 1;
-                            self.stub_stop(StopReason::Watchpoint {
-                                pc: trap.epc,
-                                addr: va,
-                            });
-                            return ExitCause::Debug;
-                        }
-                    }
-                    // Unwatched (or condition-false) access that merely
-                    // shares the page: the monitor completes it on the
-                    // guest's behalf.
-                    if is_store {
-                        self.emulate_guest_store(trap, gpa);
-                    } else {
-                        self.emulate_guest_load(trap, gpa);
-                    }
-                    return ExitCause::Debug;
-                }
-                self.mstats.exits_shadow += 1;
-                self.consume_monitor(costs::SHADOW_FILL);
-                let mut flags = pte::V | pte::U | pte::A | pte::D;
-                if gflags & pte::R != 0 && !self.stub.watch_overlaps_page_read(va) {
-                    flags |= pte::R;
-                }
-                if gflags & pte::X != 0 {
-                    flags |= pte::X;
-                }
-                if gperm_w && !self.stub.watch_overlaps_page_write(va) {
-                    flags |= pte::W;
-                }
-                let key = self.shadow_key();
-                self.shadow.map(
-                    &mut self.machine.mem,
-                    key,
-                    vmode,
-                    va & !PAGE_MASK,
-                    gpa & !PAGE_MASK,
-                    flags,
-                );
-                ExitCause::Shadow
-            }
-        }
-    }
-
-    /// Decodes and completes the guest's faulting load/store against the
-    /// virtual chipset ("partial hardware emulation").
-    fn emulate_mmio(&mut self, trap: Trap, va: u32, gpa: u32, access: Access) {
-        self.consume_monitor(costs::EMUL_MMIO);
-        let Some(instr) = self.fetch_guest_instr(trap.epc) else {
-            self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
-            return;
-        };
-        let page = gpa & !(map::DEV_PAGE - 1);
-        let offset = gpa & (map::DEV_PAGE - 1);
-        match (instr, access) {
-            (
-                Instr::Load {
-                    kind: LoadKind::W,
-                    rd,
-                    ..
-                },
-                Access::Load,
-            ) => {
-                let val = if page == map::PIC_BASE && offset >= smp::reg::SEND {
-                    self.ipi_mmio_read(offset)
-                } else {
-                    self.chipset.mmio_read(&mut self.machine, page, offset)
-                };
-                self.machine.cpu.set_reg(rd, val);
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
-            }
-            (
-                Instr::Store {
-                    kind: StoreKind::W,
-                    rs2,
-                    ..
-                },
-                Access::Store,
-            ) => {
-                let val = self.machine.cpu.reg(rs2);
-                if page == map::PIC_BASE && offset == hx_machine::pic::reg::EOI {
-                    // The guest is retiring a virtual interrupt: close the
-                    // profiler's entry→EOI latency window and the causal
-                    // ISR-service flow. The monitor's own retirement of the
-                    // *real* PIC goes through the device directly, so this
-                    // is the only EOI the causal layer sees.
-                    let now = self.machine.now();
-                    self.machine.obs.prof_irq_eoi(now);
-                    self.machine.obs.eoi(now);
-                }
-                if page == map::PIC_BASE && offset >= smp::reg::SEND {
-                    self.ipi_mmio_write(offset, val);
-                } else {
-                    self.chipset
-                        .mmio_write(&mut self.machine, page, offset, val);
-                }
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
-            }
-            _ => {
-                // Sub-word or executable access to a device page: reflect
-                // as an access fault, like real hardware would.
-                self.inject_guest_trap(access.fault_cause(), trap.epc, va);
-            }
-        }
-        // Attribute the emulation's host time to the device itself; the
-        // trailing `record_exit(Mmio)` then covers only exit bookkeeping.
-        if let Some(dev) = map::dev_of(gpa) {
-            self.machine.obs.host_mark(HostPhase::Device(dev));
-        }
-    }
-
-    /// Emulates a guest read of the IPI registers (the block above the
-    /// 8259 registers on the PIC page). The monitor answers `CORE_ID` and
-    /// `NUM_CORES` itself and reads `ENTRY` through the machine, so the
-    /// deprivileged guest sees exactly what a raw guest would.
-    fn ipi_mmio_read(&mut self, offset: u32) -> u32 {
-        match offset {
-            smp::reg::ENTRY => self.machine.ipi_entry(),
-            smp::reg::CORE_ID => self.cur_core as u32,
-            smp::reg::NUM_CORES => self.machine.num_cores() as u32,
-            _ => {
-                self.chipset.bad_accesses += 1;
-                0
-            }
-        }
-    }
-
-    /// Emulates a guest write to the IPI registers: sends route through the
-    /// machine's own delivery path so virtual and raw IPI timing agree.
-    fn ipi_mmio_write(&mut self, offset: u32, val: u32) {
-        match offset {
-            smp::reg::SEND => {
-                let target = (val & 0xff) as u8;
-                let line = ((val >> 8) & 0xff) as u8;
-                if !self.machine.ipi_send(target, line) {
-                    self.chipset.bad_accesses += 1;
-                }
-            }
-            smp::reg::ENTRY => self.machine.set_ipi_entry(val),
-            _ => self.chipset.bad_accesses += 1,
-        }
-    }
-
     /// Completes one guest store that faulted only because a watchpoint
     /// shares its page.
     fn emulate_guest_store(&mut self, trap: Trap, gpa: u32) {
         self.consume_monitor(costs::EMUL_ACCESS);
-        self.mstats.emulated_stores += 1;
-        let Some(instr) = self.fetch_guest_instr(trap.epc) else {
+        self.core.exits.emulated_stores += 1;
+        let Some(instr) = self.core.fetch_guest_instr(trap.epc) else {
             self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
             return;
         };
@@ -1011,12 +377,9 @@ impl LvmmPlatform {
                 StoreKind::H => MemSize::Half,
                 StoreKind::W => MemSize::Word,
             };
-            let val = self.machine.cpu.reg(rs2);
-            if self.machine.mem.write(gpa, val, size).is_ok() {
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                // The instruction retired by emulation — the engine's
-                // boundary hook never saw it.
-                self.machine.note_logpoints(trap.epc);
+            let val = self.core.machine.cpu.reg(rs2);
+            if self.core.machine.mem.write(gpa, val, size).is_ok() {
+                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4));
                 return;
             }
         }
@@ -1027,8 +390,8 @@ impl LvmmPlatform {
     /// watchpoint shares its page.
     fn emulate_guest_load(&mut self, trap: Trap, gpa: u32) {
         self.consume_monitor(costs::EMUL_ACCESS);
-        self.mstats.emulated_loads += 1;
-        let Some(instr) = self.fetch_guest_instr(trap.epc) else {
+        self.core.exits.emulated_loads += 1;
+        let Some(instr) = self.core.fetch_guest_instr(trap.epc) else {
             self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
             return;
         };
@@ -1038,7 +401,7 @@ impl LvmmPlatform {
                 LoadKind::H | LoadKind::Hu => MemSize::Half,
                 LoadKind::W => MemSize::Word,
             };
-            if let Ok(raw) = self.machine.mem.read(gpa, size) {
+            if let Ok(raw) = self.core.machine.mem.read(gpa, size) {
                 // Same extension rules as the CPU's own load path.
                 let val = match kind {
                     LoadKind::B => raw as u8 as i8 as i32 as u32,
@@ -1047,41 +410,12 @@ impl LvmmPlatform {
                     LoadKind::Hu => raw & 0xffff,
                     LoadKind::W => raw,
                 };
-                self.machine.cpu.set_reg(rd, val);
-                self.machine.cpu.set_pc(trap.epc.wrapping_add(4));
-                self.machine.note_logpoints(trap.epc);
+                self.core.machine.cpu.set_reg(rd, val);
+                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4));
                 return;
             }
         }
         self.inject_guest_trap(Cause::LoadAccessFault, trap.epc, trap.tval);
-    }
-
-    /// Fetches the instruction word at a guest virtual PC.
-    fn fetch_guest_instr(&mut self, pc: u32) -> Option<Instr> {
-        let pa = self.debug_translate(pc)?;
-        let word = self.machine.mem.read(pa, MemSize::Word).ok()?;
-        Instr::decode(word).ok()
-    }
-
-    // ------------------------------------------------------------------
-    // Real interrupt handling
-    // ------------------------------------------------------------------
-
-    fn handle_real_irq(&mut self, irq: u8) {
-        // The monitor owns the real PIC: retire the interrupt immediately.
-        self.machine.pic.eoi(irq);
-        self.consume_monitor(costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.record_exit(ExitCause::IrqReflect, costs::EXIT_BASE + costs::REFLECT_IRQ);
-        self.mstats.exits_irq_reflect += 1;
-        if irq == map::irq::UART {
-            // Host debugger traffic — the monitor's own business.
-            self.service_uart();
-        } else {
-            // Timer and passthrough-device interrupts belong to the guest:
-            // latch them in the virtual PIC.
-            self.chipset.vpic.assert_irq(irq);
-        }
-        self.maybe_inject_irq();
     }
 
     // ------------------------------------------------------------------
@@ -1091,31 +425,32 @@ impl LvmmPlatform {
     fn stub_stop(&mut self, reason: StopReason) {
         // A stop can originate outside the exit path (break-in, reset);
         // make sure the stop report names the core actually parked.
-        self.sync_core();
+        self.core.sync_core();
         // Organic stops become reverse-continue targets; time-travel
         // landings do not (they are already the result of one).
         if !matches!(reason, StopReason::TimeTravel { .. }) {
-            let now = self.machine.now();
+            let now = self.core.machine.now();
             if let Some(fr) = &mut self.flight {
                 fr.note_stop(now);
             }
         }
-        self.state = RunState::Stopped;
+        self.core.state = RunState::Stopped;
         // Hold the fault campaign while parked: injections model faults of
         // a running guest, and firing one into a halted machine would
         // corrupt the state the debugger is inspecting.
-        self.machine.pause_faults(true);
+        self.core.machine.pause_faults(true);
         self.stub.stopped = true;
         self.stub.last_stop = Some(reason);
         self.stub.step_intent = None;
         // Disarm the hardware single-step flag while stopped.
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
+        let s = Status(self.core.machine.cpu.read_csr(Csr::Status));
+        self.core
+            .machine
             .cpu
             .write_csr(Csr::Status, s.with(Status::TF, false).0);
         // `;c:` appears only for nonzero cores, so single-core stop packets
         // are byte-identical to the pre-SMP wire format.
-        let core = self.cur_core as u8;
+        let core = self.core.cur_core as u8;
         self.send_packet(&reason.format_on(core));
     }
 
@@ -1123,7 +458,7 @@ impl LvmmPlatform {
         let bytes = wire::encode_packet(payload);
         self.stub.stats.bytes_out += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.machine.uart.push_tx(&bytes);
+        self.core.machine.uart.push_tx(&bytes);
         // Keep the packet until the host ACKs it, so a NAK can be answered
         // by retransmission (a lossy line must not wedge the session).
         self.stub.last_tx = Some(bytes);
@@ -1144,7 +479,7 @@ impl LvmmPlatform {
         self.stub.stats.retransmits += 1;
         self.stub.stats.bytes_out += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.machine.uart.push_tx(&bytes);
+        self.core.machine.uart.push_tx(&bytes);
     }
 
     fn send_reply(&mut self, reply: &Reply) {
@@ -1154,7 +489,7 @@ impl LvmmPlatform {
     /// Drains host bytes from the UART and executes any complete commands.
     fn service_uart(&mut self) {
         let mut bytes = Vec::new();
-        while let Some(b) = self.machine.uart.pop_rx() {
+        while let Some(b) = self.core.machine.uart.pop_rx() {
             bytes.push(b);
         }
         if bytes.is_empty() {
@@ -1162,7 +497,7 @@ impl LvmmPlatform {
         }
         // Stub servicing is host work after (possibly deferred) guest
         // execution; close the guest window before attributing it.
-        self.machine.obs.host_mark(HostPhase::GuestExec);
+        self.core.machine.obs.host_mark(HostPhase::GuestExec);
         self.stub.stats.bytes_in += bytes.len() as u64;
         self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
         self.stub.parser.push(&bytes);
@@ -1170,24 +505,24 @@ impl LvmmPlatform {
             match event {
                 WireEvent::BreakIn => {
                     self.stub.stats.break_ins += 1;
-                    self.mstats.exits_debug += 1;
-                    let monitor_before = self.stats.monitor;
-                    let pc = self.machine.cpu.pc();
+                    self.core.exits.exits_debug += 1;
+                    let monitor_before = self.core.stats.monitor;
+                    let pc = self.core.machine.cpu.pc();
                     self.stub_stop(StopReason::Halted { pc });
                     // Saturating: a time-travel command may have rewound
                     // `stats` to before this exit began.
-                    let delta = self.stats.monitor.saturating_sub(monitor_before);
+                    let delta = self.core.stats.monitor.saturating_sub(monitor_before);
                     self.record_exit(ExitCause::Debug, delta);
                 }
                 WireEvent::Packet(p) => {
-                    self.machine.uart.push_tx(&[wire::ACK]);
-                    let monitor_before = self.stats.monitor;
+                    self.core.machine.uart.push_tx(&[wire::ACK]);
+                    let monitor_before = self.core.stats.monitor;
                     self.consume_monitor(costs::STUB_COMMAND);
                     self.stub.stats.commands += 1;
                     {
-                        let now = self.machine.now();
+                        let now = self.core.machine.now();
                         let code = p.as_bytes().first().copied().unwrap_or(0);
-                        self.machine.obs.debug_command(now, code);
+                        self.core.machine.obs.debug_command(now, code);
                     }
                     let reply = match Command::parse(&p) {
                         Some(cmd) => self.exec_command(cmd),
@@ -1196,11 +531,11 @@ impl LvmmPlatform {
                     self.send_reply(&reply);
                     // Saturating: a time-travel command may have rewound
                     // `stats` to before this exit began.
-                    let delta = self.stats.monitor.saturating_sub(monitor_before);
+                    let delta = self.core.stats.monitor.saturating_sub(monitor_before);
                     self.record_exit(ExitCause::Debug, delta);
                 }
                 WireEvent::Corrupt => {
-                    self.machine.uart.push_tx(&[wire::NAK]);
+                    self.core.machine.uart.push_tx(&[wire::NAK]);
                 }
                 WireEvent::Ack => {
                     // Delivery confirmed: drop the retransmission cache.
@@ -1212,13 +547,13 @@ impl LvmmPlatform {
         }
         // Whatever the per-packet `record_exit(Debug)` marks did not claim
         // (byte draining, parsing, ACK/NAK handling) is debug-link I/O.
-        self.machine.obs.host_mark(HostPhase::DebugLink);
+        self.core.machine.obs.host_mark(HostPhase::DebugLink);
     }
 
     fn exec_command(&mut self, cmd: Command) -> Reply {
         match cmd {
             Command::Halt => {
-                let pc = self.machine.cpu.pc();
+                let pc = self.core.machine.cpu.pc();
                 self.stub_stop(StopReason::Halted { pc });
                 Reply::Ok
             }
@@ -1227,7 +562,7 @@ impl LvmmPlatform {
                 _ => Reply::Error(err::NOT_STOPPED),
             },
             Command::SetThread { core } => {
-                if (core as usize) < self.machine.num_cores() {
+                if (core as usize) < self.core.machine.num_cores() {
                     self.stub.sel_core = core;
                     Reply::Ok
                 } else {
@@ -1235,8 +570,8 @@ impl LvmmPlatform {
                 }
             }
             Command::ThreadAlive { core } => {
-                if (core as usize) < self.machine.num_cores()
-                    && self.machine.core_started(core as usize)
+                if (core as usize) < self.core.machine.num_cores()
+                    && self.core.machine.core_started(core as usize)
                 {
                     Reply::Ok
                 } else {
@@ -1244,7 +579,7 @@ impl LvmmPlatform {
                 }
             }
             Command::ReadRegisters => {
-                let cpu = self.machine.core(self.stub.sel_core as usize);
+                let cpu = self.core.machine.core(self.stub.sel_core as usize);
                 let mut bytes = Vec::with_capacity(33 * 4);
                 for r in cpu.regs() {
                     bytes.extend_from_slice(&r.to_le_bytes());
@@ -1256,10 +591,10 @@ impl LvmmPlatform {
                 let sel = self.stub.sel_core as usize;
                 if index < 32 {
                     let reg = hx_cpu::Reg::new(index).unwrap();
-                    self.machine.core_mut(sel).set_reg(reg, value);
+                    self.core.machine.core_mut(sel).set_reg(reg, value);
                     Reply::Ok
                 } else if index as u32 == rdbg::msg::REG_PC as u32 {
-                    self.machine.core_mut(sel).set_pc(value);
+                    self.core.machine.core_mut(sel).set_pc(value);
                     Reply::Ok
                 } else {
                     Reply::Error(err::REG)
@@ -1272,7 +607,7 @@ impl LvmmPlatform {
                     let Some(pa) = self.sel_translate(va) else {
                         return Reply::Error(err::MEM);
                     };
-                    match self.machine.mem.read(pa, MemSize::Byte) {
+                    match self.core.machine.mem.read(pa, MemSize::Byte) {
                         Ok(b) => out.push(b as u8),
                         Err(_) => return Reply::Error(err::MEM),
                     }
@@ -1296,7 +631,13 @@ impl LvmmPlatform {
                     let Some(pa) = self.sel_translate(va) else {
                         return Reply::Error(err::MEM);
                     };
-                    if self.machine.mem.write(pa, b as u32, MemSize::Byte).is_err() {
+                    if self
+                        .core
+                        .machine
+                        .mem
+                        .write(pa, b as u32, MemSize::Byte)
+                        .is_err()
+                    {
                         return Reply::Error(err::MEM);
                     }
                 }
@@ -1309,10 +650,11 @@ impl LvmmPlatform {
                 let Some(pa) = self.sel_translate(addr) else {
                     return Reply::Error(err::MEM);
                 };
-                let Ok(orig) = self.machine.mem.read(pa, MemSize::Word) else {
+                let Ok(orig) = self.core.machine.mem.read(pa, MemSize::Word) else {
                     return Reply::Error(err::MEM);
                 };
                 if self
+                    .core
                     .machine
                     .mem
                     .write(pa, EBREAK_WORD, MemSize::Word)
@@ -1320,7 +662,7 @@ impl LvmmPlatform {
                 {
                     return Reply::Error(err::MEM);
                 }
-                self.machine.cpu.tlb_flush();
+                self.core.machine.cpu.tlb_flush();
                 self.stub.breakpoints.insert(addr, orig);
                 Reply::Ok
             }
@@ -1330,7 +672,7 @@ impl LvmmPlatform {
                 };
                 self.stub.bp_conds.remove(&addr);
                 if let Some(pa) = self.debug_translate(addr) {
-                    let _ = self.machine.mem.write(pa, orig, MemSize::Word);
+                    let _ = self.core.machine.mem.write(pa, orig, MemSize::Word);
                 }
                 Reply::Ok
             }
@@ -1345,9 +687,9 @@ impl LvmmPlatform {
                     cond: None,
                 });
                 // Drop mappings so watched pages re-fault.
-                self.shadow.flush_all(&mut self.machine.mem);
-                self.activate_shadow();
-                self.machine.cpu.tlb_flush();
+                self.core.shadow.flush_all(&mut self.core.machine.mem);
+                self.core.activate_shadow();
+                self.core.machine.cpu.tlb_flush();
                 Reply::Ok
             }
             Command::ClearWatchpoint { addr } => {
@@ -1356,9 +698,9 @@ impl LvmmPlatform {
                 if self.stub.watchpoints.len() == before {
                     return Reply::Error(err::BP);
                 }
-                self.shadow.flush_all(&mut self.machine.mem);
-                self.activate_shadow();
-                self.machine.cpu.tlb_flush();
+                self.core.shadow.flush_all(&mut self.core.machine.mem);
+                self.core.activate_shadow();
+                self.core.machine.cpu.tlb_flush();
                 Reply::Ok
             }
             Command::SetBreakCondition { addr, expr } => {
@@ -1399,11 +741,11 @@ impl LvmmPlatform {
                         Err(_) => return Reply::Error(err::QUERY),
                     }
                 };
-                self.machine.add_logpoint(addr, &label, cond);
+                self.core.machine.add_logpoint(addr, &label, cond);
                 Reply::Ok
             }
             Command::ClearLogpoint { addr } => {
-                if self.machine.clear_logpoint(addr) {
+                if self.core.machine.clear_logpoint(addr) {
                     Reply::Ok
                 } else {
                     Reply::Error(err::BP)
@@ -1429,14 +771,14 @@ impl LvmmPlatform {
                 if !self.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
-                let pc = self.machine.cpu.pc();
+                let pc = self.core.machine.cpu.pc();
                 if self.stub.breakpoints.contains_key(&pc) {
                     // Step over the breakpoint we are parked on, then run.
                     self.arm_resume(StepIntent::Resume);
                 } else {
                     self.stub.stopped = false;
-                    self.state = RunState::Running;
-                    self.machine.pause_faults(false);
+                    self.core.state = RunState::Running;
+                    self.core.machine.pause_faults(false);
                     self.sync_tf();
                 }
                 Reply::Ok
@@ -1444,30 +786,30 @@ impl LvmmPlatform {
             Command::Reset => {
                 // Power-on SMP state first: core 0 back in the seat,
                 // secondaries stopped until their next startup IPI.
-                self.machine.smp_reset();
-                self.cur_core = 0;
+                self.core.machine.smp_reset();
+                self.core.cur_core = 0;
                 let mut cpu = hx_cpu::Cpu::new();
                 cpu.set_mode(Mode::User);
                 cpu.set_pc(self.entry);
                 cpu.write_csr(Csr::Status, Status::IE);
-                self.machine.cpu = cpu;
-                self.vcpu = VCpu::new();
-                for v in &mut self.vcpus {
+                self.core.machine.cpu = cpu;
+                self.core.vcpu = VCpu::new();
+                for v in &mut self.core.vcpus {
                     *v = VCpu::new();
                 }
-                for m in &mut self.vipi {
+                for m in &mut self.core.vipi {
                     *m = 0;
                 }
-                self.chipset = VChipset::new();
-                self.shadow.flush_all(&mut self.machine.mem);
-                self.activate_shadow();
-                let root = self.machine.cpu.read_csr(Csr::Ptbr);
-                for i in 1..self.machine.num_cores() {
+                self.core.chipset = VChipset::new();
+                self.core.shadow.flush_all(&mut self.core.machine.mem);
+                self.core.activate_shadow();
+                let root = self.core.machine.cpu.read_csr(Csr::Ptbr);
+                for i in 1..self.core.machine.num_cores() {
                     let mut c = hx_cpu::Cpu::new();
                     c.set_mode(Mode::User);
                     c.write_csr(Csr::Status, Status::IE);
                     c.write_csr(Csr::Ptbr, root);
-                    *self.machine.core_mut(i) = c;
+                    *self.core.machine.core_mut(i) = c;
                 }
                 self.stub.lifted_bp = None;
                 self.stub.step_intent = None;
@@ -1499,7 +841,7 @@ impl LvmmPlatform {
                         .stop_history
                         .last()
                         .copied()
-                        .unwrap_or_else(|| self.machine.now()),
+                        .unwrap_or_else(|| self.core.machine.now()),
                 };
                 let target = fr
                     .stop_history
@@ -1521,41 +863,44 @@ impl LvmmPlatform {
             Command::QueryStats => {
                 // Answered whether or not the guest is stopped — the whole
                 // point is sampling the monitor live, without a halt.
-                let decode = self.machine.cpu.decode_stats();
+                let decode = self.core.machine.cpu.decode_stats();
                 let faults = self
+                    .core
                     .machine
                     .fault_stats()
                     .map(|f| f.injected.to_vec())
                     .unwrap_or_default();
-                let fault_blocked = self.machine.fault_stats().map_or(0, |f| f.blocked);
-                let n = self.machine.num_cores();
+                let fault_blocked = self.core.machine.fault_stats().map_or(0, |f| f.blocked);
+                let n = self.core.machine.num_cores();
                 Reply::Stats(StatsSample {
-                    now: self.machine.now(),
-                    guest: self.stats.guest,
-                    monitor: self.stats.monitor,
-                    host: self.stats.host_model,
-                    idle: self.stats.idle,
+                    now: self.core.machine.now(),
+                    guest: self.core.stats.guest,
+                    monitor: self.core.stats.monitor,
+                    host: self.core.stats.host_model,
+                    idle: self.core.stats.idle,
                     decode_hits: decode.hits,
                     decode_misses: decode.misses,
                     fast_fetches: decode.fast_fetches,
                     decode_invalidations: decode.invalidations,
-                    exits: self.machine.obs.exits.counts().to_vec(),
+                    exits: self.core.machine.obs.exits.counts().to_vec(),
                     faults,
                     fault_blocked,
                     cores: n as u64,
-                    core_instret: (0..n).map(|i| self.machine.core(i).instret()).collect(),
+                    core_instret: (0..n)
+                        .map(|i| self.core.machine.core(i).instret())
+                        .collect(),
                     core_exits: (0..n)
-                        .map(|i| self.machine.obs.core_exit_count(i))
+                        .map(|i| self.core.machine.obs.core_exit_count(i))
                         .collect(),
                 })
             }
             Command::QueryProf { max } => {
                 // Like `qStats`: answered live, without stopping the guest.
-                let Some(prof) = self.machine.obs.prof() else {
+                let Some(prof) = self.core.machine.obs.prof() else {
                     return Reply::Error(err::PROFILER);
                 };
                 Reply::Prof(ProfSample {
-                    now: self.machine.now(),
+                    now: self.core.machine.now(),
                     interval: prof.interval(),
                     total_cycles: prof.total_cycles(),
                     total_samples: prof.total_samples(),
@@ -1570,11 +915,11 @@ impl LvmmPlatform {
                 // Like `qStats`: answered live, without stopping the guest.
                 // Every value is simulation-deterministic, so the reply's
                 // byte cost is a pure function of the run.
-                let Some(c) = self.machine.obs.causal() else {
+                let Some(c) = self.core.machine.obs.causal() else {
                     return Reply::Error(err::CAUSAL);
                 };
                 Reply::Flow(FlowSample {
-                    now: self.machine.now(),
+                    now: self.core.machine.now(),
                     completed: c.completed(),
                     dropped: c.dropped_flows(),
                     orphan_ends: c.orphan_ends(),
@@ -1593,7 +938,7 @@ impl LvmmPlatform {
                 // The sample's wire encoding is fixed-width, so the reply's
                 // simulated byte cost never depends on the host-clock
                 // values it carries — replay stays byte-identical.
-                let Some(att) = self.machine.obs.host_attribution() else {
+                let Some(att) = self.core.machine.obs.host_attribution() else {
                     return Reply::Error(err::METRICS);
                 };
                 let mut phase_ns = [0u64; rdbg::msg::METRICS_PHASES];
@@ -1601,7 +946,7 @@ impl LvmmPlatform {
                     phase_ns[i] = *ns;
                 }
                 Reply::Metrics(MetricsSample {
-                    now: self.machine.now(),
+                    now: self.core.machine.now(),
                     wall_ns: att.wall_ns,
                     marks: att.marks,
                     phase_ns,
@@ -1623,11 +968,11 @@ impl LvmmPlatform {
     /// Evaluates a query predicate against the live machine state, in the
     /// same physical-address view the checkpoint scan uses.
     fn eval_pred(&mut self, expr: &Expr) -> bool {
-        let pc = self.machine.cpu.pc();
-        let now = self.machine.now();
+        let pc = self.core.machine.cpu.pc();
+        let now = self.core.machine.now();
         let mut ctx = SliceCtx::new(
-            self.machine.mem.as_bytes(),
-            self.machine.cpu.regs(),
+            self.core.machine.mem.as_bytes(),
+            self.core.machine.cpu.regs(),
             pc,
             now,
         );
@@ -1648,65 +993,24 @@ impl LvmmPlatform {
     /// recording. A miss replays back to the original cycle (state
     /// byte-identical) and reports `found = 0`.
     fn query_first(&mut self, expr: &Expr) -> Reply {
-        let Some(fr) = self.flight.as_deref() else {
-            return Reply::Error(err::RECORDER);
-        };
-        if fr.replaying {
-            return Reply::Error(err::RECORDER);
-        }
-        let Some(journal) = self.machine.obs.journal().cloned() else {
-            return Reply::Error(err::RECORDER);
-        };
-        let original = self.machine.now();
-        let fr = self.flight.as_deref().expect("checked above");
-        let restore_at = fr.checkpoints.iter().next().map_or(original, |c| c.at);
-
-        let fr = self.flight.as_mut().expect("checked above");
-        let Some(cp) = fr.checkpoints.nearest_at_or_before(restore_at) else {
-            return Reply::Error(err::RECORDER);
-        };
-        let cp_at = cp.at;
-        let snap = cp.state.clone();
-        fr.checkpoints.truncate_after(cp_at);
-        fr.stop_history.retain(|&c| c <= cp_at);
-        self.restore(snap);
-        self.flight.as_mut().expect("checked above").replaying = true;
-        let mut cursor = ReplayCursor::new(&journal);
-        let done = self.machine.obs.journal().map_or(0, |j| j.inputs.len());
-        cursor.skip_first(done);
+        let original = self.core.machine.now();
+        let first = self
+            .flight
+            .as_deref()
+            .and_then(|f| f.checkpoints.iter().next());
+        let restore = first.map_or(original, |c| c.at);
         let mut found = None;
-        loop {
-            let now = self.machine.now();
-            if self.eval_pred(expr) {
+        let landed = self.replay(Some(restore), |p| {
+            let now = p.core.machine.now();
+            if p.eval_pred(expr) {
                 found = Some(now);
-                break;
             }
-            if now >= original {
-                break;
-            }
-            while let Some(rec) = cursor.pop_due(now) {
-                match rec.input {
-                    JournalInput::UartRx(bytes) => self.machine.uart_input(&bytes),
-                    JournalInput::NicRx(frame) => self.inject_rx_frame(&frame),
-                }
-            }
-            if self.step() == PlatformStep::Stuck {
-                break;
-            }
-        }
-        // Stub replies regenerated during the re-run were already delivered
-        // on the original timeline; the host must not see them twice.
-        let _ = self.machine.uart_output();
-        self.flight.as_mut().expect("checked above").replaying = false;
-        let pc = self.machine.cpu.pc();
-        let cycle = self.machine.now();
-        self.stub_stop(StopReason::TimeTravel { pc, cycle });
-        match found {
-            Some(c) => Reply::Query {
-                found: true,
-                cycle: c,
-            },
-            None => Reply::Query {
+            found.is_some() || now >= original
+        });
+        match (landed, found) {
+            (None, _) => Reply::Error(err::RECORDER),
+            (Some(_), Some(cycle)) => Reply::Query { found: true, cycle },
+            (Some(cycle), None) => Reply::Query {
                 found: false,
                 cycle,
             },
@@ -1716,18 +1020,18 @@ impl LvmmPlatform {
     /// Arms a single step (possibly lifting the breakpoint under the PC)
     /// and resumes the guest.
     fn arm_resume(&mut self, intent: StepIntent) {
-        let pc = self.machine.cpu.pc();
+        let pc = self.core.machine.cpu.pc();
         if self.stub.breakpoints.contains_key(&pc) {
             if let Some(pa) = self.debug_translate(pc) {
                 let orig = self.stub.breakpoints[&pc];
-                let _ = self.machine.mem.write(pa, orig, MemSize::Word);
+                let _ = self.core.machine.mem.write(pa, orig, MemSize::Word);
                 self.stub.lifted_bp = Some(pc);
             }
         }
         self.stub.step_intent = Some(intent);
         self.stub.stopped = false;
-        self.state = RunState::Running;
-        self.machine.pause_faults(false);
+        self.core.state = RunState::Running;
+        self.core.machine.pause_faults(false);
         self.sync_tf();
     }
 
@@ -1737,9 +1041,10 @@ impl LvmmPlatform {
     /// *active* core's address space (breakpoint replants, conditions).
     fn debug_translate(&mut self, va: u32) -> Option<u32> {
         let root = self
+            .core
             .vcpu
             .paging_enabled()
-            .then(|| self.vcpu.page_table_root());
+            .then(|| self.core.vcpu.page_table_root());
         self.translate_for_debug(root, va)
     }
 
@@ -1754,28 +1059,28 @@ impl LvmmPlatform {
     /// The `Hg`-selected core's virtual CPU.
     fn sel_vcpu(&self) -> &VCpu {
         let sel = self.stub.sel_core as usize;
-        if sel == self.cur_core {
-            &self.vcpu
+        if sel == self.core.cur_core {
+            &self.core.vcpu
         } else {
-            &self.vcpus[sel]
+            &self.core.vcpus[sel]
         }
     }
 
     fn translate_for_debug(&mut self, paging_root: Option<u32>, va: u32) -> Option<u32> {
         let gpa = if let Some(root) = paging_root {
             let l1_addr = root + hx_cpu::mmu::l1_index(va) * 4;
-            if l1_addr + 4 > self.monitor_base {
+            if l1_addr + 4 > self.core.monitor_base {
                 return None;
             }
-            let l1e = self.machine.mem.read(l1_addr, MemSize::Word).ok()?;
+            let l1e = self.core.machine.mem.read(l1_addr, MemSize::Word).ok()?;
             if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
                 return None;
             }
             let l2_addr = (l1e & pte::PPN_MASK) + hx_cpu::mmu::l2_index(va) * 4;
-            if l2_addr + 4 > self.monitor_base {
+            if l2_addr + 4 > self.core.monitor_base {
                 return None;
             }
-            let leaf = self.machine.mem.read(l2_addr, MemSize::Word).ok()?;
+            let leaf = self.core.machine.mem.read(l2_addr, MemSize::Word).ok()?;
             if leaf & pte::V == 0 {
                 return None;
             }
@@ -1783,39 +1088,7 @@ impl LvmmPlatform {
         } else {
             va
         };
-        (gpa < self.monitor_base).then_some(gpa)
-    }
-
-    // ------------------------------------------------------------------
-    // Run states
-    // ------------------------------------------------------------------
-
-    fn step_impl(&mut self, batch: bool) -> PlatformStep {
-        self.maybe_checkpoint();
-        match self.state {
-            RunState::Running => self.guest_step(batch),
-            RunState::GuestIdle => self.guest_idle_step(),
-            RunState::Stopped => self.stopped_step(),
-        }
-    }
-
-    fn stopped_step(&mut self) -> PlatformStep {
-        // While stopped the monitor polls its UART; device events keep
-        // firing (real time does not stop for the debugger).
-        if self.machine.uart.rx_pending() == 0 {
-            if self.machine.pending_events() == 0 {
-                // Nothing will happen until the host sends bytes; advance a
-                // polling quantum so the host's pump loop sees progress.
-                self.machine.consume(costs::STUB_POLL);
-                self.charge(TimeBucket::Idle, costs::STUB_POLL);
-            } else {
-                self.machine.consume(costs::STUB_POLL);
-                self.charge(TimeBucket::Idle, costs::STUB_POLL);
-            }
-            return PlatformStep::Running;
-        }
-        self.service_uart();
-        PlatformStep::Running
+        (gpa < self.core.monitor_base).then_some(gpa)
     }
 }
 
@@ -1826,7 +1099,8 @@ impl LvmmPlatform {
 /// `m` command shows.
 impl hx_query::EvalCtx for LvmmPlatform {
     fn reg(&mut self, idx: u8) -> u32 {
-        self.machine
+        self.core
+            .machine
             .cpu
             .regs()
             .get(idx as usize)
@@ -1835,35 +1109,180 @@ impl hx_query::EvalCtx for LvmmPlatform {
     }
 
     fn pc(&mut self) -> u32 {
-        self.machine.cpu.pc()
+        self.core.machine.cpu.pc()
     }
 
     fn cycle(&mut self) -> u64 {
-        self.machine.now()
+        self.core.machine.now()
     }
 
     fn load(&mut self, addr: u32, size: u8) -> Option<u32> {
         let mut v = 0u32;
         for i in 0..size as u32 {
             let pa = self.debug_translate(addr.wrapping_add(i))?;
-            let b = self.machine.mem.read(pa, MemSize::Byte).ok()?;
+            let b = self.core.machine.mem.read(pa, MemSize::Byte).ok()?;
             v |= (b & 0xff) << (8 * i);
         }
         Some(v)
     }
 }
 
+impl VirtPolicy for LvmmPlatform {
+    const COSTS: ExitCosts = ExitCosts {
+        exit: costs::EXIT_BASE,
+        reflect_irq: costs::REFLECT_IRQ,
+        dev_reg: costs::EMUL_MMIO,
+    };
+    const PASSTHROUGH: bool = true;
+
+    fn core(&self) -> &VirtCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut VirtCore {
+        &mut self.core
+    }
+
+    fn route_irq(&mut self, irq: u8) {
+        if irq == map::irq::UART {
+            // Host debugger traffic — the monitor's own business.
+            self.service_uart();
+        } else {
+            // Timer and passthrough-device interrupts belong to the guest:
+            // latch them in the virtual PIC.
+            self.core.chipset.vpic.assert_irq(irq);
+        }
+    }
+
+    /// Double fault: a synchronous fault raised *at the handler entry
+    /// itself* means the guest's handler is gone (e.g. overwritten by the
+    /// bug under investigation). A real kernel would triple-fault and
+    /// reset; the monitor parks the guest for debugging instead — the
+    /// stability story of the paper. So does a fault with no handler.
+    fn park_on_fault(&mut self, cause: Cause, epc: u32) -> bool {
+        let tvec = self.core.vcpu.tvec;
+        let double_fault =
+            epc == tvec && !matches!(cause, Cause::Interrupt | Cause::EcallU | Cause::EcallS);
+        let park = (tvec == 0 || double_fault) && self.cfg.debug_on_unhandled_fault;
+        if park {
+            self.stub_stop(StopReason::Fault {
+                pc: epc,
+                cause: cause.code(),
+            });
+        }
+        park
+    }
+
+    fn park_on_livelock(&mut self, trap: Trap) -> bool {
+        self.stub_stop(StopReason::Fault {
+            pc: trap.epc,
+            cause: trap.cause.code(),
+        });
+        true
+    }
+
+    fn debug_exit(&mut self, trap: Trap) -> Option<ExitCause> {
+        match trap.cause {
+            Cause::Breakpoint if self.stub.breakpoints.contains_key(&trap.epc) => {
+                self.core.exits.exits_debug += 1;
+                if self.bp_condition_holds(trap.epc) {
+                    self.stub_stop(StopReason::Breakpoint { pc: trap.epc });
+                } else {
+                    // Condition false: silently step over the planted
+                    // `ebreak` and keep running — the guest never observes
+                    // the stop.
+                    self.arm_resume(StepIntent::Resume);
+                }
+            }
+            // The guest's own `ebreak` (e.g. its embedded debugger).
+            Cause::Breakpoint => self.inject_guest_trap(Cause::Breakpoint, trap.epc, trap.tval),
+            Cause::DebugStep => self.handle_debug_step(trap),
+            _ => return None,
+        }
+        Some(ExitCause::Debug)
+    }
+
+    /// Watchpoints: accesses into a watched page never get a shadow mapping
+    /// in the watched direction, so every one of them faults into the
+    /// monitor for inspection.
+    fn fill_watch(
+        &mut self,
+        trap: Trap,
+        va: u32,
+        gpa: u32,
+        access: Access,
+    ) -> Result<u32, ExitCause> {
+        let is_store = access == Access::Store;
+        let watched_page = if is_store {
+            self.stub.watch_overlaps_page_write(va)
+        } else {
+            access == Access::Load && self.stub.watch_overlaps_page_read(va)
+        };
+        if !watched_page {
+            let mut withheld = 0;
+            if self.stub.watch_overlaps_page_read(va) {
+                withheld |= pte::R;
+            }
+            if self.stub.watch_overlaps_page_write(va) {
+                withheld |= pte::W;
+            }
+            return Ok(withheld);
+        }
+        if let Some(w) = self.stub.watch_hit(va, 4, is_store) {
+            let stop = match w.cond.clone() {
+                None => true,
+                // Unevaluable conditions stop too — fail safe.
+                Some(c) => c.eval(self).is_none_or(|v| v != 0),
+            };
+            if stop {
+                self.core.exits.exits_debug += 1;
+                self.stub_stop(StopReason::Watchpoint {
+                    pc: trap.epc,
+                    addr: va,
+                });
+                return Err(ExitCause::Debug);
+            }
+        }
+        // Unwatched (or condition-false) access that merely shares the
+        // page: the monitor completes it on the guest's behalf.
+        if is_store {
+            self.emulate_guest_store(trap, gpa);
+        } else {
+            self.emulate_guest_load(trap, gpa);
+        }
+        Err(ExitCause::Debug)
+    }
+
+    fn stub_stepping(&self) -> bool {
+        self.stub.step_intent.is_some()
+    }
+
+    fn stopped_step(&mut self) -> PlatformStep {
+        // While stopped the monitor polls its UART; device events keep
+        // firing (real time does not stop for the debugger).
+        if self.core.machine.uart.rx_pending() == 0 {
+            // Advance a polling quantum so the host's pump loop sees
+            // progress.
+            self.core.machine.consume(costs::STUB_POLL);
+            self.charge(TimeBucket::Idle, costs::STUB_POLL);
+            return PlatformStep::Running;
+        }
+        self.service_uart();
+        PlatformStep::Running
+    }
+}
+
 impl ExitPolicy for LvmmPlatform {
     fn mach(&self) -> &Machine {
-        &self.machine
+        &self.core.machine
     }
 
     fn mach_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.core.machine
     }
 
     fn time_stats_mut(&mut self) -> &mut TimeStats {
-        &mut self.stats
+        &mut self.core.stats
     }
 
     fn handle_trap(&mut self, trap: Trap) {
@@ -1871,12 +1290,7 @@ impl ExitPolicy for LvmmPlatform {
     }
 
     fn handle_interrupt(&mut self, irq: u8, _vector: u8) {
-        self.sync_core();
-        if irq >= smp::IRQ_BASE {
-            self.handle_ipi(irq - smp::IRQ_BASE);
-        } else {
-            self.handle_real_irq(irq);
-        }
+        self.take_interrupt(irq);
     }
 
     /// Remembers the boundary cycle at which the latest guest instruction
@@ -1896,15 +1310,15 @@ impl Platform for LvmmPlatform {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.core.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.core.machine
     }
 
     fn time_stats(&self) -> &TimeStats {
-        &self.stats
+        &self.core.stats
     }
 
     fn step(&mut self) -> PlatformStep {
@@ -1912,13 +1326,16 @@ impl Platform for LvmmPlatform {
         // `reverse-step` anchor and checkpoint cadence), and so do the
         // profiler (its PC attribution anchor) and armed logpoints;
         // batching is only enabled when all are off.
-        let batch =
-            self.flight.is_none() && !self.machine.obs.profiling() && !self.machine.has_logpoints();
-        self.step_impl(batch)
+        let batch = self.flight.is_none()
+            && !self.core.machine.obs.profiling()
+            && !self.core.machine.has_logpoints();
+        self.maybe_checkpoint();
+        self.step_state(batch)
     }
 
     fn step_precise(&mut self) -> PlatformStep {
-        self.step_impl(false)
+        self.maybe_checkpoint();
+        self.step_state(false)
     }
 }
 

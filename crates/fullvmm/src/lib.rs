@@ -6,9 +6,11 @@
 //! paper's own reference \[2\]):
 //!
 //! * The guest kernel is deprivileged and shadow-paged exactly like under
-//!   the lightweight monitor (this crate reuses `lvmm`'s virtual CPU and
-//!   shadow pager — the two monitors differ in *device policy*, not in CPU
-//!   virtualization).
+//!   the lightweight monitor: every exit runs through `lvmm`'s shared
+//!   trap-and-emulate core ([`lvmm::virt`]), and this crate supplies only
+//!   its policy — the cost table, device relaying and interrupt routing.
+//!   The two monitors differ in *device policy*, not in CPU virtualization
+//!   (DESIGN.md §4.3 lists every deliberate difference).
 //! * **Every** device page is emulated. The disk controller and the NIC —
 //!   passthrough under the lightweight monitor — are full software models
 //!   here ([`vdev`]), so every register access the guest driver makes is a

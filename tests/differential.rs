@@ -286,3 +286,166 @@ fn hosted_monitor_is_transparent_on_a_fixed_program() {
     let mem = ho.machine().mem.as_bytes()[DATA_BASE as usize..(DATA_BASE + 4096) as usize].to_vec();
     assert_eq!(mem, raw.2);
 }
+
+/// Boots `src` (assembled, entry `start`) on `kind` with 8 MiB of RAM.
+fn boot_asm(kind: &str, src: &str) -> Box<dyn Platform> {
+    let program = lwvmm::asm::assemble(src).expect("guest assembles");
+    let entry = program.symbols.get("start").unwrap();
+    let mut machine = Machine::new(MachineConfig {
+        ram_size: 8 << 20,
+        ..Default::default()
+    });
+    machine.load_program(&program);
+    match kind {
+        "raw" => {
+            let mut raw = RawPlatform::new(machine);
+            raw.machine_mut().cpu.set_pc(entry);
+            Box::new(raw)
+        }
+        "lvmm" => Box::new(LvmmPlatform::new(machine, entry)),
+        _ => Box::new(HostedPlatform::new(machine, entry)),
+    }
+}
+
+/// The `n` words a guest logged at `base`, `n` read from `count`.
+fn guest_log(p: &dyn Platform, count: u32, base: u32, words_per_entry: u32) -> Vec<u32> {
+    let n = p.machine().mem.word(count) * words_per_entry;
+    (0..n).map(|i| p.machine().mem.word(base + 4 * i)).collect()
+}
+
+/// A guest single-stepping its own code with the (virtual) `STATUS.TF`
+/// takes the same step traps at the same EPCs under both monitors as on
+/// raw hardware — including the trailing step after the privileged
+/// instruction that clears the flag, which the monitor completes itself.
+#[test]
+fn guest_single_step_traps_match_raw_hardware() {
+    let src = "
+                .org 0x1000
+        start:  csrw tvec, h
+                csrs status, 8       ; TF: trap after every instruction
+                addi s0, s0, 1
+                addi s0, s0, 1
+                addi s0, s0, 1
+                addi s0, s0, 1
+                csrc status, 8       ; stepped too: it began with TF set
+                li   s1, 1
+        halt:   j halt
+        h:      lw   a0, 0x900(zero) ; log the step trap's EPC
+                slli a1, a0, 2
+                csrr a2, epc
+                sw   a2, 0xa00(a1)
+                addi a0, a0, 1
+                sw   a0, 0x900(zero)
+                tret
+    ";
+    let run = |kind: &str| {
+        let mut p = boot_asm(kind, src);
+        p.run_for(500_000);
+        let cpu = &p.machine().cpu;
+        assert_eq!(
+            (cpu.reg(Reg::R18), cpu.reg(Reg::R19)),
+            (4, 1),
+            "{kind}: guest ran to completion"
+        );
+        guest_log(p.as_ref(), 0x900, 0xa00, 1)
+    };
+    let raw = run("raw");
+    // Four `addi`s plus the three instructions `csrc status, 8` expands to.
+    assert_eq!(raw.len(), 7, "raw step EPCs: {raw:x?}");
+    assert_eq!(run("lvmm"), raw, "lvmm step EPCs");
+    assert_eq!(run("hosted"), raw, "hosted step EPCs");
+}
+
+/// A fixed mix of traps under both monitors: the guest sees the same
+/// machine (same registers, same trap log) and the monitors take the same
+/// exits, except for the deliberate differences, which are named here:
+///
+/// * the guest's own `ebreak` is a `debug` exit under lvmm (its stub checks
+///   for a planted breakpoint first) but an `irq-inject` exit under the
+///   hosted monitor, which has no stub;
+/// * on a shadow-fill livelock lvmm parks the guest for the debugger while
+///   the hosted monitor reflects the fault to the guest's handler.
+///
+/// (The fault park on an unhandled trap is pinned by `lvmm_is_transparent`
+/// and `hosted_monitor_is_transparent_on_a_fixed_program`.)
+#[test]
+fn monitors_differ_only_in_named_ways_on_a_trap_mix() {
+    use lwvmm::monitor::virt::VirtPolicy;
+    use lwvmm::obs::ExitCause;
+    let src = format!(
+        "        .org 0x1000
+         start:  csrw tvec, h
+                 li   s0, {pic:#x}
+                 ecall                   ; reflected system call
+                 csrw cycle, t0          ; read-only CSR: illegal
+                 lw   t1, 2(zero)        ; misaligned load
+                 ebreak                  ; the guest's own breakpoint
+                 li   t1, 0x5a
+                 sw   t1, {imr}(s0)      ; emulated device register
+                 lw   t2, {imr}(s0)
+                 sb   t1, {imr}(s0)      ; sub-word device access
+                 lw   t3, {core_id}(s0)  ; IPI block
+                 li   t4, 0x7ffffc
+                 lw   t5, 0(t4)          ; monitor memory: blocked
+                 li   t4, 0xe0000000
+                 lw   t5, 0(t4)          ; nothing there
+                 csrw scratch, t1
+                 csrr t6, scratch
+                 tlbflush
+                 li   s1, 1
+         halt:   j halt
+         h:      lw   a0, 0x900(zero)    ; log (cause, epc), skip the instruction
+                 slli a1, a0, 3
+                 csrr a2, cause
+                 sw   a2, 0xa00(a1)
+                 csrr a2, epc
+                 sw   a2, 0xa04(a1)
+                 addi a0, a0, 1
+                 sw   a0, 0x900(zero)
+                 addi a2, a2, 4
+                 csrw epc, a2
+                 tret
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        imr = lwvmm::machine::pic::reg::IMR,
+        core_id = lwvmm::machine::smp::reg::CORE_ID,
+    );
+    let run = |kind: &str| {
+        let mut p = boot_asm(kind, &src);
+        p.run_for(1_000_000);
+        let m = p.machine();
+        assert_eq!(m.cpu.reg(Reg::R19), 1, "{kind}: guest ran to completion");
+        (
+            m.cpu.regs().to_vec(),
+            guest_log(p.as_ref(), 0x900, 0xa00, 2),
+            m.obs.exits.counts().to_vec(),
+        )
+    };
+    let (lv_regs, lv_log, lv_exits) = run("lvmm");
+    let (ho_regs, ho_log, ho_exits) = run("hosted");
+    assert_eq!(lv_regs, ho_regs, "guest registers");
+    assert_eq!(lv_log, ho_log, "guest trap log (cause, epc)");
+    assert_eq!(lv_log.len(), 2 * 7, "seven reflected traps: {lv_log:x?}");
+    let (debug, inject) = (ExitCause::Debug.index(), ExitCause::IrqInject.index());
+    assert_eq!((lv_exits[debug], ho_exits[debug]), (1, 0), "ebreak exit");
+    assert_eq!(ho_exits[inject], lv_exits[inject] + 1, "ebreak exit");
+    for cause in ExitCause::ALL {
+        if cause != ExitCause::Debug && cause != ExitCause::IrqInject {
+            let i = cause.index();
+            assert_eq!(lv_exits[i], ho_exits[i], "{} exits", cause.label());
+        }
+    }
+
+    // Shadow-fill livelock: the same fill fault keeps coming back.
+    let fault = hx_cpu::Trap::new(hx_cpu::Cause::LoadPageFault, 0x1000, 0x8000);
+    let mut lv = LvmmPlatform::new(load_machine(&[0]), CODE_BASE);
+    let mut ho = HostedPlatform::new(load_machine(&[0]), CODE_BASE);
+    for _ in 0..10 {
+        lv.dispatch_trap(fault);
+        ho.dispatch_trap(fault);
+    }
+    assert!(lv.guest_stopped(), "lvmm parks on a livelock");
+    assert_eq!(lv.monitor_stats().faults_injected, 0);
+    assert_eq!(ho.hosted_stats().faults_injected, 1, "hosted reflects it");
+    assert_eq!(ho.vcpu().cause, hx_cpu::Cause::LoadPageFault.code());
+}

@@ -249,3 +249,61 @@ fn query_first_miss_reports_not_found() {
     assert!(matches!(stop, StopReason::TimeTravel { .. }), "{stop:?}");
     dbg.read_registers().unwrap();
 }
+
+/// A logpoint on an instruction a monitor completes on the guest's behalf
+/// — a device-register store or a privileged CSR write — fires exactly as
+/// often as on raw hardware, on all three platforms.
+#[test]
+fn logpoints_fire_on_monitor_emulated_instructions() {
+    let program = lwvmm::asm::assemble(&format!(
+        "        .org 0x1000
+         start:  li   t0, {pic:#x}
+                 li   t1, 10
+         loop:
+         imr:    sw   t1, {imr}(t0)      ; emulated device register
+         scr:    csrw scratch, t1       ; emulated privileged instruction
+                 addi t1, t1, -1
+                 bnez t1, loop
+         halt:   j halt
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        imr = lwvmm::machine::pic::reg::IMR,
+    ))
+    .unwrap();
+    let at = |label: &str| program.symbols.get(label).unwrap();
+    for kind in ["raw", "lvmm", "hosted"] {
+        let mut machine = Machine::new(MachineConfig {
+            ram_size: 8 << 20,
+            ..MachineConfig::default()
+        });
+        machine.load_program(&program);
+        machine.obs.enable_journal(kind);
+        machine.add_logpoint(at("imr"), "imr", None);
+        machine.add_logpoint(at("scr"), "scr", None);
+        let mut p: Box<dyn Platform> = match kind {
+            "raw" => Box::new(RawPlatform::new(machine)),
+            "lvmm" => Box::new(LvmmPlatform::new(machine, at("start"))),
+            _ => Box::new(HostedPlatform::new(machine, at("start"))),
+        };
+        if kind == "raw" {
+            p.machine_mut().cpu.set_pc(at("start"));
+        }
+        p.run_for(200_000);
+        let journal = sealed_journal(p.as_ref());
+        let hits = |addr: u32| {
+            journal
+                .events
+                .iter()
+                .filter(
+                    |e| matches!(e.ev, lwvmm::obs::JournalEvent::Log { addr: a, .. } if a == addr),
+                )
+                .count()
+        };
+        assert_eq!(hits(at("imr")), 10, "{kind}: device-register logpoint");
+        assert_eq!(
+            hits(at("scr")),
+            10,
+            "{kind}: privileged-instruction logpoint"
+        );
+    }
+}
