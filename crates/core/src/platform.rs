@@ -16,13 +16,11 @@
 //! * runs the debug stub ([`crate::Stub`]) whenever UART traffic arrives —
 //!   including while the guest streams I/O at full rate, and including when
 //!   the guest has destroyed its own memory.
-
 //!
 //! The trap-and-emulate paths themselves live in [`crate::virt`], shared
 //! with the hosted monitor; this module supplies the lightweight monitor's
 //! policy: device passthrough and the debug stub.
 
-use crate::chipset::VChipset;
 use crate::costs;
 use crate::shadow::ShadowStats;
 use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
@@ -32,7 +30,7 @@ use hx_cpu::csr::{Csr, Status};
 use hx_cpu::isa::{Instr, LoadKind, StoreKind, EBREAK_WORD};
 use hx_cpu::mmu::{pte, Access, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
-use hx_cpu::{MemSize, Mode};
+use hx_cpu::MemSize;
 use hx_machine::engine::{ExitPolicy, FlightRecorder};
 use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
@@ -784,33 +782,7 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::Reset => {
-                // Power-on SMP state first: core 0 back in the seat,
-                // secondaries stopped until their next startup IPI.
-                self.core.machine.smp_reset();
-                self.core.cur_core = 0;
-                let mut cpu = hx_cpu::Cpu::new();
-                cpu.set_mode(Mode::User);
-                cpu.set_pc(self.entry);
-                cpu.write_csr(Csr::Status, Status::IE);
-                self.core.machine.cpu = cpu;
-                self.core.vcpu = VCpu::new();
-                for v in &mut self.core.vcpus {
-                    *v = VCpu::new();
-                }
-                for m in &mut self.core.vipi {
-                    *m = 0;
-                }
-                self.core.chipset = VChipset::new();
-                self.core.shadow.flush_all(&mut self.core.machine.mem);
-                self.core.activate_shadow();
-                let root = self.core.machine.cpu.read_csr(Csr::Ptbr);
-                for i in 1..self.core.machine.num_cores() {
-                    let mut c = hx_cpu::Cpu::new();
-                    c.set_mode(Mode::User);
-                    c.write_csr(Csr::Status, Status::IE);
-                    c.write_csr(Csr::Ptbr, root);
-                    *self.core.machine.core_mut(i) = c;
-                }
+                self.core.reset(self.entry);
                 self.stub.lifted_bp = None;
                 self.stub.step_intent = None;
                 self.stub_stop(StopReason::Halted { pc: self.entry });
@@ -1373,6 +1345,7 @@ impl<P: Platform> rdbg::Link for UartLink<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hx_cpu::Mode;
     use hx_machine::MachineConfig;
 
     fn boot(src: &str) -> LvmmPlatform {

@@ -102,24 +102,24 @@ pub struct VirtCore {
     /// Seat storage for every core's virtual CPU; `vcpus[cur_core]` holds a
     /// stale placeholder while that core's state lives in `vcpu` (mirrors
     /// how [`Machine`] seats its real CPUs).
-    pub vcpus: Vec<VCpu>,
+    pub(crate) vcpus: Vec<VCpu>,
     /// The core whose virtual CPU is in `vcpu`.
-    pub cur_core: usize,
+    pub(crate) cur_core: usize,
     /// Per-core pending *virtual* IPI line masks: the monitor consumed the
     /// real IPI and owes the guest core an injected vector.
-    pub vipi: Vec<u8>,
+    pub(crate) vipi: Vec<u8>,
     /// Shadow page tables.
-    pub shadow: ShadowPager,
+    pub(crate) shadow: ShadowPager,
     /// Virtual PIC, PIT and UART.
     pub chipset: VChipset,
     /// Run state of the virtual CPU.
-    pub state: RunState,
+    pub(crate) state: RunState,
     /// Base of the monitor-reserved RAM region.
-    pub monitor_base: u32,
+    pub(crate) monitor_base: u32,
     /// RAM size.
-    pub ram_size: u32,
+    pub(crate) ram_size: u32,
     /// Livelock guard: identical consecutive shadow faults indicate a bug.
-    pub progress: ProgressGuard,
+    pub(crate) progress: ProgressGuard,
     /// The exit being handled began with the guest's virtual single-step
     /// flag set.
     step_due: bool,
@@ -127,38 +127,64 @@ pub struct VirtCore {
 
 impl VirtCore {
     /// Deprivileges `machine`'s guest to boot at `entry` (image already
-    /// loaded). The guest starts in *virtual* supervisor mode with paging
-    /// off while every real core runs in user mode behind the identity
-    /// shadow context, built from the pool `[monitor_base, shadow_end)`.
-    /// Secondary cores get their PC from the startup IPI.
-    pub fn new(mut machine: Machine, entry: u32, monitor_base: u32, shadow_end: u32) -> VirtCore {
-        let ram_size = machine.config().ram_size as u32;
-        let mut shadow = ShadowPager::new(monitor_base, shadow_end);
-        let root = shadow.root_for(&mut machine.mem, 0, Mode::Supervisor);
+    /// loaded), with the shadow pool `[monitor_base, shadow_end)`.
+    pub fn new(machine: Machine, entry: u32, monitor_base: u32, shadow_end: u32) -> VirtCore {
         let cores = machine.num_cores();
-        for i in 0..cores {
-            let c = machine.core_mut(i);
-            c.set_mode(Mode::User);
-            c.write_csr(Csr::Status, Status::IE);
-            c.write_csr(Csr::Ptbr, root | 1);
-        }
-        machine.cpu.set_pc(entry);
-        VirtCore {
-            machine,
+        let mut core = VirtCore {
             stats: TimeStats::new(),
             exits: ExitStats::default(),
             vcpu: VCpu::new(),
             vcpus: vec![VCpu::new(); cores],
             cur_core: 0,
             vipi: vec![0; cores],
-            shadow,
+            shadow: ShadowPager::new(monitor_base, shadow_end),
             chipset: VChipset::new(),
             state: RunState::Running,
             monitor_base,
-            ram_size,
+            ram_size: machine.config().ram_size as u32,
             progress: ProgressGuard::new(),
             step_due: false,
+            machine,
+        };
+        core.boot_cores(entry);
+        core
+    }
+
+    /// Powers the guest back on at `entry`: fresh real and virtual CPUs, no
+    /// pending virtual interrupts, a fresh virtual chipset and empty shadow
+    /// tables. The exit counters and the cycle split keep counting.
+    pub fn reset(&mut self, entry: u32) {
+        // Power-on SMP state first: core 0 back in the seat, secondaries
+        // stopped until their next startup IPI.
+        self.machine.smp_reset();
+        for i in 0..self.machine.num_cores() {
+            *self.machine.core_mut(i) = hx_cpu::Cpu::new();
         }
+        self.cur_core = 0;
+        self.vcpu = VCpu::new();
+        self.vcpus.fill(VCpu::new());
+        self.vipi.fill(0);
+        self.chipset = VChipset::new();
+        self.shadow.flush_all(&mut self.machine.mem);
+        self.boot_cores(entry);
+    }
+
+    /// Deprivileges every real core: the guest starts in *virtual*
+    /// supervisor mode with paging off, while the real cores run in user
+    /// mode behind the identity shadow context's kernel view. The active
+    /// core starts at `entry`; secondaries get their PC from the startup
+    /// IPI.
+    fn boot_cores(&mut self, entry: u32) {
+        let root = self
+            .shadow
+            .root_for(&mut self.machine.mem, 0, Mode::Supervisor);
+        for i in 0..self.machine.num_cores() {
+            let c = self.machine.core_mut(i);
+            c.set_mode(Mode::User);
+            c.write_csr(Csr::Status, Status::IE);
+            c.write_csr(Csr::Ptbr, root | 1);
+        }
+        self.machine.cpu.set_pc(entry);
     }
 
     /// The shadow context of the guest's current address space.
