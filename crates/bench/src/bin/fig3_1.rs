@@ -28,15 +28,24 @@
 //! Prints the measured series as a table and an ASCII plot, and writes
 //! `fig3_1.csv` plus the machine-readable `BENCH_fig3_1.json` (per-platform
 //! sweep points, exit histograms, sim speed with and without metrics, and
-//! per-phase host-time attribution) into the current directory.
+//! per-phase host-time attribution) into the current directory. The
+//! `survivability` and `farm` sections of an existing `BENCH_fig3_1.json`
+//! (merged in by their own benches) are kept.
 
 use hitactix::Workload;
+use hx_farm::{boot_guest, new_machine, GuestSpec};
 use hx_obs::{HostPhase, MetricsRegistry};
 use lwvmm_bench::{
-    arg_flag, arg_value, ascii_plot, baseline_sim_speed, build_platform, build_profiled_platform,
-    check_sim_speed, chrome_trace, exit_report, measure, measure_point, measure_smp_sim_speed,
-    sweep_report, PlatformKind, ProfileSummary, SimSpeed,
+    arg_flag, arg_value, ascii_plot, baseline_sim_speed, build_platform, check_sim_speed,
+    chrome_trace, exit_report, json_section, measure, measure_point, merge_section, sweep_report,
+    time_run, HostAttributionSummary, PlatformKind, ProfileSummary, SimSpeed,
 };
+
+/// The run with the median host speed.
+fn median<T>(mut runs: Vec<T>, speed: fn(&T) -> f64) -> T {
+    runs.sort_by(|x, y| speed(x).total_cmp(&speed(y)));
+    runs.swap_remove(runs.len() / 2)
+}
 
 fn main() {
     let fast = arg_flag("--fast");
@@ -99,21 +108,22 @@ fn main() {
         let mut offs = Vec::new();
         let mut ons = Vec::new();
         let mut causals = Vec::new();
+        let boot = || build_platform(kind, &Workload::new(300));
         for _ in 0..7 {
-            offs.push(lwvmm_bench::measure_sim_speed(kind, 300, ms));
-            ons.push(lwvmm_bench::measure_host_attribution(kind, 300, ms, true));
-            causals.push(lwvmm_bench::measure_causal_sim_speed(kind, 300, ms));
+            offs.push(time_run(boot().as_mut(), ms));
+            let mut p = boot();
+            p.machine_mut().obs.enable_hostprof();
+            let speed = time_run(p.as_mut(), ms);
+            ons.push(HostAttributionSummary::read(kind, speed, p.as_ref()));
+            // Causal flows ride the event ring, so tracing comes with them.
+            let mut p = boot();
+            p.machine_mut().obs.enable_tracing();
+            p.machine_mut().obs.enable_causal();
+            causals.push(time_run(p.as_mut(), ms));
         }
-        offs.sort_by(|x, y| x.instr_per_host_sec.total_cmp(&y.instr_per_host_sec));
-        ons.sort_by(|x, y| {
-            x.speed
-                .instr_per_host_sec
-                .total_cmp(&y.speed.instr_per_host_sec)
-        });
-        causals.sort_by(|x, y| x.instr_per_host_sec.total_cmp(&y.instr_per_host_sec));
-        let s = offs[offs.len() / 2];
-        let a = ons.swap_remove(ons.len() / 2);
-        let c = causals[causals.len() / 2];
+        let s = median(offs, |s| s.instr_per_host_sec);
+        let a = median(ons, |a| a.speed.instr_per_host_sec);
+        let c = median(causals, |c| c.instr_per_host_sec);
         println!(
             "Sim speed on {:8}: {:5.1} M guest instr / host sec ({} instr in {:.3} s)",
             kind.label(),
@@ -144,14 +154,19 @@ fn main() {
     // wall clock again). Shows what the deterministic round-robin vCPU
     // scheduler costs as the core count grows.
     let smp_ms = if fast { 60 } else { 200 };
+    let spin = hitactix::apps::smp_spin_guest();
+    let entry = spin.symbols.get("start").expect("start symbol");
     let mut smp_speed = Vec::new();
     for kind in PlatformKind::ALL {
         for cores in [1usize, 2, 4] {
-            let mut runs: Vec<SimSpeed> = (0..3)
-                .map(|_| measure_smp_sim_speed(kind, cores, smp_ms))
+            let runs: Vec<SimSpeed> = (0..3)
+                .map(|_| {
+                    let mut machine = new_machine(cores);
+                    machine.load_program(&spin);
+                    time_run(kind.boot(machine, entry, None).as_mut(), smp_ms)
+                })
                 .collect();
-            runs.sort_by(|x, y| x.instr_per_host_sec.total_cmp(&y.instr_per_host_sec));
-            let s = runs[1];
+            let s = median(runs, |s| s.instr_per_host_sec);
             println!(
                 "SMP sim speed on {:8} x{cores}: {:5.1} M guest instr / host sec \
                  ({} instr in {:.3} s)",
@@ -183,18 +198,17 @@ fn main() {
     // these runs behave identically to the untraced sweep above.
     let mut profiles: Vec<ProfileSummary> = Vec::new();
     if trace_path.is_some() || profile_path.is_some() || metrics_path.is_some() {
-        let workload = Workload::new(100);
         let mut traced = Vec::new();
         for kind in PlatformKind::ALL {
-            let mut platform = if profile_path.is_some() {
-                build_profiled_platform(kind, &workload)
-            } else {
-                build_platform(kind, &workload)
+            let spec = GuestSpec {
+                platform: kind,
+                record: false,
+                profile: profile_path.is_some(),
+                hostprof: metrics_path.is_some(),
+                ..GuestSpec::default()
             };
+            let mut platform = boot_guest(&spec, 0).expect("kernel assembles");
             platform.machine_mut().obs.enable_tracing();
-            if metrics_path.is_some() {
-                platform.machine_mut().obs.enable_hostprof();
-            }
             measure(platform.as_mut(), warmup_ms, window_ms);
             traced.push((kind, platform));
         }
@@ -239,20 +253,26 @@ fn main() {
         }
     }
 
-    lwvmm_bench::write_output("fig3_1.csv", report.to_csv());
-    lwvmm_bench::write_output(
-        "BENCH_fig3_1.json",
-        lwvmm_bench::fig3_1_json(
-            warmup_ms,
-            window_ms,
-            &measurements,
-            &sim_speed,
-            &smp_speed,
-            &causal_speed,
-            &attributions,
-            &profiles,
-        ),
+    let mut doc = lwvmm_bench::fig3_1_json(
+        warmup_ms,
+        window_ms,
+        &measurements,
+        &sim_speed,
+        &smp_speed,
+        &causal_speed,
+        &attributions,
+        &profiles,
     );
+    // The survivability and farm benches merge their own sections into this
+    // document; a rerun carries them over rather than dropping them.
+    let previous = std::fs::read_to_string("BENCH_fig3_1.json").unwrap_or_default();
+    for key in ["survivability", "farm"] {
+        if let Some(section) = json_section(&previous, key) {
+            doc = merge_section(&doc, key, section);
+        }
+    }
+    lwvmm_bench::write_output("fig3_1.csv", report.to_csv());
+    lwvmm_bench::write_output("BENCH_fig3_1.json", doc);
     println!("\nwrote fig3_1.csv and BENCH_fig3_1.json");
 
     if let Some(path) = check_speed {

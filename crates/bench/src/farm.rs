@@ -14,7 +14,7 @@
 //!   (connect → halt → regs → resume → disconnect) for a fixed wall
 //!   window.
 
-use crate::{Align, Report};
+use crate::{merge_section, Align, Report};
 use hx_farm::{control_request, Farm, FarmConfig, GuestSpec};
 use rdbg::Debugger;
 use std::time::{Duration, Instant};
@@ -257,25 +257,13 @@ fn farm_section(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
 
 /// Standalone JSON document.
 pub fn farm_json(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
-    format!(
-        "{{\n  \"bench\": \"farm\",\n  \"farm\": {}\n}}\n",
-        farm_section(cfg, points)
-    )
+    merge_farm("", cfg, points)
 }
 
-/// Splices the `"farm"` section into an existing Fig. 3.1 document,
-/// replacing a previous one (the same idiom as the survivability merge).
+/// Sets the `"farm"` section of an existing Fig. 3.1 document, keeping
+/// every other section.
 pub fn merge_farm(fig3_1: &str, cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
-    let section = farm_section(cfg, points);
-    let trimmed = fig3_1.trim_end();
-    let body = match trimmed.find(",\n  \"farm\":") {
-        Some(at) => &trimmed[..at],
-        None => match trimmed.strip_suffix('}') {
-            Some(b) => b.trim_end().trim_end_matches(','),
-            None => return farm_json(cfg, points),
-        },
-    };
-    format!("{body},\n  \"farm\": {section}\n}}\n")
+    merge_section(fig3_1, "farm", &farm_section(cfg, points))
 }
 
 #[cfg(test)]

@@ -6,50 +6,18 @@
 //! steady-state window — exactly the procedure behind Fig. 3.1.
 
 use hitactix::{GuestStats, Workload};
-use hosted_vmm::HostedPlatform;
-use hx_machine::{Machine, MachineConfig, Platform, RawPlatform, TimeStats};
-use hx_obs::{
-    report, Align, ChromeTrace, ExitCause, ExitHists, HostPhase, Profiler, Report, SymbolMap,
-};
-use lvmm::LvmmPlatform;
+use hx_machine::{Platform, TimeStats};
+use hx_obs::{report, Align, ChromeTrace, ExitCause, ExitHists, HostPhase, Report};
 
 pub mod farm;
 pub mod survivability;
 
 pub use farm::{farm_json, farm_report, merge_farm, run_farm_bench, FarmBenchConfig, FleetPoint};
+pub use hx_farm::PlatformKind;
 pub use survivability::{
     merge_survivability, run_matrix, survivability_json, survival_report, SurvivalConfig,
     SurvivalMatrix,
 };
-
-/// The three systems of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlatformKind {
-    /// Guest owns the hardware (paper: "Real hardware").
-    RawHw,
-    /// The lightweight monitor (paper: "LW virtual machine monitor").
-    Lvmm,
-    /// The hosted full monitor (paper: "VMware Workstation 4").
-    Hosted,
-}
-
-impl PlatformKind {
-    /// All three, in the paper's legend order.
-    pub const ALL: [PlatformKind; 3] = [
-        PlatformKind::RawHw,
-        PlatformKind::Lvmm,
-        PlatformKind::Hosted,
-    ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlatformKind::RawHw => "real-hw",
-            PlatformKind::Lvmm => "lvmm",
-            PlatformKind::Hosted => "hosted",
-        }
-    }
-}
 
 /// Boots the streaming workload on the requested platform.
 ///
@@ -57,51 +25,8 @@ impl PlatformKind {
 ///
 /// Panics if the kernel fails to assemble (a bug, covered by tests).
 pub fn build_platform(kind: PlatformKind, workload: &Workload) -> Box<dyn Platform> {
-    build_platform_with(kind, workload, MachineConfig::default())
-}
-
-/// [`build_platform`] with an explicit machine configuration (ablations).
-///
-/// # Panics
-///
-/// Panics if the kernel fails to assemble.
-pub fn build_platform_with(
-    kind: PlatformKind,
-    workload: &Workload,
-    cfg: MachineConfig,
-) -> Box<dyn Platform> {
-    let mut machine = Machine::new(cfg);
-    let program = workload.build(&machine).expect("kernel assembles");
-    machine.load_program(&program);
-    let entry = hitactix::kernel::layout::ENTRY;
-    match kind {
-        PlatformKind::RawHw => Box::new(RawPlatform::new(machine)),
-        PlatformKind::Lvmm => Box::new(LvmmPlatform::new(machine, entry)),
-        PlatformKind::Hosted => Box::new(HostedPlatform::new(machine, entry)),
-    }
-}
-
-/// [`build_platform_with`] plus a guest profiler: the machine gets a
-/// [`Profiler`] over the streaming kernel's curated function symbols before
-/// the platform wraps it, so every guest cycle of the run is attributed.
-///
-/// # Panics
-///
-/// Panics if the kernel fails to assemble.
-pub fn build_profiled_platform(kind: PlatformKind, workload: &Workload) -> Box<dyn Platform> {
-    let mut machine = Machine::new(MachineConfig::default());
-    let program = workload.build(&machine).expect("kernel assembles");
-    machine.load_program(&program);
-    machine.obs.enable_profiler(Profiler::new(
-        SymbolMap::from_ranges(hitactix::kernel::profile_symbols(&program)),
-        Profiler::DEFAULT_INTERVAL,
-    ));
-    let entry = hitactix::kernel::layout::ENTRY;
-    match kind {
-        PlatformKind::RawHw => Box::new(RawPlatform::new(machine)),
-        PlatformKind::Lvmm => Box::new(LvmmPlatform::new(machine, entry)),
-        PlatformKind::Hosted => Box::new(HostedPlatform::new(machine, entry)),
-    }
+    let (machine, _) = hx_farm::load_workload(workload, 1).expect("kernel assembles");
+    kind.boot(machine, hitactix::kernel::layout::ENTRY, None)
 }
 
 /// One measured point of the rate sweep.
@@ -203,54 +128,11 @@ pub struct SimSpeed {
     pub instr_per_host_sec: f64,
 }
 
-/// Times `ms` simulated milliseconds of the streaming workload at
-/// `rate_mbps` on a fresh platform under the host wall clock.
-pub fn measure_sim_speed(kind: PlatformKind, rate_mbps: u64, ms: u64) -> SimSpeed {
-    measure_host_attribution(kind, rate_mbps, ms, false).speed
-}
-
-/// Like [`measure_sim_speed`] but with event tracing *and* causal-flow
-/// tracking enabled — the overhead side of the tracing-off regression
-/// gate (`sim_speed_causal` vs `sim_speed` in `BENCH_fig3_1.json`). The
-/// simulated run is bit-identical either way; only the host-side cost of
-/// recording flows differs.
-pub fn measure_causal_sim_speed(kind: PlatformKind, rate_mbps: u64, ms: u64) -> SimSpeed {
-    let workload = Workload::new(rate_mbps);
-    let mut platform = build_platform(kind, &workload);
-    platform.machine_mut().obs.enable_tracing();
-    platform.machine_mut().obs.enable_causal();
-    let per_ms = platform.machine().config().clock_hz / 1_000;
-    let i0 = platform.machine().cpu.instret();
-    let t = std::time::Instant::now();
-    platform.run_for(ms * per_ms);
-    let host_seconds = t.elapsed().as_secs_f64();
-    let instructions = platform.machine().cpu.instret() - i0;
-    SimSpeed {
-        instructions,
-        host_seconds,
-        instr_per_host_sec: instructions as f64 / host_seconds.max(1e-9),
-    }
-}
-
-/// Times `ms` simulated milliseconds of the all-cores spin guest
-/// ([`hitactix::apps::smp_spin_guest`]) on a `cores`-core machine under the
-/// host wall clock — the multi-core scaling companion of
-/// [`measure_sim_speed`]. Instructions are totalled across every core, so
-/// the figure shows what the deterministic round-robin scheduler costs (or
-/// buys) as the core count grows. Wall-clock based, so NOT deterministic.
-pub fn measure_smp_sim_speed(kind: PlatformKind, cores: usize, ms: u64) -> SimSpeed {
-    let program = hitactix::apps::smp_spin_guest();
-    let mut machine = Machine::new(MachineConfig {
-        num_cores: cores,
-        ..MachineConfig::default()
-    });
-    machine.load_program(&program);
-    let entry = program.symbols.get("start").expect("start symbol");
-    let mut platform: Box<dyn Platform> = match kind {
-        PlatformKind::RawHw => Box::new(RawPlatform::new(machine)),
-        PlatformKind::Lvmm => Box::new(LvmmPlatform::new(machine, entry)),
-        PlatformKind::Hosted => Box::new(HostedPlatform::new(machine, entry)),
-    };
+/// Times `ms` simulated milliseconds of an already-booted platform under
+/// the host wall clock. Callers enable what they measure (tracing, the host
+/// profiler, extra cores) before the call; instructions are totalled
+/// across every core.
+pub fn time_run(platform: &mut dyn Platform, ms: u64) -> SimSpeed {
     let per_ms = platform.machine().config().clock_hz / 1_000;
     let i0 = platform.machine().total_instret();
     let t = std::time::Instant::now();
@@ -284,53 +166,32 @@ pub struct HostAttributionSummary {
 }
 
 impl HostAttributionSummary {
+    /// Reads the attribution of a [`time_run`] that ran with the host
+    /// profiler enabled; without it the attribution fields are zero and
+    /// `phases` is empty.
+    pub fn read(kind: PlatformKind, speed: SimSpeed, platform: &dyn Platform) -> Self {
+        // Deferred guest-execution time is charged at the next phase
+        // boundary; force one so the run's trailing guest stretch is
+        // attributed too.
+        platform.machine().obs.host_mark(HostPhase::GuestExec);
+        let att = platform.machine().obs.host_attribution();
+        let (wall_ns, marks, attributed_ns, phases) = match att {
+            Some(a) => (a.wall_ns, a.marks, a.attributed_ns(), a.phases().collect()),
+            None => (0, 0, 0, Vec::new()),
+        };
+        HostAttributionSummary {
+            kind,
+            speed,
+            wall_ns,
+            marks,
+            attributed_ns,
+            phases,
+        }
+    }
+
     /// Fraction of wall-clock the marks explain, in `[0, 1]`.
     pub fn coverage(&self) -> f64 {
         self.attributed_ns as f64 / (self.wall_ns as f64).max(1.0)
-    }
-}
-
-/// Times `ms` simulated milliseconds at `rate_mbps` like
-/// [`measure_sim_speed`], optionally with the host-time profiler enabled
-/// (`metrics`), and reports both the speed and the attribution. With
-/// `metrics` off the attribution fields are zero and `phases` is empty.
-pub fn measure_host_attribution(
-    kind: PlatformKind,
-    rate_mbps: u64,
-    ms: u64,
-    metrics: bool,
-) -> HostAttributionSummary {
-    let workload = Workload::new(rate_mbps);
-    let mut platform = build_platform(kind, &workload);
-    if metrics {
-        platform.machine_mut().obs.enable_hostprof();
-    }
-    let per_ms = platform.machine().config().clock_hz / 1_000;
-    let i0 = platform.machine().cpu.instret();
-    let t = std::time::Instant::now();
-    platform.run_for(ms * per_ms);
-    let host_seconds = t.elapsed().as_secs_f64();
-    let instructions = platform.machine().cpu.instret() - i0;
-    let speed = SimSpeed {
-        instructions,
-        host_seconds,
-        instr_per_host_sec: instructions as f64 / host_seconds.max(1e-9),
-    };
-    // Deferred guest-execution time is charged at the next phase boundary;
-    // force one so the run's trailing guest stretch is attributed too.
-    platform.machine().obs.host_mark(HostPhase::GuestExec);
-    let att = platform.machine().obs.host_attribution();
-    let (wall_ns, marks, attributed_ns, phases) = match att {
-        Some(a) => (a.wall_ns, a.marks, a.attributed_ns(), a.phases().collect()),
-        None => (0, 0, 0, Vec::new()),
-    };
-    HostAttributionSummary {
-        kind,
-        speed,
-        wall_ns,
-        marks,
-        attributed_ns,
-        phases,
     }
 }
 
@@ -339,13 +200,9 @@ pub fn measure_host_attribution(
 /// of [`fig3_1_json`], kept parser-free like the writer. Returns an empty
 /// vector if the section is missing or malformed.
 pub fn baseline_sim_speed(json: &str) -> Vec<(String, f64)> {
-    let Some(start) = json.find("\"sim_speed\"") else {
+    let Some(section) = json_section(json, "sim_speed") else {
         return Vec::new();
     };
-    let Some(end) = json[start..].find(']') else {
-        return Vec::new();
-    };
-    let section = &json[start..start + end];
     let mut out = Vec::new();
     for entry in section.split('{').skip(1) {
         let name = entry
@@ -582,6 +439,25 @@ impl ProfileSummary {
     }
 }
 
+/// Writes one `"key": [...]` section of [`time_run`] results, one row per
+/// run; a row with a core count carries `"cores"`.
+fn push_speed_rows(out: &mut String, key: &str, rows: &[(PlatformKind, Option<usize>, SimSpeed)]) {
+    out.push_str(&format!("  \"{key}\": [\n"));
+    for (i, (kind, cores, s)) in rows.iter().enumerate() {
+        let cores = cores.map_or(String::new(), |c| format!("\"cores\": {c}, "));
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", {cores}\"instructions\": {}, \"host_seconds\": {:.4}, \
+             \"instr_per_host_sec\": {:.0}}}{}\n",
+            kind.label(),
+            s.instructions,
+            s.host_seconds,
+            s.instr_per_host_sec,
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
+}
+
 /// Builds the machine-readable companion of `fig3_1.csv`: per-platform
 /// sweep points (CPU load, attribution, achieved rate) plus the cumulative
 /// exit histograms of each platform's highest-rate run, and the two
@@ -652,72 +528,31 @@ pub fn fig3_1_json(
         out.push_str(if pi + 1 < series.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    out.push_str("  \"sim_speed\": [\n");
-    for (i, (kind, s)) in sim_speed.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"instructions\": {}, \"host_seconds\": {:.4}, \
-             \"instr_per_host_sec\": {:.0}}}{}\n",
-            kind.label(),
-            s.instructions,
-            s.host_seconds,
-            s.instr_per_host_sec,
-            if i + 1 < sim_speed.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+    let plain = |rows: &[(PlatformKind, SimSpeed)]| -> Vec<_> {
+        rows.iter().map(|&(kind, s)| (kind, None, s)).collect()
+    };
+    push_speed_rows(&mut out, "sim_speed", &plain(sim_speed));
     if !causal_speed.is_empty() {
         // The same workload with tracing + causal-flow tracking on: the CI
         // overhead gate divides these by the plain `sim_speed` figures.
-        out.push_str("  \"sim_speed_causal\": [\n");
-        for (i, (kind, s)) in causal_speed.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"instructions\": {}, \"host_seconds\": {:.4}, \
-                 \"instr_per_host_sec\": {:.0}}}{}\n",
-                kind.label(),
-                s.instructions,
-                s.host_seconds,
-                s.instr_per_host_sec,
-                if i + 1 < causal_speed.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+        push_speed_rows(&mut out, "sim_speed_causal", &plain(causal_speed));
     }
     if !smp_speed.is_empty() {
         // Multi-core scaling of the engine itself: the all-cores spin guest
         // at each swept core count. Kept in a section of its own so the
         // CI speed gate (which reads `sim_speed`) is unaffected.
-        out.push_str("  \"smp_sim_speed\": [\n");
-        for (i, (kind, cores, s)) in smp_speed.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cores\": {}, \"instructions\": {}, \
-                 \"host_seconds\": {:.4}, \"instr_per_host_sec\": {:.0}}}{}\n",
-                kind.label(),
-                cores,
-                s.instructions,
-                s.host_seconds,
-                s.instr_per_host_sec,
-                if i + 1 < smp_speed.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+        let rows: Vec<_> = smp_speed.iter().map(|&(k, c, s)| (k, Some(c), s)).collect();
+        push_speed_rows(&mut out, "smp_sim_speed", &rows);
     }
     if !attributions.is_empty() {
         // The same runs measured twice over: their speed (to gate metrics
         // overhead against the plain sim_speed above) and where the
         // monitor's host time went, phase by phase.
-        out.push_str("  \"sim_speed_metrics\": [\n");
-        for (i, a) in attributions.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"instructions\": {}, \"host_seconds\": {:.4}, \
-                 \"instr_per_host_sec\": {:.0}}}{}\n",
-                a.kind.label(),
-                a.speed.instructions,
-                a.speed.host_seconds,
-                a.speed.instr_per_host_sec,
-                if i + 1 < attributions.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
+        let rows: Vec<_> = attributions
+            .iter()
+            .map(|a| (a.kind, None, a.speed))
+            .collect();
+        push_speed_rows(&mut out, "sim_speed_metrics", &rows);
         out.push_str("  \"host_attribution\": [\n");
         for (i, a) in attributions.iter().enumerate() {
             out.push_str(&format!(
@@ -776,6 +611,47 @@ pub fn fig3_1_json(
     ));
     out.push_str("}\n");
     out
+}
+
+/// The top-level members of a `BENCH_*.json` document as this crate's
+/// writers format it, in order: `(key, "  \"key\": value")`. Members start
+/// on lines indented by exactly two spaces; nested lines are indented
+/// deeper. `None` when `doc` is not a JSON object.
+fn top_level_members(doc: &str) -> Option<Vec<(&str, &str)>> {
+    let body = doc.trim().strip_prefix('{')?.strip_suffix('}')?;
+    let starts: Vec<usize> = body.match_indices("\n  \"").map(|(i, _)| i + 1).collect();
+    let mut members = Vec::with_capacity(starts.len());
+    for (i, &start) in starts.iter().enumerate() {
+        let end = starts.get(i + 1).copied().unwrap_or(body.len());
+        let text = body[start..end].trim_end().trim_end_matches(',');
+        members.push((text[3..].split('"').next()?, text));
+    }
+    Some(members)
+}
+
+/// The value of the top-level `key` of a `BENCH_*.json` document.
+pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
+    let (_, text) = top_level_members(doc)?
+        .into_iter()
+        .find(|&(k, _)| k == key)?;
+    Some(text.split_once(": ")?.1)
+}
+
+/// Sets the top-level `key` of a `BENCH_*.json` document to `value`: the
+/// section is replaced in place, or appended when absent, and every other
+/// section is kept. A `doc` that is not a JSON object (say, an empty
+/// string) yields a standalone `{"bench": key, key: value}` document.
+pub fn merge_section(doc: &str, key: &str, value: &str) -> String {
+    let member = format!("  \"{key}\": {value}");
+    let Some(mut members) = top_level_members(doc) else {
+        return format!("{{\n  \"bench\": \"{key}\",\n{member}\n}}\n");
+    };
+    match members.iter_mut().find(|(k, _)| *k == key) {
+        Some(m) => m.1 = &member,
+        None => members.push((key, &member)),
+    }
+    let texts: Vec<&str> = members.iter().map(|&(_, text)| text).collect();
+    format!("{{\n{}\n}}\n", texts.join(",\n"))
 }
 
 /// Builds the Chrome trace-event JSON document for one or more traced
@@ -910,6 +786,39 @@ mod tests {
         let base = baseline_sim_speed(&json);
         assert_eq!(base, vec![("lvmm".to_string(), 20_000_000.0)]);
         assert!(baseline_sim_speed("{}").is_empty());
+    }
+
+    #[test]
+    fn merge_section_keeps_every_other_section() {
+        let fig = "{\n  \"bench\": \"fig3_1\",\n  \"headlines\": {\"x\": 1.0}\n}\n";
+        let surv =
+            "{\n    \"seed\": 42,\n    \"replay\": [\n      {\"identical\": true}\n    ]\n  }";
+        let farm = "{\n    \"points\": [\n      {\"guests\": 1}\n    ]\n  }";
+        let both = merge_section(&merge_section(fig, "survivability", surv), "farm", farm);
+        assert_eq!(json_section(&both, "survivability"), Some(surv));
+        assert_eq!(json_section(&both, "farm"), Some(farm));
+        assert_eq!(json_section(&both, "headlines"), Some("{\"x\": 1.0}"));
+        // Merging either section into a document that has both keeps both,
+        // in place, and merging twice changes nothing.
+        for (key, value) in [("survivability", surv), ("farm", farm)] {
+            let once = merge_section(&both, key, value);
+            assert_eq!(once, both, "re-merging {key} is a no-op");
+            assert_eq!(merge_section(&once, key, value), once);
+            let fresh = merge_section(&both, key, "{\"new\": 1}");
+            for k in ["bench", "headlines", "survivability", "farm"] {
+                assert!(json_section(&fresh, k).is_some(), "{key}: lost {k}");
+            }
+            assert_eq!(json_section(&fresh, key), Some("{\"new\": 1}"));
+        }
+        // The order of sections is kept: survivability before farm.
+        let s = both.find("\"survivability\"").unwrap();
+        assert!(s < both.find("\"farm\"").unwrap());
+        // Not a JSON object: a standalone document.
+        assert_eq!(
+            merge_section("", "farm", farm),
+            format!("{{\n  \"bench\": \"farm\",\n  \"farm\": {farm}\n}}\n")
+        );
+        assert_eq!(json_section("not json", "farm"), None);
     }
 
     #[test]

@@ -21,13 +21,12 @@
 //! is byte-identical — fault injection rides the simulation clock, so it
 //! must be.
 
-use crate::{build_platform, PlatformKind};
+use crate::{build_platform, merge_section, PlatformKind};
 use hitactix::{kernel::layout, GuestStats, Workload};
-use hosted_vmm::HostedConfig;
 use hx_fault::{FaultKind, FaultPlan};
-use hx_machine::{Machine, MachineConfig, Platform};
+use hx_machine::{Machine, Platform};
 use hx_obs::{Align, ExitCause, Report};
-use lvmm::{LvmmConfig, LvmmPlatform, ReplayDriver, UartLink};
+use lvmm::{LvmmPlatform, ReplayDriver, UartLink};
 use rdbg::{DbgError, Debugger};
 
 /// Campaign shape: how long to run, how often to inject.
@@ -151,18 +150,6 @@ impl SurvivalMatrix {
     }
 }
 
-/// Highest guest physical address wild writes / DMA misdirects can *reach*
-/// on this platform: the monitor base under the monitors (guest-context
-/// stores architecturally cannot touch monitor memory), all of RAM on raw
-/// hardware.
-pub fn wild_limit_for(kind: PlatformKind, ram_size: u32) -> u32 {
-    match kind {
-        PlatformKind::RawHw => ram_size,
-        PlatformKind::Lvmm => ram_size - LvmmConfig::default().monitor_mem,
-        PlatformKind::Hosted => ram_size - HostedConfig::default().host_mem,
-    }
-}
-
 /// The fault plan for one campaign cell. Each `(platform, fault)` pair gets
 /// its own seed stream so cells are independent experiments; attempts span
 /// all of RAM so the monitors have something to block.
@@ -178,7 +165,7 @@ pub fn cell_plan(
         .only(fault)
         .period(cfg.period)
         .initial_delay(warmup_cycles)
-        .wild(ram_size, wild_limit_for(kind, ram_size))
+        .wild(ram_size, kind.wild_limit(ram_size))
 }
 
 fn progress(machine: &Machine) -> Option<(u32, u32)> {
@@ -255,48 +242,43 @@ pub fn probe_stub(platform: LvmmPlatform) -> bool {
 
 /// Runs one `(platform, fault)` campaign cell.
 pub fn run_cell(kind: PlatformKind, fault: FaultKind, cfg: &SurvivalConfig) -> SurvivalCell {
-    let workload = Workload::new(cfg.rate_mbps);
-    if kind == PlatformKind::Lvmm {
-        // Concrete platform so the stub probe can wrap it in a UART link.
-        let mut machine = Machine::new(MachineConfig::default());
-        let program = workload.build(&machine).expect("kernel assembles");
-        machine.load_program(&program);
-        let ram_size = machine.config().ram_size as u32;
-        let warmup = cfg.warmup_ms * machine.config().clock_hz / 1_000;
-        machine.enable_fault_injection(cell_plan(kind, fault, cfg, ram_size, warmup));
-        let mut platform = LvmmPlatform::new(machine, layout::ENTRY);
-        let mut cell = run_campaign(&mut platform, kind, fault, cfg);
-        cell.stub_alive = Some(probe_stub(platform));
-        cell
-    } else {
-        let mut platform = build_platform(kind, &workload);
-        let ram_size = platform.machine().config().ram_size as u32;
-        let warmup = cfg.warmup_ms * platform.machine().config().clock_hz / 1_000;
-        platform
-            .machine_mut()
-            .enable_fault_injection(cell_plan(kind, fault, cfg, ram_size, warmup));
-        run_campaign(platform.as_mut(), kind, fault, cfg)
+    let (mut machine, _) =
+        hx_farm::load_workload(&Workload::new(cfg.rate_mbps), 1).expect("kernel assembles");
+    let ram_size = machine.config().ram_size as u32;
+    let warmup = cfg.warmup_ms * machine.config().clock_hz / 1_000;
+    machine.enable_fault_injection(cell_plan(kind, fault, cfg, ram_size, warmup));
+    if kind != PlatformKind::Lvmm {
+        let mut platform = kind.boot(machine, layout::ENTRY, None);
+        return run_campaign(platform.as_mut(), kind, fault, cfg);
     }
+    // Concrete platform so the stub probe can wrap it in a UART link.
+    let mut platform = LvmmPlatform::new(machine, layout::ENTRY);
+    let mut cell = run_campaign(&mut platform, kind, fault, cfg);
+    cell.stub_alive = Some(probe_stub(platform));
+    cell
 }
 
 /// Records one all-classes campaign through the flight recorder and replays
 /// it on a fresh boot with the same plan; the two runs must agree on end
 /// cycle, instret, RAM image and fault counters.
 pub fn replay_check(kind: PlatformKind, cfg: &SurvivalConfig) -> ReplayCheck {
-    let workload = Workload::new(cfg.rate_mbps);
-    let plan = |ram_size: u32, warmup: u64| {
-        FaultPlan::new(cfg.seed)
-            .period(cfg.period)
-            .initial_delay(warmup)
-            .wild(ram_size, wild_limit_for(kind, ram_size))
+    // Both runs boot fresh and arm the same campaign.
+    let boot = || {
+        let mut p = build_platform(kind, &Workload::new(cfg.rate_mbps));
+        let ram_size = p.machine().config().ram_size as u32;
+        let warmup = cfg.warmup_ms * p.machine().config().clock_hz / 1_000;
+        p.machine_mut().enable_fault_injection(
+            FaultPlan::new(cfg.seed)
+                .period(cfg.period)
+                .initial_delay(warmup)
+                .wild(ram_size, kind.wild_limit(ram_size)),
+        );
+        p
     };
 
-    let mut rec = build_platform(kind, &workload);
-    let per_ms = rec.machine().config().clock_hz / 1_000;
-    let ram_size = rec.machine().config().ram_size as u32;
+    let mut rec = boot();
     rec.machine_mut().obs.enable_journal(kind.label());
-    rec.machine_mut()
-        .enable_fault_injection(plan(ram_size, cfg.warmup_ms * per_ms));
+    let per_ms = rec.machine().config().clock_hz / 1_000;
     rec.run_for((cfg.warmup_ms + cfg.campaign_ms) * per_ms);
     let end = rec.machine().now();
     let mut journal = rec
@@ -310,9 +292,7 @@ pub fn replay_check(kind: PlatformKind, cfg: &SurvivalConfig) -> ReplayCheck {
     let instret = rec.machine().cpu.instret();
     let fstats = rec.machine().fault_stats().copied();
 
-    let mut rep = build_platform(kind, &workload);
-    rep.machine_mut()
-        .enable_fault_injection(plan(ram_size, cfg.warmup_ms * per_ms));
+    let mut rep = boot();
     let reached = ReplayDriver::new(&journal).run(rep.as_mut());
     let identical = reached == end
         && hx_obs::digest(rep.machine().mem.as_bytes()) == digest
@@ -472,28 +452,14 @@ pub fn survivability_section(cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> S
 /// A standalone survivability document (used when there is no
 /// `BENCH_fig3_1.json` to merge into).
 pub fn survivability_json(cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> String {
-    format!(
-        "{{\n  \"bench\": \"survivability\",\n  \"survivability\": {}\n}}\n",
-        survivability_section(cfg, matrix)
-    )
+    merge_survivability("", cfg, matrix)
 }
 
-/// Splices a `"survivability"` section into an existing `BENCH_fig3_1.json`
-/// document (before its final `}`), replacing any previous section. Returns
-/// a standalone document when `fig3_1` isn't a JSON object.
+/// Sets the `"survivability"` section of an existing `BENCH_fig3_1.json`
+/// document, keeping every other section. Returns a standalone document
+/// when `fig3_1` isn't a JSON object.
 pub fn merge_survivability(fig3_1: &str, cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> String {
-    let section = survivability_section(cfg, matrix);
-    let trimmed = fig3_1.trim_end();
-    // Drop a previous survivability section so re-running the bench
-    // replaces rather than duplicates.
-    let body = match trimmed.find(",\n  \"survivability\":") {
-        Some(at) => &trimmed[..at],
-        None => match trimmed.strip_suffix('}') {
-            Some(b) => b.trim_end().trim_end_matches(','),
-            None => return survivability_json(cfg, matrix),
-        },
-    };
-    format!("{body},\n  \"survivability\": {section}\n}}\n")
+    merge_section(fig3_1, "survivability", &survivability_section(cfg, matrix))
 }
 
 #[cfg(test)]

@@ -11,12 +11,14 @@
 //! # Determinism
 //!
 //! A farm-served guest simulates **byte-identically** to the same guest run
-//! standalone. The worker loop only ever calls [`Platform::run_for`] in
-//! slices — and slicing is simulation-invisible (`run_for(a); run_for(b)`
-//! ≡ `run_for(a + b)`, a tested engine invariant) — and injects nothing
-//! unless a debug client actually sends bytes. With a flight recorder on,
-//! the journal sealed at the simulation horizon is the same text a
-//! standalone run produces; `tests/farm.rs` proves this differentially.
+//! standalone. Guests boot through [`boot_guest`], the one recipe the CLIs
+//! and benches use too, so there is no farm-only boot to drift. The worker
+//! loop only ever calls [`Platform::run_for`] in slices — and slicing is
+//! simulation-invisible (`run_for(a); run_for(b)` ≡ `run_for(a + b)`, a
+//! tested engine invariant) — and injects nothing unless a debug client
+//! actually sends bytes. With a flight recorder on, the journal sealed at
+//! the simulation horizon is the same text a standalone run produces;
+//! `tests/farm.rs` proves this differentially.
 //!
 //! # Fault isolation
 //!
@@ -45,77 +47,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hitactix::{GuestStats, Workload};
-use hosted_vmm::{HostedConfig, HostedPlatform};
-use hx_fault::{FaultKind, FaultPlan};
-use hx_machine::{Machine, MachineConfig, Platform, RawPlatform};
-use hx_obs::{Profiler, SymbolMap};
+use hitactix::GuestStats;
+use hx_machine::Platform;
 use hx_query::json::JsonObj;
-use lvmm::{LvmmConfig, LvmmPlatform};
 
-/// Which platform a farm guest boots under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FarmPlatform {
-    /// Guest owns the hardware — debuggable only via the embedded stub.
-    Raw,
-    /// The paper's lightweight monitor (full stub, flight recorder).
-    Lvmm,
-    /// The hosted full monitor.
-    Hosted,
-}
+mod boot;
 
-impl FarmPlatform {
-    /// Parses the same labels `lwvmm-run --platform` accepts.
-    pub fn from_label(s: &str) -> Option<FarmPlatform> {
-        match s {
-            "raw" | "real-hw" => Some(FarmPlatform::Raw),
-            "lvmm" => Some(FarmPlatform::Lvmm),
-            "hosted" => Some(FarmPlatform::Hosted),
-            _ => None,
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            FarmPlatform::Raw => "real-hw",
-            FarmPlatform::Lvmm => "lvmm",
-            FarmPlatform::Hosted => "hosted",
-        }
-    }
-}
-
-/// One guest's boot recipe.
-#[derive(Debug, Clone)]
-pub struct GuestSpec {
-    pub platform: FarmPlatform,
-    /// vCPU count (1..=MAX_CORES).
-    pub cores: usize,
-    /// Streaming-workload target rate, Mbit/s.
-    pub rate_mbps: u64,
-    /// Record a journal (and, under lvmm, a flight recorder with
-    /// checkpoints) so sessions can time-travel.
-    pub record: bool,
-    /// Attribute guest cycles to kernel symbols (serves `prof`).
-    pub profile: bool,
-    /// Attribute host wall-clock (serves `metrics`).
-    pub hostprof: bool,
-    /// Fault campaign: `Some(("all"|class, seed))`.
-    pub fault: Option<(String, u64)>,
-}
-
-impl Default for GuestSpec {
-    fn default() -> GuestSpec {
-        GuestSpec {
-            platform: FarmPlatform::Lvmm,
-            cores: 1,
-            rate_mbps: 100,
-            record: true,
-            profile: false,
-            hostprof: false,
-            fault: None,
-        }
-    }
-}
+pub use boot::{boot_guest, load_workload, new_machine, GuestSpec, PlatformKind};
 
 /// Farm-wide configuration.
 #[derive(Debug, Clone)]
@@ -212,14 +150,14 @@ struct GuestSlot {
     bytes_in: u64,
     bytes_out: u64,
     slow: u32,
-    record: bool,
     journal_text: Option<String>,
 }
 
 impl GuestSlot {
-    /// One service pass: accept, ingest client bytes, run a bounded slice,
-    /// drain UART to the client, update health. Returns `true` if the
-    /// guest did anything (so the worker knows whether to back off).
+    /// One service pass: ingest client bytes, accept a new client, run a
+    /// bounded slice, drain UART to the client, update health. Returns
+    /// `true` if the guest did anything (so the worker knows whether to
+    /// back off).
     fn service(&mut self, cfg: &FarmShared) -> bool {
         if self.health == GuestHealth::Evicted {
             // Fail fast for new clients instead of letting them hang.
@@ -228,39 +166,20 @@ impl GuestSlot {
             }
             return false;
         }
+        // Retire a finished session before accepting, so a client that
+        // reconnects right after disconnecting is not mistaken for a second
+        // concurrent one.
+        let mut got = self.read_client();
         if let Ok((s, _)) = self.listener.accept() {
             if self.conn.is_none() {
                 s.set_nonblocking(true).ok();
                 s.set_nodelay(true).ok();
                 self.conn = Some(s);
                 self.sessions += 1;
+                got += self.read_client();
             }
             // A second concurrent client on the same guest is refused by
             // drop — one stub, one session.
-        }
-        let mut got = 0usize;
-        if let Some(c) = &mut self.conn {
-            let mut buf = [0u8; 4096];
-            loop {
-                match c.read(&mut buf) {
-                    Ok(0) => {
-                        self.conn = None;
-                        break;
-                    }
-                    Ok(n) => {
-                        // Client bytes are the *only* external input a farm
-                        // guest ever sees; with no client the simulation is
-                        // standalone-identical.
-                        self.platform.machine_mut().uart_input(&buf[..n]);
-                        got += n;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        self.conn = None;
-                        break;
-                    }
-                }
-            }
         }
         self.bytes_in += got as u64;
 
@@ -329,17 +248,46 @@ impl GuestSlot {
         ran > 0 || got > 0
     }
 
+    /// Feeds everything the client has sent into the guest's UART and
+    /// retires a closed connection. Returns the bytes read.
+    fn read_client(&mut self) -> usize {
+        let Some(c) = &mut self.conn else {
+            return 0;
+        };
+        let mut got = 0;
+        let mut buf = [0u8; 4096];
+        loop {
+            match c.read(&mut buf) {
+                Ok(0) => {
+                    self.conn = None;
+                    break;
+                }
+                Ok(n) => {
+                    // Client bytes are the *only* external input a farm
+                    // guest ever sees; with no client the simulation is
+                    // standalone-identical.
+                    self.platform.machine_mut().uart_input(&buf[..n]);
+                    got += n;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    self.conn = None;
+                    break;
+                }
+            }
+        }
+        got
+    }
+
     /// Seals the journal exactly at the horizon and retires the guest to
     /// `Done`. Debug sessions (including time travel) keep working.
     fn finish_horizon(&mut self) {
-        if self.record {
-            let now = self.platform.machine().now();
-            let obs = &mut self.platform.machine_mut().obs;
-            if let Some(j) = obs.journal_mut() {
-                j.seal(now);
-            }
-            self.journal_text = obs.journal().map(|j| j.save());
+        let now = self.platform.machine().now();
+        let obs = &mut self.platform.machine_mut().obs;
+        if let Some(j) = obs.journal_mut() {
+            j.seal(now);
         }
+        self.journal_text = obs.journal().map(|j| j.save());
         self.health = GuestHealth::Done;
     }
 
@@ -367,70 +315,6 @@ pub struct Farm {
     control: Option<JoinHandle<()>>,
     control_port: u16,
     ports: Vec<u16>,
-}
-
-/// Boots one guest exactly the way the standalone binaries do — same
-/// machine config, same workload build, same enable order — so a farm
-/// guest's simulation (and journal) is standalone-identical.
-fn boot_guest(spec: &GuestSpec, record_every: u64) -> Result<Box<dyn Platform>, String> {
-    let mut machine = Machine::new(MachineConfig {
-        num_cores: spec.cores,
-        ..MachineConfig::default()
-    });
-    let program = Workload::new(spec.rate_mbps)
-        .build(&machine)
-        .map_err(|e| format!("kernel build failed: {e:?}"))?;
-    machine.load_program(&program);
-    if spec.profile {
-        machine.obs.enable_profiler(Profiler::new(
-            SymbolMap::from_ranges(hitactix::kernel::profile_symbols(&program)),
-            Profiler::DEFAULT_INTERVAL,
-        ));
-    }
-    if spec.hostprof {
-        machine.obs.enable_hostprof();
-    }
-    if let Some((class, seed)) = &spec.fault {
-        let ram_size = machine.config().ram_size as u32;
-        let wild_limit = match spec.platform {
-            FarmPlatform::Raw => ram_size,
-            FarmPlatform::Hosted => ram_size - HostedConfig::default().host_mem,
-            FarmPlatform::Lvmm => ram_size - LvmmConfig::default().monitor_mem,
-        };
-        let mut plan = FaultPlan::new(*seed).wild(ram_size, wild_limit);
-        if class != "all" {
-            let kind = FaultKind::from_label(class)
-                .ok_or_else(|| format!("unknown fault class `{class}`"))?;
-            plan = plan.only(kind);
-        }
-        machine.enable_fault_injection(plan);
-    }
-    let entry = hitactix::kernel::layout::ENTRY;
-    Ok(match spec.platform {
-        FarmPlatform::Raw => {
-            let mut p = RawPlatform::new(machine);
-            if spec.record {
-                let name = p.name();
-                p.machine_mut().obs.enable_journal(name);
-            }
-            Box::new(p)
-        }
-        FarmPlatform::Lvmm => {
-            let mut p = LvmmPlatform::new(machine, entry);
-            if spec.record {
-                p.enable_flight_recorder(record_every);
-            }
-            Box::new(p)
-        }
-        FarmPlatform::Hosted => {
-            let mut p = HostedPlatform::new(machine, entry);
-            if spec.record {
-                let name = p.name();
-                p.machine_mut().obs.enable_journal(name);
-            }
-            Box::new(p)
-        }
-    })
 }
 
 impl Farm {
@@ -461,7 +345,6 @@ impl Farm {
                 bytes_in: 0,
                 bytes_out: 0,
                 slow: 0,
-                record: spec.record,
                 journal_text: None,
             }));
         }
@@ -891,11 +774,30 @@ mod tests {
 
     #[test]
     fn platform_labels_round_trip() {
-        for p in [FarmPlatform::Raw, FarmPlatform::Lvmm, FarmPlatform::Hosted] {
-            assert_eq!(FarmPlatform::from_label(p.label()), Some(p));
+        for p in [
+            PlatformKind::RawHw,
+            PlatformKind::Lvmm,
+            PlatformKind::Hosted,
+        ] {
+            assert_eq!(PlatformKind::from_label(p.label()), Some(p));
         }
-        assert_eq!(FarmPlatform::from_label("raw"), Some(FarmPlatform::Raw));
-        assert_eq!(FarmPlatform::from_label("vmware"), None);
+        assert_eq!(PlatformKind::from_label("raw"), Some(PlatformKind::RawHw));
+        assert_eq!(PlatformKind::from_label("vmware"), None);
+        assert_eq!(PlatformKind::from_label("Lvmm"), None);
+        assert_eq!(PlatformKind::from_label(""), None);
+
+        // Wild writes reach all of RAM on raw hardware and stop at each
+        // monitor's reserved region.
+        let ram = hx_machine::MachineConfig::default().ram_size as u32;
+        assert_eq!(PlatformKind::RawHw.wild_limit(ram), ram);
+        assert_eq!(
+            PlatformKind::Lvmm.wild_limit(ram),
+            ram - lvmm::LvmmConfig::default().monitor_mem
+        );
+        assert_eq!(
+            PlatformKind::Hosted.wild_limit(ram),
+            ram - hosted_vmm::HostedConfig::default().host_mem
+        );
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! over the lvmm flight recording, seeks the replay there, and dumps
 //! state.
 
+use lwvmm::farm::{load_workload, new_machine, PlatformKind};
 use lwvmm::fault::{FaultKind, FaultPlan};
 use lwvmm::guest::{apps, kernel::layout, Workload};
 use lwvmm::hosted::HostedPlatform;
-use lwvmm::machine::{smp, Machine, MachineConfig, Platform, RawPlatform};
+use lwvmm::machine::{smp, Machine, Platform};
 use lwvmm::monitor::{LvmmPlatform, UartLink};
 use lwvmm::obs::{audit, FlowClass, Journal};
 use lwvmm::query::json::JsonObj;
@@ -102,38 +103,24 @@ fn opt_cores(args: &[String]) -> Result<usize, String> {
 }
 
 /// Boots the built-in streaming workload on a machine with `cores` vCPUs.
-fn boot_machine(rate: u64, cores: usize) -> Machine {
-    let mut machine = Machine::new(MachineConfig {
-        num_cores: cores,
-        ..MachineConfig::default()
-    });
-    let program = Workload::new(rate)
-        .build(&machine)
-        .expect("built-in kernel assembles");
-    machine.load_program(&program);
-    machine
+fn boot_machine(rate: u64, cores: usize) -> Result<Machine, String> {
+    load_workload(&Workload::new(rate), cores).map(|(machine, _)| machine)
 }
 
 // ---------------------------------------------------------------- run ----
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let platform_name = opt(args, "--platform").unwrap_or("lvmm");
+    let kind: PlatformKind = opt(args, "--platform").unwrap_or("lvmm").parse()?;
     let ms = parse_u64(opt(args, "--ms").unwrap_or("100"))?;
     let rate = parse_u64(opt(args, "--workload").unwrap_or("100"))?;
     let cores = opt_cores(args)?;
     let journal_path = opt(args, "--journal");
 
-    let machine = boot_machine(rate, cores);
+    let machine = boot_machine(rate, cores)?;
     let clock = machine.config().clock_hz;
-    let mut platform: Box<dyn Platform> = match platform_name {
-        "raw" | "real-hw" => Box::new(RawPlatform::new(machine)),
-        "lvmm" => Box::new(LvmmPlatform::new(machine, layout::ENTRY)),
-        "hosted" => Box::new(HostedPlatform::new(machine, layout::ENTRY)),
-        other => return Err(format!("unknown platform `{other}` (raw|lvmm|hosted)")),
-    };
+    let mut platform = kind.boot(machine, layout::ENTRY, None);
     if journal_path.is_some() {
-        let name = platform.name().to_string();
-        platform.machine_mut().obs.enable_journal(&name);
+        platform.machine_mut().obs.enable_journal(kind.label());
     }
     let ran = platform.run_for(clock / 1_000 * ms);
 
@@ -517,7 +504,7 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let mut machine = boot_machine(100, cores);
+    let mut machine = boot_machine(100, cores)?;
     // Host-time attribution for the `metrics` script command; simulation-
     // invisible, so the session transcript stays deterministic.
     machine.obs.enable_hostprof();
@@ -579,7 +566,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let rate = parse_u64(opt(args, "--workload").unwrap_or("100"))?;
     let cores = opt_cores(args)?;
 
-    let mut machine = boot_machine(rate, cores);
+    let mut machine = boot_machine(rate, cores)?;
     machine.obs.enable_hostprof();
     let clock = machine.config().clock_hz;
     let vmm = LvmmPlatform::new(machine, layout::ENTRY);
@@ -622,7 +609,7 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     let cores = opt_cores(args)?;
     let seek = args.iter().any(|a| a == "--seek");
 
-    let mut machine = boot_machine(rate, cores);
+    let mut machine = boot_machine(rate, cores)?;
     machine.obs.enable_tracing();
     machine.obs.enable_causal();
     let clock = machine.config().clock_hz;
@@ -750,7 +737,7 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
         "unknown symbol `{symbol}` (bytes|frames|ticks|underruns|glob|0xADDR)"
     ))?;
 
-    let machine = boot_machine(100, 1);
+    let machine = boot_machine(100, 1)?;
     let clock = machine.config().clock_hz;
     let interval = clock / 10_000; // sample every 100 simulated µs
     let steps = ms * clock / 1_000 / interval;
@@ -766,7 +753,7 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
             })
             .collect()
     };
-    let mut hosted = HostedPlatform::new(boot_machine(100, 1), layout::ENTRY);
+    let mut hosted = HostedPlatform::new(boot_machine(100, 1)?, layout::ENTRY);
     let hosted_track = sample(&mut hosted);
 
     let mut vmm = LvmmPlatform::new(machine, layout::ENTRY);
@@ -860,10 +847,7 @@ fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
 
     let program = apps::racy_counter_guest();
     let entry = program.symbols.get("start").expect("racy guest has start");
-    let mut machine = Machine::new(MachineConfig {
-        num_cores: cores,
-        ..MachineConfig::default()
-    });
+    let mut machine = new_machine(cores);
     machine.load_program(&program);
     machine.enable_fault_injection(
         FaultPlan::new(seed)

@@ -22,14 +22,14 @@
 //! is byte-identical to a standalone run of the same guest (`tests/farm.rs`
 //! proves it differentially).
 
-use lwvmm::farm::{control_request, Farm, FarmConfig, FarmPlatform, GuestSpec};
+use lwvmm::farm::{control_request, Farm, FarmConfig, GuestSpec, PlatformKind};
 use lwvmm::machine::timing;
 use std::process::ExitCode;
 use std::time::Duration;
 
 struct Options {
     guests: usize,
-    platform: String,
+    platform: PlatformKind,
     cores: usize,
     rate: u64,
     workers: usize,
@@ -48,7 +48,7 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         guests: 4,
-        platform: "lvmm".into(),
+        platform: PlatformKind::Lvmm,
         cores: 1,
         rate: 100,
         workers: 0,
@@ -72,7 +72,7 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--guests expects a number")?
             }
-            "--platform" => opts.platform = val("--platform")?,
+            "--platform" => opts.platform = val("--platform")?.parse()?,
             "--cores" => {
                 opts.cores = val("--cores")?
                     .parse()
@@ -161,14 +161,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(platform) = FarmPlatform::from_label(&opts.platform) else {
-        eprintln!("lwvmm-farm: unknown platform `{}`", opts.platform);
-        return ExitCode::FAILURE;
-    };
-
     let guests = (0..opts.guests)
         .map(|i| GuestSpec {
-            platform,
+            platform: opts.platform,
             cores: opts.cores,
             rate_mbps: opts.rate,
             record: opts.record,

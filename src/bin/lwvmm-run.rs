@@ -29,11 +29,10 @@
 //! latency histograms. The trace bytes are a pure function of the simulated
 //! run, so identical invocations produce identical files.
 
-use lwvmm::fault::{FaultKind, FaultPlan};
-use lwvmm::guest::{kernel::layout, GuestStats, Workload};
-use lwvmm::hosted::HostedPlatform;
-use lwvmm::machine::{Machine, MachineConfig, Platform, RawPlatform};
-use lwvmm::monitor::LvmmPlatform;
+use lwvmm::farm::{new_machine, PlatformKind};
+use lwvmm::fault::FaultKind;
+use lwvmm::guest::{GuestStats, Workload};
+use lwvmm::machine::Platform;
 use lwvmm::obs::{ChromeTrace, EventKind, MetricsRegistry, Profiler, SymbolMap};
 use lwvmm::query::json::JsonObj;
 use lwvmm::query::Expr;
@@ -42,7 +41,7 @@ use std::process::ExitCode;
 struct Options {
     input: Option<String>,
     workload: Option<u64>,
-    platform: String,
+    platform: PlatformKind,
     cores: usize,
     ms: u64,
     dump: Option<(u32, u32)>,
@@ -62,7 +61,7 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         input: None,
         workload: None,
-        platform: "lvmm".into(),
+        platform: PlatformKind::Lvmm,
         cores: 1,
         ms: 100,
         dump: None,
@@ -80,7 +79,9 @@ fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--platform" => opts.platform = args.next().ok_or("missing --platform value")?,
+            "--platform" => {
+                opts.platform = args.next().ok_or("missing --platform value")?.parse()?
+            }
             "--cores" => {
                 let v = args.next().ok_or("missing --cores value")?;
                 let n: usize = v
@@ -190,10 +191,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut machine = Machine::new(MachineConfig {
-        num_cores: opts.cores,
-        ..MachineConfig::default()
-    });
+    let mut machine = new_machine(opts.cores);
     if opts.no_decode_cache {
         // Must be bit-identical to the default; kept for A/B timing and
         // determinism checks.
@@ -259,27 +257,15 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(spec) = &opts.fault {
+    if let Some(class) = &opts.fault {
         let ram_size = machine.config().ram_size as u32;
-        // Wild attempts span all of RAM; the monitors block everything at or
-        // above their reserved region, raw hardware blocks nothing.
-        let wild_limit = match opts.platform.as_str() {
-            "raw" | "real-hw" => ram_size,
-            "hosted" => ram_size - lwvmm::hosted::HostedConfig::default().host_mem,
-            _ => ram_size - lwvmm::monitor::LvmmConfig::default().monitor_mem,
-        };
-        let mut plan = FaultPlan::new(opts.fault_seed).wild(ram_size, wild_limit);
-        if spec != "all" {
-            let Some(kind) = FaultKind::from_label(spec) else {
-                eprintln!(
-                    "lwvmm-run: unknown fault class `{spec}` (all|{})",
-                    FaultKind::ALL.map(|k| k.label()).join("|")
-                );
+        match opts.platform.fault_plan(ram_size, class, opts.fault_seed) {
+            Ok(plan) => machine.enable_fault_injection(plan),
+            Err(e) => {
+                eprintln!("lwvmm-run: {e}");
                 return ExitCode::FAILURE;
-            };
-            plan = plan.only(kind);
+            }
         }
-        machine.enable_fault_injection(plan);
     }
 
     if opts.causal.is_some() {
@@ -297,15 +283,7 @@ fn main() -> ExitCode {
         machine.obs.enable_hostprof();
     }
 
-    let mut platform: Box<dyn Platform> = match opts.platform.as_str() {
-        "raw" | "real-hw" => Box::new(RawPlatform::new(machine)),
-        "lvmm" => Box::new(LvmmPlatform::new(machine, entry)),
-        "hosted" => Box::new(HostedPlatform::new(machine, entry)),
-        other => {
-            eprintln!("lwvmm-run: unknown platform `{other}` (raw|lvmm|hosted)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut platform = opts.platform.boot(machine, entry, None);
 
     if !opts.query_json {
         println!(
@@ -445,7 +423,6 @@ fn main() -> ExitCode {
             ),
             Err(e) => println!("guest: stats unavailable ({e})"),
         }
-        let _ = layout::ENTRY;
     }
     if opts.engine_stats {
         let d = m.cpu.decode_stats();

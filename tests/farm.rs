@@ -6,7 +6,7 @@
 
 use lwvmm::debugger::Debugger;
 use lwvmm::farm::{
-    control_request, Farm, FarmConfig, FarmPlatform, GuestHealth, GuestSpec, TcpLink,
+    control_request, Farm, FarmConfig, GuestHealth, GuestSpec, PlatformKind, TcpLink,
 };
 use lwvmm::guest::{kernel::layout, Workload};
 use lwvmm::machine::{Machine, MachineConfig, Platform};
@@ -128,6 +128,29 @@ fn concurrent_sessions_interleave_across_guests() {
     farm.shutdown();
 }
 
+/// Back-to-back sessions: a client that disconnects and reconnects at once
+/// gets a new session, even before the farm has read the previous session's
+/// end. The pump budget is bounded, so a refused connection fails the test
+/// instead of hanging it.
+#[test]
+fn back_to_back_reconnects_are_all_served() {
+    let farm = Farm::launch(farm_config(vec![GuestSpec::default()], None)).expect("launch");
+    let addr = format!("127.0.0.1:{}", farm.ports()[0]);
+    for i in 0..20 {
+        let mut dbg = Debugger::new(TcpLink::connect(&addr).expect("connect"));
+        dbg.set_pump_budget(2_000);
+        if i == 0 {
+            // `?` answers with a stop only while the guest is stopped.
+            dbg.halt().expect("halt");
+        }
+        dbg.query_stop()
+            .unwrap_or_else(|e| panic!("session {i}: no stop reply: {e}"));
+    }
+    let status = control_request(farm.control_port(), "status").expect("status");
+    assert_eq!(all_u64s(&status, "sessions"), vec![20]);
+    farm.shutdown();
+}
+
 /// Fleet aggregation: the `qstats` totals object equals the field-wise sum
 /// of the per-guest objects — re-derived here externally, the same check
 /// the farm-smoke CI job performs.
@@ -246,12 +269,12 @@ fn evicted_guest_leaves_neighbors_serving() {
 fn mixed_platform_fleet_settles_and_records() {
     let guests = vec![
         GuestSpec {
-            platform: FarmPlatform::Raw,
+            platform: PlatformKind::RawHw,
             ..GuestSpec::default()
         },
         GuestSpec::default(),
         GuestSpec {
-            platform: FarmPlatform::Hosted,
+            platform: PlatformKind::Hosted,
             ..GuestSpec::default()
         },
     ];
