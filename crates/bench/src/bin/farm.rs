@@ -4,13 +4,13 @@
 //! Usage: `cargo run --release -p lwvmm-bench --bin farm
 //!         [--fast] [--json out.json] [--merge BENCH_fig3_1.json]`
 //!
-//! `--merge` splices the `"farm"` section into an existing Fig. 3.1
-//! document (replacing a previous section); `--json` writes a standalone
-//! document. Exits non-zero when any fleet failed to settle or the session
+//! `--merge` sets the `"farm"` section of an existing Fig. 3.1 document
+//! (replacing a previous section, keeping every other); `--json` writes a
+//! standalone document. Exits non-zero when any fleet failed to settle or the session
 //! storm completed no sessions, so CI can gate on it directly.
 
 use lwvmm_bench::{
-    arg_flag, arg_value, farm_json, farm_report, merge_farm, run_farm_bench, FarmBenchConfig,
+    arg_flag, farm_report, farm_section, run_farm_bench, write_section, FarmBenchConfig,
 };
 use std::process::ExitCode;
 
@@ -30,15 +30,7 @@ fn main() -> ExitCode {
     let points = run_farm_bench(&cfg);
     println!("\n{}", farm_report(&cfg, &points).to_text());
 
-    if let Some(path) = arg_value("--json") {
-        lwvmm_bench::write_output(&path, farm_json(&cfg, &points));
-        println!("wrote {path}");
-    }
-    if let Some(path) = arg_value("--merge") {
-        let existing = std::fs::read_to_string(&path).unwrap_or_default();
-        lwvmm_bench::write_output(&path, merge_farm(&existing, &cfg, &points));
-        println!("merged farm section into {path}");
-    }
+    write_section("farm", farm_section(&cfg, &points));
 
     let all_settled = points.iter().all(|p| p.settled);
     let sessions_served = points.iter().all(|p| p.sessions > 0);

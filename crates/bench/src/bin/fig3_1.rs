@@ -34,11 +34,11 @@
 
 use hitactix::Workload;
 use hx_farm::{boot_guest, new_machine, GuestSpec};
+use hx_obs::json::{self, Json};
 use hx_obs::{HostPhase, MetricsRegistry};
 use lwvmm_bench::{
-    arg_flag, arg_value, ascii_plot, baseline_sim_speed, build_platform, check_sim_speed,
-    chrome_trace, exit_report, json_section, measure, measure_point, merge_section, sweep_report,
-    time_run, HostAttributionSummary, PlatformKind, ProfileSummary, SimSpeed,
+    arg_flag, arg_value, ascii_plot, build_platform, check_sim_speed, chrome_trace, exit_report,
+    measure, measure_point, profile_row, sweep_report, time_run, PlatformKind, SimSpeed,
 };
 
 /// The run with the median host speed.
@@ -114,7 +114,13 @@ fn main() {
             let mut p = boot();
             p.machine_mut().obs.enable_hostprof();
             let speed = time_run(p.as_mut(), ms);
-            ons.push(HostAttributionSummary::read(kind, speed, p.as_ref()));
+            // Deferred guest-execution time is charged at the next phase
+            // boundary; force one so the trailing guest stretch counts too.
+            p.machine().obs.host_mark(HostPhase::GuestExec);
+            ons.push((
+                speed,
+                p.machine().obs.host_attribution().expect("profiler on"),
+            ));
             // Causal flows ride the event ring, so tracing comes with them.
             let mut p = boot();
             p.machine_mut().obs.enable_tracing();
@@ -122,7 +128,7 @@ fn main() {
             causals.push(time_run(p.as_mut(), ms));
         }
         let s = median(offs, |s| s.instr_per_host_sec);
-        let a = median(ons, |a| a.speed.instr_per_host_sec);
+        let (a_speed, a) = median(ons, |(s, _)| s.instr_per_host_sec);
         let c = median(causals, |c| c.instr_per_host_sec);
         println!(
             "Sim speed on {:8}: {:5.1} M guest instr / host sec ({} instr in {:.3} s)",
@@ -134,8 +140,8 @@ fn main() {
         println!(
             "  with metrics on : {:5.1} M guest instr / host sec ({:+5.1}% overhead, \
              {:.1}% of host time attributed across {} marks)",
-            a.speed.instr_per_host_sec / 1e6,
-            (s.instr_per_host_sec / a.speed.instr_per_host_sec.max(1.0) - 1.0) * 100.0,
+            a_speed.instr_per_host_sec / 1e6,
+            (s.instr_per_host_sec / a_speed.instr_per_host_sec.max(1.0) - 1.0) * 100.0,
             a.coverage() * 100.0,
             a.marks
         );
@@ -146,7 +152,7 @@ fn main() {
         );
         sim_speed.push((kind, s));
         causal_speed.push((kind, c));
-        attributions.push(a);
+        attributions.push((kind, a_speed, a));
     }
 
     // Multi-core scaling: the all-cores spin guest at 1, 2 and 4 cores on
@@ -196,7 +202,7 @@ fn main() {
     // One traced (and optionally profiled) run per platform at a fixed
     // representative rate. Tracing and profiling are observational only, so
     // these runs behave identically to the untraced sweep above.
-    let mut profiles: Vec<ProfileSummary> = Vec::new();
+    let mut profiles = Vec::new();
     if trace_path.is_some() || profile_path.is_some() || metrics_path.is_some() {
         let mut traced = Vec::new();
         for kind in PlatformKind::ALL {
@@ -237,7 +243,7 @@ fn main() {
             for (kind, platform) in &traced {
                 let prof = platform.machine().obs.prof().expect("profiler enabled");
                 folded.push_str(&prof.fold_prefixed(&format!("{};", kind.label())));
-                profiles.push(ProfileSummary::read(*kind, platform.as_ref(), 10));
+                profiles.push(profile_row(*kind, platform.as_ref(), 10));
             }
             lwvmm_bench::write_output(path, folded);
             println!("wrote {path} (collapsed stacks; feed to flamegraph.pl or speedscope)");
@@ -266,13 +272,14 @@ fn main() {
     // The survivability and farm benches merge their own sections into this
     // document; a rerun carries them over rather than dropping them.
     let previous = std::fs::read_to_string("BENCH_fig3_1.json").unwrap_or_default();
+    let previous = json::parse(&previous).unwrap_or(Json::Null);
     for key in ["survivability", "farm"] {
-        if let Some(section) = json_section(&previous, key) {
-            doc = merge_section(&doc, key, section);
+        if let Some(section) = previous.get(key) {
+            doc.set(key, section.clone());
         }
     }
     lwvmm_bench::write_output("fig3_1.csv", report.to_csv());
-    lwvmm_bench::write_output("BENCH_fig3_1.json", doc);
+    lwvmm_bench::write_output("BENCH_fig3_1.json", Json::from(doc).pretty());
     println!("\nwrote fig3_1.csv and BENCH_fig3_1.json");
 
     if let Some(path) = check_speed {
@@ -282,12 +289,10 @@ fn main() {
             .unwrap_or(0.75);
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("--check-speed: cannot read {path}: {e}"));
-        let baseline = baseline_sim_speed(&baseline);
-        assert!(
-            !baseline.is_empty(),
-            "--check-speed: no sim_speed section in {path}"
-        );
-        let failures = check_sim_speed(&baseline, &sim_speed, tolerance);
+        let baseline = json::parse(&baseline)
+            .unwrap_or_else(|e| panic!("--check-speed: {path} is not JSON: {e}"));
+        let failures = check_sim_speed(&baseline, &sim_speed, tolerance)
+            .unwrap_or_else(|e| panic!("--check-speed: {e} in {path}"));
         if failures.is_empty() {
             println!("sim-speed check vs {path}: OK (tolerance {tolerance})");
         } else {

@@ -10,13 +10,13 @@
 //! Usage: `cargo run --release -p lwvmm-bench --bin survivability
 //!         [--fast] [--seed N] [--json out.json] [--merge BENCH_fig3_1.json]`
 //!
-//! `--merge` splices the `"survivability"` section into an existing
-//! Fig. 3.1 document (replacing a previous section); `--json` writes a
-//! standalone document. Exits non-zero when the LVMM stub row is not
+//! `--merge` sets the `"survivability"` section of an existing Fig. 3.1
+//! document (replacing a previous section, keeping every other); `--json`
+//! writes a standalone document. Exits non-zero when the LVMM stub row is not
 //! all-alive or any replay diverged, so CI can gate on it directly.
 
 use lwvmm_bench::{
-    arg_flag, arg_value, merge_survivability, run_matrix, survivability_json, survival_report,
+    arg_flag, arg_value, run_matrix, survivability_section, survival_report, write_section,
     SurvivalConfig,
 };
 use std::process::ExitCode;
@@ -37,15 +37,7 @@ fn main() -> ExitCode {
     let matrix = run_matrix(&cfg);
     println!("\n{}", survival_report(&matrix).to_text());
 
-    if let Some(path) = arg_value("--json") {
-        lwvmm_bench::write_output(&path, survivability_json(&cfg, &matrix));
-        println!("wrote {path}");
-    }
-    if let Some(path) = arg_value("--merge") {
-        let existing = std::fs::read_to_string(&path).unwrap_or_default();
-        lwvmm_bench::write_output(&path, merge_survivability(&existing, &cfg, &matrix));
-        println!("merged survivability section into {path}");
-    }
+    write_section("survivability", survivability_section(&cfg, &matrix));
 
     let stub_ok = matrix.lvmm_stub_all_alive();
     let replay_ok = matrix.replays_identical();

@@ -14,8 +14,9 @@
 //!   (connect → halt → regs → resume → disconnect) for a fixed wall
 //!   window.
 
-use crate::{merge_section, Align, Report};
-use hx_farm::{control_request, Farm, FarmConfig, GuestSpec};
+use crate::{Align, Report};
+use hx_farm::{Farm, FarmConfig, GuestSpec};
+use hx_obs::json::{Json, JsonObj};
 use rdbg::Debugger;
 use std::time::{Duration, Instant};
 
@@ -66,8 +67,7 @@ pub struct FleetPoint {
     pub settled: bool,
     /// Launch-to-settled wall seconds.
     pub wall_seconds: f64,
-    /// Fleet-total instructions at the horizon (from the control `stats`
-    /// aggregation).
+    /// Fleet-total instructions at the horizon, summed over every guest.
     pub total_instret: u64,
     pub instr_per_host_sec: f64,
     pub per_guest_instr_per_sec: f64,
@@ -96,21 +96,6 @@ fn rss_kb() -> u64 {
     {
         0
     }
-}
-
-/// First value of `"key":` in a flat JSON line (the control replies put the
-/// fleet totals first).
-fn first_u64(json: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    json.find(&pat)
-        .map(|i| {
-            let tail = &json[i + pat.len()..];
-            let end = tail
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(tail.len());
-            tail[..end].parse().unwrap_or(0)
-        })
-        .unwrap_or(0)
 }
 
 /// One scripted debug session against a farm guest: connect, halt, read
@@ -168,9 +153,9 @@ pub fn run_farm_bench(cfg: &FarmBenchConfig) -> Vec<FleetPoint> {
         let wall_seconds = t0.elapsed().as_secs_f64();
         let rss_after = rss_kb();
 
-        let total_instret = control_request(farm.control_port(), "stats")
-            .map(|s| first_u64(&s, "instret"))
-            .unwrap_or(0);
+        let total_instret: u64 = (0..n)
+            .filter_map(|g| farm.with_guest(g, |p| p.machine().total_instret()))
+            .sum();
 
         let sessions = session_storm(farm.ports(), cfg.session_clients.min(n), cfg.session_window);
         farm.shutdown();
@@ -225,57 +210,34 @@ pub fn farm_report(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> Report {
     r
 }
 
-fn farm_section(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"guests\": {}, \"settled\": {}, \"wall_seconds\": {:.4}, \
-                 \"total_instret\": {}, \"instr_per_host_sec\": {:.0}, \
-                 \"per_guest_instr_per_sec\": {:.0}, \"degradation_vs_base\": {:.4}, \
-                 \"mem_per_guest_kb\": {}, \"sessions\": {}, \"sessions_per_sec\": {:.2}}}",
-                p.guests,
-                p.settled,
-                p.wall_seconds,
-                p.total_instret,
-                p.instr_per_host_sec,
-                p.per_guest_instr_per_sec,
-                p.degradation_vs_base,
-                p.mem_per_guest_kb,
-                p.sessions,
-                p.sessions_per_sec,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n    \"horizon_ms\": {}, \"session_window_s\": {:.1},\n    \"points\": [\n      {}\n    ]\n  }}",
-        cfg.horizon_ms,
-        cfg.session_window.as_secs_f64(),
-        rows.join(",\n      ")
-    )
-}
-
-/// Standalone JSON document.
-pub fn farm_json(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
-    merge_farm("", cfg, points)
-}
-
-/// Sets the `"farm"` section of an existing Fig. 3.1 document, keeping
-/// every other section.
-pub fn merge_farm(fig3_1: &str, cfg: &FarmBenchConfig, points: &[FleetPoint]) -> String {
-    merge_section(fig3_1, "farm", &farm_section(cfg, points))
+/// The `farm` section of the bench document.
+pub fn farm_section(cfg: &FarmBenchConfig, points: &[FleetPoint]) -> JsonObj {
+    let rows = points.iter().map(|p| {
+        let per_guest = p.per_guest_instr_per_sec;
+        let mut row = JsonObj::new();
+        row.set("guests", p.guests as u64)
+            .set("settled", p.settled)
+            .set("wall_seconds", Json::fixed(p.wall_seconds, 4))
+            .set("total_instret", p.total_instret)
+            .set("instr_per_host_sec", Json::fixed(p.instr_per_host_sec, 0))
+            .set("per_guest_instr_per_sec", Json::fixed(per_guest, 0))
+            .set("degradation_vs_base", Json::fixed(p.degradation_vs_base, 4))
+            .set("mem_per_guest_kb", p.mem_per_guest_kb)
+            .set("sessions", p.sessions)
+            .set("sessions_per_sec", Json::fixed(p.sessions_per_sec, 2));
+        Json::from(row)
+    });
+    let window = cfg.session_window.as_secs_f64();
+    let mut s = JsonObj::new();
+    s.set("horizon_ms", cfg.horizon_ms)
+        .set("session_window_s", Json::fixed(window, 1))
+        .set("points", rows.collect::<Vec<_>>());
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_u64_reads_the_totals_object() {
-        let json = r#"{"qstats":{"instret":42},"guests":[{"instret":21},{"instret":21}]}"#;
-        assert_eq!(first_u64(json, "instret"), 42);
-        assert_eq!(first_u64(json, "missing"), 0);
-    }
 
     #[test]
     fn merge_replaces_a_previous_farm_section() {
@@ -293,11 +255,12 @@ mod tests {
             sessions_per_sec: 3.0,
         }];
         let doc = "{\n  \"bench\": \"fig3_1\"\n}\n";
-        let once = merge_farm(doc, &cfg, &points);
-        let twice = merge_farm(&once, &cfg, &points);
+        let merge = |doc: &str| crate::set_section(doc, "farm", farm_section(&cfg, &points));
+        let once = merge(doc);
+        let twice = merge(&once);
         assert_eq!(once, twice, "re-merge replaces, never duplicates");
         assert!(once.contains("\"bench\": \"fig3_1\""));
-        assert!(once.contains("\"mem_per_guest_kb\": 7"));
+        assert!(once.contains("\"mem_per_guest_kb\":7"));
         assert_eq!(once.matches("\"farm\":").count(), 1);
     }
 }

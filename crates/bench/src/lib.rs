@@ -7,16 +7,16 @@
 
 use hitactix::{GuestStats, Workload};
 use hx_machine::{Platform, TimeStats};
-use hx_obs::{report, Align, ChromeTrace, ExitCause, ExitHists, HostPhase, Report};
+use hx_obs::json::{self, Json, JsonObj};
+use hx_obs::{report, Align, ChromeTrace, ExitCause, ExitHists, HostAttribution, Report};
 
 pub mod farm;
 pub mod survivability;
 
-pub use farm::{farm_json, farm_report, merge_farm, run_farm_bench, FarmBenchConfig, FleetPoint};
+pub use farm::{farm_report, farm_section, run_farm_bench, FarmBenchConfig, FleetPoint};
 pub use hx_farm::PlatformKind;
 pub use survivability::{
-    merge_survivability, run_matrix, survivability_json, survival_report, SurvivalConfig,
-    SurvivalMatrix,
+    run_matrix, survivability_section, survival_report, SurvivalConfig, SurvivalMatrix,
 };
 
 /// Boots the streaming workload on the requested platform.
@@ -107,12 +107,6 @@ pub fn measure_point(
     m
 }
 
-/// Finds the saturation (maximum achieved) rate for a platform by asking
-/// for far more than it can deliver.
-pub fn saturation_mbps(kind: PlatformKind, warmup_ms: u64, window_ms: u64) -> f64 {
-    measure_point(kind, 950, warmup_ms, window_ms).achieved_mbps
-}
-
 /// Host-side simulation speed: how fast the *simulator* runs on the host,
 /// as guest instructions retired per host wall-clock second. This is the
 /// engine's own performance figure (batching + predecoded-instruction
@@ -146,99 +140,31 @@ pub fn time_run(platform: &mut dyn Platform, ms: u64) -> SimSpeed {
     }
 }
 
-/// Host-time attribution of one metrics-enabled run: where the monitor's
-/// own wall-clock went, per phase, plus the run's simulation speed — the
-/// data behind the `host_attribution` section of `BENCH_fig3_1.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostAttributionSummary {
-    /// Which platform ran.
-    pub kind: PlatformKind,
-    /// The run's simulation speed (with the host profiler enabled).
-    pub speed: SimSpeed,
-    /// Host wall-clock nanoseconds from profiler enable to the last mark.
-    pub wall_ns: u64,
-    /// Phase-boundary marks taken.
-    pub marks: u64,
-    /// Host nanoseconds attributed to any phase.
-    pub attributed_ns: u64,
-    /// Per-phase host nanoseconds, in canonical `HostPhase::ALL` order.
-    pub phases: Vec<(String, u64)>,
-}
-
-impl HostAttributionSummary {
-    /// Reads the attribution of a [`time_run`] that ran with the host
-    /// profiler enabled; without it the attribution fields are zero and
-    /// `phases` is empty.
-    pub fn read(kind: PlatformKind, speed: SimSpeed, platform: &dyn Platform) -> Self {
-        // Deferred guest-execution time is charged at the next phase
-        // boundary; force one so the run's trailing guest stretch is
-        // attributed too.
-        platform.machine().obs.host_mark(HostPhase::GuestExec);
-        let att = platform.machine().obs.host_attribution();
-        let (wall_ns, marks, attributed_ns, phases) = match att {
-            Some(a) => (a.wall_ns, a.marks, a.attributed_ns(), a.phases().collect()),
-            None => (0, 0, 0, Vec::new()),
-        };
-        HostAttributionSummary {
-            kind,
-            speed,
-            wall_ns,
-            marks,
-            attributed_ns,
-            phases,
-        }
-    }
-
-    /// Fraction of wall-clock the marks explain, in `[0, 1]`.
-    pub fn coverage(&self) -> f64 {
-        self.attributed_ns as f64 / (self.wall_ns as f64).max(1.0)
-    }
-}
-
-/// Extracts the `(name, instr_per_host_sec)` pairs from the `sim_speed`
-/// section of a committed `BENCH_fig3_1.json` — the hand-rolled companion
-/// of [`fig3_1_json`], kept parser-free like the writer. Returns an empty
-/// vector if the section is missing or malformed.
-pub fn baseline_sim_speed(json: &str) -> Vec<(String, f64)> {
-    let Some(section) = json_section(json, "sim_speed") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in section.split('{').skip(1) {
-        let name = entry
-            .split("\"name\": \"")
-            .nth(1)
-            .and_then(|s| s.split('"').next());
-        let speed = entry
-            .split("\"instr_per_host_sec\": ")
-            .nth(1)
-            .and_then(|s| {
-                s.split(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                    .next()
-            })
-            .and_then(|s| s.parse::<f64>().ok());
-        if let (Some(name), Some(speed)) = (name, speed) {
-            out.push((name.to_string(), speed));
-        }
-    }
-    out
-}
-
-/// Compares fresh sim-speed measurements against a committed baseline.
-/// Returns one human-readable message per platform whose fresh speed fell
-/// below `(1 - tolerance) *` baseline; empty means no regression.
-/// `tolerance` is fractional (`0.5` tolerates a 2× slowdown) — wall-clock
-/// speed varies across host machines, so gates should be generous.
+/// Compares fresh sim-speed measurements against the `sim_speed` section
+/// of a committed `BENCH_fig3_1.json` document. Returns one human-readable
+/// message per platform whose fresh speed fell below `(1 - tolerance) *`
+/// baseline (empty means no regression), or an error when the document
+/// has no `sim_speed` rows. `tolerance` is fractional (`0.5` tolerates a
+/// 2× slowdown) — wall-clock speed varies across host machines, so gates
+/// should be generous.
 pub fn check_sim_speed(
-    baseline: &[(String, f64)],
+    baseline: &Json,
     fresh: &[(PlatformKind, SimSpeed)],
     tolerance: f64,
-) -> Vec<String> {
+) -> Result<Vec<String>, String> {
+    let rows = match baseline.get("sim_speed") {
+        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
+        _ => return Err("no sim_speed section".into()),
+    };
     let mut failures = Vec::new();
     for (kind, s) in fresh {
-        let Some((_, base)) = baseline.iter().find(|(n, _)| n == kind.label()) else {
+        let row = rows
+            .iter()
+            .find(|r| r.get("name") == Some(&kind.label().into()));
+        let Some(Json::Num(base)) = row.and_then(|r| r.get("instr_per_host_sec")) else {
             continue;
         };
+        let base: f64 = base.parse().map_err(|_| format!("bad baseline {base}"))?;
         let floor = base * (1.0 - tolerance);
         if s.instr_per_host_sec < floor {
             failures.push(format!(
@@ -251,7 +177,7 @@ pub fn check_sim_speed(
             ));
         }
     }
-    failures
+    Ok(failures)
 }
 
 /// Renders a simple ASCII scatter of (rate, load) series, mirroring the
@@ -399,70 +325,48 @@ pub fn exit_report(title: impl Into<String>, platform: &dyn Platform) -> Report 
     r
 }
 
-/// Per-platform profile summary destined for `BENCH_fig3_1.json`: the
-/// hottest guest symbols of one profiled run, plus the totals that let a
-/// reader check the attribution sums up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileSummary {
-    /// Which platform the profiled run used.
-    pub kind: PlatformKind,
-    /// Guest cycles attributed across all symbols (incl. `[unknown]`).
-    pub total_cycles: u64,
-    /// Deterministic PC samples taken.
-    pub total_samples: u64,
-    /// Hottest symbols: `(name, cycles, samples)`, descending cycles.
-    pub top: Vec<(String, u64, u64)>,
+/// One profiled run's row of the `profile` section: the hottest `top_n`
+/// guest symbols, plus the totals that let a reader check the attribution
+/// sums up.
+///
+/// # Panics
+///
+/// Panics if the platform has no profiler enabled.
+pub fn profile_row(kind: PlatformKind, platform: &dyn Platform, top_n: usize) -> Json {
+    let obs = &platform.machine().obs;
+    let prof = obs.prof().expect("platform was built without a profiler");
+    let symbols = prof.top(top_n).into_iter().map(|(name, cycles, samples)| {
+        let mut sym = JsonObj::new();
+        sym.set("symbol", name)
+            .set("cycles", cycles)
+            .set("samples", samples);
+        Json::from(sym)
+    });
+    let mut row = JsonObj::new();
+    row.set("name", kind.label())
+        .set("total_cycles", prof.total_cycles())
+        .set("total_samples", prof.total_samples())
+        .set("symbols", symbols.collect::<Vec<_>>());
+    row.into()
 }
 
-impl ProfileSummary {
-    /// Extracts the summary from a profiled platform's recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the platform has no profiler enabled.
-    pub fn read(kind: PlatformKind, platform: &dyn Platform, top_n: usize) -> ProfileSummary {
-        let prof = platform
-            .machine()
-            .obs
-            .prof()
-            .expect("platform was built without a profiler");
-        ProfileSummary {
-            kind,
-            total_cycles: prof.total_cycles(),
-            total_samples: prof.total_samples(),
-            top: prof
-                .top(top_n)
-                .into_iter()
-                .map(|(name, cycles, samples)| (name.to_string(), cycles, samples))
-                .collect(),
-        }
+/// One [`time_run`] result as a document row; SMP rows carry `cores`.
+fn speed_row(kind: PlatformKind, cores: Option<usize>, s: &SimSpeed) -> Json {
+    let mut row = JsonObj::new();
+    row.set("name", kind.label());
+    if let Some(c) = cores {
+        row.set("cores", c as u64);
     }
-}
-
-/// Writes one `"key": [...]` section of [`time_run`] results, one row per
-/// run; a row with a core count carries `"cores"`.
-fn push_speed_rows(out: &mut String, key: &str, rows: &[(PlatformKind, Option<usize>, SimSpeed)]) {
-    out.push_str(&format!("  \"{key}\": [\n"));
-    for (i, (kind, cores, s)) in rows.iter().enumerate() {
-        let cores = cores.map_or(String::new(), |c| format!("\"cores\": {c}, "));
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", {cores}\"instructions\": {}, \"host_seconds\": {:.4}, \
-             \"instr_per_host_sec\": {:.0}}}{}\n",
-            kind.label(),
-            s.instructions,
-            s.host_seconds,
-            s.instr_per_host_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+    row.set("instructions", s.instructions)
+        .set("host_seconds", Json::fixed(s.host_seconds, 4))
+        .set("instr_per_host_sec", Json::fixed(s.instr_per_host_sec, 0));
+    row.into()
 }
 
 /// Builds the machine-readable companion of `fig3_1.csv`: per-platform
 /// sweep points (CPU load, attribution, achieved rate) plus the cumulative
 /// exit histograms of each platform's highest-rate run, and the two
-/// headline ratios. Hand-rolled JSON — the workspace has no serializer
-/// dependency and the schema is small.
+/// headline ratios.
 #[allow(clippy::too_many_arguments)] // one slot per top-level JSON section
 pub fn fig3_1_json(
     warmup_ms: u64,
@@ -471,187 +375,125 @@ pub fn fig3_1_json(
     sim_speed: &[(PlatformKind, SimSpeed)],
     smp_speed: &[(PlatformKind, usize, SimSpeed)],
     causal_speed: &[(PlatformKind, SimSpeed)],
-    attributions: &[HostAttributionSummary],
-    profiles: &[ProfileSummary],
-) -> String {
+    attributions: &[(PlatformKind, SimSpeed, HostAttribution)],
+    profiles: &[Json],
+) -> JsonObj {
     let sat = |kind: PlatformKind| {
-        series
+        let ms = series
             .iter()
-            .find(|&&(k, _)| k == kind)
-            .map_or(0.0, |(_, ms)| {
-                ms.iter().map(|m| m.achieved_mbps).fold(0.0, f64::max)
-            })
+            .filter(|(k, _)| *k == kind)
+            .flat_map(|(_, ms)| ms);
+        ms.map(|m| m.achieved_mbps).fold(0.0, f64::max)
     };
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fig3_1\",\n");
-    out.push_str(&format!("  \"warmup_ms\": {warmup_ms},\n"));
-    out.push_str(&format!("  \"window_ms\": {window_ms},\n"));
-    out.push_str("  \"platforms\": [\n");
-    for (pi, (kind, ms)) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"saturation_mbps\": {:.3}, \"points\": [\n",
-            kind.label(),
-            sat(*kind)
-        ));
-        for (i, m) in ms.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"requested_mbps\": {:.3}, \"achieved_mbps\": {:.3}, \
-                 \"cpu_load\": {:.4}, \"guest_cycles\": {}, \"monitor_cycles\": {}, \
-                 \"host_cycles\": {}, \"idle_cycles\": {}}}{}\n",
-                m.requested_mbps,
-                m.achieved_mbps,
-                m.cpu_load,
-                m.window.guest,
-                m.window.monitor,
-                m.window.host_model,
-                m.window.idle,
-                if i + 1 < ms.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ], \"exits\": {");
-        let exits = ms.last().map(|m| &m.exits);
-        let mut first = true;
-        if let Some(exits) = exits {
-            for cause in ExitCause::ALL {
-                let h = exits.get(cause);
-                if h.count() == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                out.push_str(&format!("\"{}\": {}", cause.label(), report::hist_json(h)));
+    let mut doc = JsonObj::new();
+    doc.set("bench", "fig3_1")
+        .set("warmup_ms", warmup_ms)
+        .set("window_ms", window_ms);
+    let platforms = series.iter().map(|(kind, ms)| {
+        let points = ms.iter().map(|m| {
+            let mut p = JsonObj::new();
+            p.set("requested_mbps", Json::fixed(m.requested_mbps, 3))
+                .set("achieved_mbps", Json::fixed(m.achieved_mbps, 3))
+                .set("cpu_load", Json::fixed(m.cpu_load, 4))
+                .set("guest_cycles", m.window.guest)
+                .set("monitor_cycles", m.window.monitor)
+                .set("host_cycles", m.window.host_model)
+                .set("idle_cycles", m.window.idle);
+            Json::from(p)
+        });
+        let mut exits = JsonObj::new();
+        for h in ms.last().iter().flat_map(|m| m.exits.iter()) {
+            if h.1.count() > 0 {
+                exits.set(h.0.label(), report::hist_json(h.1));
             }
         }
-        out.push_str("}}");
-        out.push_str(if pi + 1 < series.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let plain = |rows: &[(PlatformKind, SimSpeed)]| -> Vec<_> {
-        rows.iter().map(|&(kind, s)| (kind, None, s)).collect()
+        let mut p = JsonObj::new();
+        p.set("name", kind.label())
+            .set("saturation_mbps", Json::fixed(sat(*kind), 3))
+            .set("points", points.collect::<Vec<_>>())
+            .set("exits", exits);
+        Json::from(p)
+    });
+    doc.set("platforms", platforms.collect::<Vec<_>>());
+    let rows = |rows: &[(PlatformKind, SimSpeed)]| -> Vec<Json> {
+        rows.iter().map(|(k, s)| speed_row(*k, None, s)).collect()
     };
-    push_speed_rows(&mut out, "sim_speed", &plain(sim_speed));
+    doc.set("sim_speed", rows(sim_speed));
     if !causal_speed.is_empty() {
         // The same workload with tracing + causal-flow tracking on: the CI
         // overhead gate divides these by the plain `sim_speed` figures.
-        push_speed_rows(&mut out, "sim_speed_causal", &plain(causal_speed));
+        doc.set("sim_speed_causal", rows(causal_speed));
     }
     if !smp_speed.is_empty() {
         // Multi-core scaling of the engine itself: the all-cores spin guest
         // at each swept core count. Kept in a section of its own so the
         // CI speed gate (which reads `sim_speed`) is unaffected.
-        let rows: Vec<_> = smp_speed.iter().map(|&(k, c, s)| (k, Some(c), s)).collect();
-        push_speed_rows(&mut out, "smp_sim_speed", &rows);
+        let smp = smp_speed.iter().map(|(k, c, s)| speed_row(*k, Some(*c), s));
+        doc.set("smp_sim_speed", smp.collect::<Vec<_>>());
     }
     if !attributions.is_empty() {
         // The same runs measured twice over: their speed (to gate metrics
         // overhead against the plain sim_speed above) and where the
         // monitor's host time went, phase by phase.
-        let rows: Vec<_> = attributions
-            .iter()
-            .map(|a| (a.kind, None, a.speed))
-            .collect();
-        push_speed_rows(&mut out, "sim_speed_metrics", &rows);
-        out.push_str("  \"host_attribution\": [\n");
-        for (i, a) in attributions.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ns\": {}, \"marks\": {}, \
-                 \"attributed_ns\": {}, \"coverage\": {:.4}, \"phases\": {{",
-                a.kind.label(),
-                a.wall_ns,
-                a.marks,
-                a.attributed_ns,
-                a.coverage()
-            ));
-            for (j, (phase, ns)) in a.phases.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}\"{phase}\": {ns}",
-                    if j > 0 { ", " } else { "" }
-                ));
+        let speeds = attributions.iter().map(|(k, s, _)| speed_row(*k, None, s));
+        doc.set("sim_speed_metrics", speeds.collect::<Vec<_>>());
+        let rows = attributions.iter().map(|(kind, _, a)| {
+            let mut phases = JsonObj::new();
+            for (phase, ns) in a.phases() {
+                phases.set(&phase, ns);
             }
-            out.push_str("}}");
-            out.push_str(if i + 1 < attributions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
+            let mut row = JsonObj::new();
+            row.set("name", kind.label())
+                .set("wall_ns", a.wall_ns)
+                .set("marks", a.marks)
+                .set("attributed_ns", a.attributed_ns())
+                .set("coverage", Json::fixed(a.coverage(), 4))
+                .set("phases", phases);
+            Json::from(row)
+        });
+        doc.set("host_attribution", rows.collect::<Vec<_>>());
     }
     if !profiles.is_empty() {
-        out.push_str("  \"profile\": [\n");
-        for (i, p) in profiles.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"total_cycles\": {}, \"total_samples\": {}, \
-                 \"symbols\": [",
-                p.kind.label(),
-                p.total_cycles,
-                p.total_samples
-            ));
-            for (j, (name, cycles, samples)) in p.top.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{{\"symbol\": \"{}\", \"cycles\": {cycles}, \"samples\": {samples}}}",
-                    if j > 0 { ", " } else { "" },
-                    name.replace('\\', "\\\\").replace('"', "\\\"")
-                ));
-            }
-            out.push_str("]}");
-            out.push_str(if i + 1 < profiles.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
+        doc.set("profile", profiles.to_vec());
     }
     let raw = sat(PlatformKind::RawHw).max(f64::MIN_POSITIVE);
     let ho = sat(PlatformKind::Hosted).max(f64::MIN_POSITIVE);
     let lv = sat(PlatformKind::Lvmm);
-    out.push_str(&format!(
-        "  \"headlines\": {{\"lvmm_vs_hosted\": {:.3}, \"lvmm_vs_real_pct\": {:.3}}}\n",
-        lv / ho,
-        lv / raw * 100.0
-    ));
-    out.push_str("}\n");
-    out
+    let mut headlines = JsonObj::new();
+    headlines
+        .set("lvmm_vs_hosted", Json::fixed(lv / ho, 3))
+        .set("lvmm_vs_real_pct", Json::fixed(lv / raw * 100.0, 3));
+    doc.set("headlines", headlines);
+    doc
 }
 
-/// The top-level members of a `BENCH_*.json` document as this crate's
-/// writers format it, in order: `(key, "  \"key\": value")`. Members start
-/// on lines indented by exactly two spaces; nested lines are indented
-/// deeper. `None` when `doc` is not a JSON object.
-fn top_level_members(doc: &str) -> Option<Vec<(&str, &str)>> {
-    let body = doc.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let starts: Vec<usize> = body.match_indices("\n  \"").map(|(i, _)| i + 1).collect();
-    let mut members = Vec::with_capacity(starts.len());
-    for (i, &start) in starts.iter().enumerate() {
-        let end = starts.get(i + 1).copied().unwrap_or(body.len());
-        let text = body[start..end].trim_end().trim_end_matches(',');
-        members.push((text[3..].split('"').next()?, text));
-    }
-    Some(members)
-}
-
-/// The value of the top-level `key` of a `BENCH_*.json` document.
-pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let (_, text) = top_level_members(doc)?
-        .into_iter()
-        .find(|&(k, _)| k == key)?;
-    Some(text.split_once(": ")?.1)
-}
-
-/// Sets the top-level `key` of a `BENCH_*.json` document to `value`: the
-/// section is replaced in place, or appended when absent, and every other
-/// section is kept. A `doc` that is not a JSON object (say, an empty
-/// string) yields a standalone `{"bench": key, key: value}` document.
-pub fn merge_section(doc: &str, key: &str, value: &str) -> String {
-    let member = format!("  \"{key}\": {value}");
-    let Some(mut members) = top_level_members(doc) else {
-        return format!("{{\n  \"bench\": \"{key}\",\n{member}\n}}\n");
+/// Sets the top-level `key` of the `BENCH_*.json` document text `doc` to
+/// `value` and prints the result: the section is replaced in place, or
+/// appended when absent, and every other section is kept. A `doc` that is
+/// not a JSON object (say, an empty string) yields a standalone
+/// `{"bench": key, key: value}` document.
+pub fn set_section(doc: &str, key: &str, value: impl Into<Json>) -> String {
+    let mut obj = match json::parse(doc) {
+        Ok(Json::Obj(obj)) => obj,
+        _ => JsonObj::new().set("bench", key).clone(),
     };
-    match members.iter_mut().find(|(k, _)| *k == key) {
-        Some(m) => m.1 = &member,
-        None => members.push((key, &member)),
+    obj.set(key, value);
+    Json::from(obj).pretty()
+}
+
+/// Writes a bench's `key` section as a standalone document to `--json
+/// PATH`, and sets it in the document at `--merge PATH`.
+pub fn write_section(key: &str, value: impl Into<Json>) {
+    let value = value.into();
+    if let Some(path) = arg_value("--json") {
+        write_output(&path, set_section("", key, value.clone()));
+        println!("wrote {path}");
     }
-    let texts: Vec<&str> = members.iter().map(|&(_, text)| text).collect();
-    format!("{{\n{}\n}}\n", texts.join(",\n"))
+    if let Some(path) = arg_value("--merge") {
+        let existing = std::fs::read_to_string(&path).unwrap_or_default();
+        write_output(&path, set_section(&existing, key, value));
+        println!("merged {key} section into {path}");
+    }
 }
 
 /// Builds the Chrome trace-event JSON document for one or more traced
@@ -704,28 +546,26 @@ mod tests {
             host_seconds: 0.05,
             instr_per_host_sec: 20_000_000.0,
         };
-        let profiles = vec![ProfileSummary {
-            kind: PlatformKind::Lvmm,
-            total_cycles: 900,
-            total_samples: 9,
-            top: vec![("build_frame".into(), 800, 8), ("[unknown]".into(), 100, 1)],
-        }];
-        let att = HostAttributionSummary {
-            kind: PlatformKind::Lvmm,
-            speed: SimSpeed {
+        let profiles = vec![json::parse(
+            r#"{"name": "lvmm", "total_cycles": 900, "total_samples": 9, "symbols": [
+                {"symbol": "build_frame", "cycles": 800, "samples": 8},
+                {"symbol": "[unknown]", "cycles": 100, "samples": 1}]}"#,
+        )
+        .unwrap()];
+        let att = (
+            PlatformKind::Lvmm,
+            SimSpeed {
                 instructions: 990_000,
                 host_seconds: 0.051,
                 instr_per_host_sec: 19_411_764.0,
             },
-            wall_ns: 51_000_000,
-            marks: 1_234,
-            attributed_ns: 50_700_000,
-            phases: HostPhase::ALL
-                .iter()
-                .map(|p| (p.label(), 2_816_666))
-                .collect(),
-        };
-        let json = fig3_1_json(
+            HostAttribution {
+                wall_ns: 51_000_000,
+                marks: 1_234,
+                phase_ns: [2_816_666; hx_obs::HostPhase::COUNT],
+            },
+        );
+        let doc = Json::from(fig3_1_json(
             40,
             120,
             &series,
@@ -734,7 +574,8 @@ mod tests {
             &[(PlatformKind::Lvmm, speed)],
             std::slice::from_ref(&att),
             &profiles,
-        );
+        ));
+        let json = doc.pretty();
         for key in [
             "\"bench\"",
             "\"platforms\"",
@@ -766,7 +607,7 @@ mod tests {
         assert_eq!(opens, closes, "unbalanced JSON: {json}");
         // Without profiled or metrics-enabled runs those sections are
         // absent and the schema the CI checker reads is unchanged.
-        let bare = fig3_1_json(
+        let bare = Json::from(fig3_1_json(
             40,
             120,
             &series,
@@ -775,55 +616,84 @@ mod tests {
             &[],
             &[],
             &[],
-        );
+        ))
+        .pretty();
         assert!(!bare.contains("\"profile\""));
         assert!(!bare.contains("\"host_attribution\""));
         assert!(!bare.contains("\"sim_speed_metrics\""));
         assert!(!bare.contains("\"sim_speed_causal\""));
         assert!(!bare.contains("\"smp_sim_speed\""));
-        // The baseline extractor reads back what the writer emitted — and
-        // only from the plain sim_speed section, not the metrics-on one.
-        let base = baseline_sim_speed(&json);
-        assert_eq!(base, vec![("lvmm".to_string(), 20_000_000.0)]);
-        assert!(baseline_sim_speed("{}").is_empty());
+        // The speed gate reads back what the writer emitted — and only
+        // from the plain sim_speed section (20M), not the metrics-on one
+        // (19.41M): 19.5M passes against the latter but not the former.
+        let at = |instr_per_host_sec| {
+            [(
+                PlatformKind::Lvmm,
+                SimSpeed {
+                    instr_per_host_sec,
+                    ..speed
+                },
+            )]
+        };
+        assert_eq!(check_sim_speed(&doc, &at(20_000_000.0), 0.0), Ok(vec![]));
+        assert_eq!(
+            check_sim_speed(&doc, &at(19_500_000.0), 0.0).map(|f| f.len()),
+            Ok(1)
+        );
+        assert!(check_sim_speed(&json::parse("{}").unwrap(), &at(1.0), 0.5).is_err());
     }
 
     #[test]
-    fn merge_section_keeps_every_other_section() {
+    fn committed_document_prints_back_byte_for_byte() {
+        let text = include_str!("../../../BENCH_fig3_1.json");
+        let doc = json::parse(text).expect("the committed document parses");
+        assert_eq!(doc.pretty(), text);
+    }
+
+    #[test]
+    fn set_section_keeps_every_other_section() {
         let fig = "{\n  \"bench\": \"fig3_1\",\n  \"headlines\": {\"x\": 1.0}\n}\n";
-        let surv =
-            "{\n    \"seed\": 42,\n    \"replay\": [\n      {\"identical\": true}\n    ]\n  }";
-        let farm = "{\n    \"points\": [\n      {\"guests\": 1}\n    ]\n  }";
-        let both = merge_section(&merge_section(fig, "survivability", surv), "farm", farm);
-        assert_eq!(json_section(&both, "survivability"), Some(surv));
-        assert_eq!(json_section(&both, "farm"), Some(farm));
-        assert_eq!(json_section(&both, "headlines"), Some("{\"x\": 1.0}"));
+        let value = |text: &str| json::parse(text).unwrap();
+        let surv = value(r#"{"seed": 42, "replay": [{"identical": true}]}"#);
+        let farm = value(r#"{"points": [{"guests": 1}]}"#);
+        let section = |doc: &str, key: &str| json::parse(doc).ok()?.get(key).cloned();
+        let both = set_section(
+            &set_section(fig, "survivability", surv.clone()),
+            "farm",
+            farm.clone(),
+        );
+        assert_eq!(section(&both, "survivability"), Some(surv.clone()));
+        assert_eq!(section(&both, "farm"), Some(farm.clone()));
+        assert_eq!(section(&both, "headlines"), Some(value(r#"{"x": 1.0}"#)));
         // Merging either section into a document that has both keeps both,
         // in place, and merging twice changes nothing.
-        for (key, value) in [("survivability", surv), ("farm", farm)] {
-            let once = merge_section(&both, key, value);
+        for (key, v) in [("survivability", &surv), ("farm", &farm)] {
+            let once = set_section(&both, key, v.clone());
             assert_eq!(once, both, "re-merging {key} is a no-op");
-            assert_eq!(merge_section(&once, key, value), once);
-            let fresh = merge_section(&both, key, "{\"new\": 1}");
+            assert_eq!(set_section(&once, key, v.clone()), once);
+            let fresh = set_section(&both, key, value(r#"{"new": 1}"#));
             for k in ["bench", "headlines", "survivability", "farm"] {
-                assert!(json_section(&fresh, k).is_some(), "{key}: lost {k}");
+                assert!(section(&fresh, k).is_some(), "{key}: lost {k}");
             }
-            assert_eq!(json_section(&fresh, key), Some("{\"new\": 1}"));
+            assert_eq!(section(&fresh, key), Some(value(r#"{"new": 1}"#)));
         }
         // The order of sections is kept: survivability before farm.
         let s = both.find("\"survivability\"").unwrap();
         assert!(s < both.find("\"farm\"").unwrap());
         // Not a JSON object: a standalone document.
-        assert_eq!(
-            merge_section("", "farm", farm),
-            format!("{{\n  \"bench\": \"farm\",\n  \"farm\": {farm}\n}}\n")
-        );
-        assert_eq!(json_section("not json", "farm"), None);
+        let standalone = "{\n  \"bench\": \"farm\",\n  \"farm\": {\n    \"points\": [\n      \
+                          {\"guests\":1}\n    ]\n  }\n}\n";
+        assert_eq!(set_section("", "farm", farm.clone()), standalone);
+        assert_eq!(set_section("not json", "farm", farm), standalone);
+        assert_eq!(section("not json", "farm"), None);
     }
 
     #[test]
     fn sim_speed_gate_flags_only_regressions() {
-        let baseline = vec![("lvmm".to_string(), 20_000_000.0)];
+        let baseline = json::parse(
+            r#"{"sim_speed": [{"name": "lvmm", "instructions": 1, "instr_per_host_sec": 20000000}]}"#,
+        )
+        .unwrap();
         let ok = SimSpeed {
             instructions: 1,
             host_seconds: 1.0,
@@ -835,12 +705,18 @@ mod tests {
             instr_per_host_sec: 9_000_000.0,
         };
         // 50% tolerance: the floor is 10M instr/s.
-        assert!(check_sim_speed(&baseline, &[(PlatformKind::Lvmm, ok)], 0.5).is_empty());
-        let fails = check_sim_speed(&baseline, &[(PlatformKind::Lvmm, slow)], 0.5);
+        assert_eq!(
+            check_sim_speed(&baseline, &[(PlatformKind::Lvmm, ok)], 0.5),
+            Ok(vec![])
+        );
+        let fails = check_sim_speed(&baseline, &[(PlatformKind::Lvmm, slow)], 0.5).unwrap();
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("lvmm"), "{fails:?}");
         // Platforms absent from the baseline are not gated.
-        assert!(check_sim_speed(&baseline, &[(PlatformKind::RawHw, slow)], 0.5).is_empty());
+        assert_eq!(
+            check_sim_speed(&baseline, &[(PlatformKind::RawHw, slow)], 0.5),
+            Ok(vec![])
+        );
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! is byte-identical — fault injection rides the simulation clock, so it
 //! must be.
 
-use crate::{build_platform, merge_section, PlatformKind};
+use crate::{build_platform, PlatformKind};
 use hitactix::{kernel::layout, GuestStats, Workload};
 use hx_fault::{FaultKind, FaultPlan};
 use hx_machine::{Machine, Platform};
+use hx_obs::json::{Json, JsonObj};
 use hx_obs::{Align, ExitCause, Report};
 use lvmm::{LvmmPlatform, ReplayDriver, UartLink};
 use rdbg::{DbgError, Debugger};
@@ -378,88 +379,45 @@ pub fn survival_report(matrix: &SurvivalMatrix) -> Report {
     r
 }
 
-/// The `"survivability"` JSON object (no surrounding document).
-pub fn survivability_section(cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "    \"seed\": {}, \"warmup_ms\": {}, \"campaign_ms\": {}, \"probe_ms\": {}, \
-         \"period_cycles\": {},\n",
-        cfg.seed, cfg.warmup_ms, cfg.campaign_ms, cfg.probe_ms, cfg.period
-    ));
-    out.push_str("    \"matrix\": [\n");
-    for (pi, kind) in PlatformKind::ALL.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"platform\": \"{}\", \"cells\": [\n",
-            kind.label()
-        ));
-        let cells: Vec<_> = matrix
-            .cells
-            .iter()
-            .filter(|c| c.platform == *kind)
-            .collect();
-        for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"fault\": \"{}\", \"injected\": {}, \"blocked\": {}, \
-                 \"protection_exits\": {}, \"guest_alive\": {}, \"guest_fault_cause\": {}, \
-                 \"stub_alive\": {}, \"overhead_frac\": {:.4}}}{}\n",
-                c.fault.label(),
-                c.injected,
-                c.blocked,
-                c.protection_exits,
-                c.guest_alive,
-                c.guest_fault_cause,
-                match c.stub_alive {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                },
-                c.overhead_frac,
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]}");
-        out.push_str(if pi + 1 < PlatformKind::ALL.len() {
-            ",\n"
-        } else {
-            "\n"
+/// The `survivability` section of the bench document.
+pub fn survivability_section(cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> JsonObj {
+    let mut s = JsonObj::new();
+    s.set("seed", cfg.seed)
+        .set("warmup_ms", cfg.warmup_ms)
+        .set("campaign_ms", cfg.campaign_ms)
+        .set("probe_ms", cfg.probe_ms)
+        .set("period_cycles", cfg.period);
+    let rows = PlatformKind::ALL.map(|kind| {
+        let cells = matrix.cells.iter().filter(|c| c.platform == kind).map(|c| {
+            let mut cell = JsonObj::new();
+            cell.set("fault", c.fault.label())
+                .set("injected", c.injected)
+                .set("blocked", c.blocked)
+                .set("protection_exits", c.protection_exits)
+                .set("guest_alive", c.guest_alive)
+                .set("guest_fault_cause", u64::from(c.guest_fault_cause))
+                .set("stub_alive", c.stub_alive)
+                .set("overhead_frac", Json::fixed(c.overhead_frac, 4));
+            Json::from(cell)
         });
-    }
-    out.push_str("    ],\n");
-    out.push_str("    \"replay\": [\n");
-    for (i, rep) in matrix.replays.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"platform\": \"{}\", \"end_cycle\": {}, \"injected\": {}, \
-             \"identical\": {}}}{}\n",
-            rep.platform.label(),
-            rep.end_cycle,
-            rep.injected,
-            rep.identical,
-            if i + 1 < matrix.replays.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"lvmm_stub_all_alive\": {},\n    \"replays_identical\": {}\n  }}",
-        matrix.lvmm_stub_all_alive(),
-        matrix.replays_identical()
-    ));
-    out
-}
-
-/// A standalone survivability document (used when there is no
-/// `BENCH_fig3_1.json` to merge into).
-pub fn survivability_json(cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> String {
-    merge_survivability("", cfg, matrix)
-}
-
-/// Sets the `"survivability"` section of an existing `BENCH_fig3_1.json`
-/// document, keeping every other section. Returns a standalone document
-/// when `fig3_1` isn't a JSON object.
-pub fn merge_survivability(fig3_1: &str, cfg: &SurvivalConfig, matrix: &SurvivalMatrix) -> String {
-    merge_section(fig3_1, "survivability", &survivability_section(cfg, matrix))
+        let mut row = JsonObj::new();
+        row.set("platform", kind.label())
+            .set("cells", cells.collect::<Vec<_>>());
+        Json::from(row)
+    });
+    s.set("matrix", Vec::from(rows));
+    let replays = matrix.replays.iter().map(|rep| {
+        let mut row = JsonObj::new();
+        row.set("platform", rep.platform.label())
+            .set("end_cycle", rep.end_cycle)
+            .set("injected", rep.injected)
+            .set("identical", rep.identical);
+        Json::from(row)
+    });
+    s.set("replay", replays.collect::<Vec<_>>())
+        .set("lvmm_stub_all_alive", matrix.lvmm_stub_all_alive())
+        .set("replays_identical", matrix.replays_identical());
+    s
 }
 
 #[cfg(test)]
@@ -517,13 +475,13 @@ mod tests {
         let (cfg, matrix) = fake_matrix();
         assert!(matrix.lvmm_stub_all_alive());
         assert!(matrix.replays_identical());
-        let json = survivability_json(&cfg, &matrix);
+        let json = crate::set_section("", "survivability", survivability_section(&cfg, &matrix));
         for key in [
             "\"survivability\"",
             "\"matrix\"",
             "\"wild-write-kernel\"",
-            "\"stub_alive\": null",
-            "\"stub_alive\": true",
+            "\"stub_alive\":null",
+            "\"stub_alive\":true",
             "\"replay\"",
             "\"lvmm_stub_all_alive\": true",
             "\"replays_identical\": true",
@@ -539,18 +497,21 @@ mod tests {
     fn merge_inserts_and_replaces_section() {
         let (cfg, matrix) = fake_matrix();
         let fig = "{\n  \"bench\": \"fig3_1\",\n  \"headlines\": {\"x\": 1.0}\n}\n";
-        let merged = merge_survivability(fig, &cfg, &matrix);
+        let merge = |doc: &str| {
+            crate::set_section(doc, "survivability", survivability_section(&cfg, &matrix))
+        };
+        let merged = merge(fig);
         assert!(merged.contains("\"headlines\""));
         assert!(merged.contains("\"survivability\""));
         let opens = merged.matches(['{', '[']).count();
         let closes = merged.matches(['}', ']']).count();
         assert_eq!(opens, closes, "unbalanced JSON: {merged}");
         // Merging again replaces, not duplicates.
-        let again = merge_survivability(&merged, &cfg, &matrix);
+        let again = merge(&merged);
         assert_eq!(again.matches("\"survivability\"").count(), 1);
         assert_eq!(again, merged);
         // Non-object input falls back to a standalone document.
-        let standalone = merge_survivability("not json", &cfg, &matrix);
+        let standalone = merge("not json");
         assert!(standalone.starts_with("{\n  \"bench\": \"survivability\""));
     }
 

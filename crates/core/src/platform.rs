@@ -46,16 +46,12 @@ pub struct LvmmConfig {
     /// Bytes of RAM reserved at the top of memory for the monitor (shadow
     /// tables and headroom).
     pub monitor_mem: u32,
-    /// Stop in the debugger when the guest faults without having installed
-    /// a trap vector (instead of spinning at address zero).
-    pub debug_on_unhandled_fault: bool,
 }
 
 impl Default for LvmmConfig {
     fn default() -> Self {
         LvmmConfig {
             monitor_mem: 2 * 1024 * 1024,
-            debug_on_unhandled_fault: true,
         }
     }
 }
@@ -84,7 +80,6 @@ pub struct LvmmPlatform {
     core: VirtCore,
     stub: Stub,
     entry: u32,
-    cfg: LvmmConfig,
     flight: Option<Box<FlightRecorder<LvmmSnapshot>>>,
 }
 impl LvmmPlatform {
@@ -124,7 +119,6 @@ impl LvmmPlatform {
             core,
             stub: Stub::new(),
             entry,
-            cfg,
             flight: None,
         }
     }
@@ -1135,7 +1129,7 @@ impl VirtPolicy for LvmmPlatform {
         let tvec = self.core.vcpu.tvec;
         let double_fault =
             epc == tvec && !matches!(cause, Cause::Interrupt | Cause::EcallU | Cause::EcallS);
-        let park = (tvec == 0 || double_fault) && self.cfg.debug_on_unhandled_fault;
+        let park = tvec == 0 || double_fault;
         if park {
             self.stub_stop(StopReason::Fault {
                 pc: epc,

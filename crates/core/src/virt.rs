@@ -430,7 +430,6 @@ pub trait VirtPolicy: ExitPolicy + Sized {
                 return;
             };
             let now = c.machine.now();
-            c.machine.obs.prof_irq_entry(irq as u32, now);
             // Virtual-PIC INTA is the guest's ISR entry under a monitor —
             // the causal dispatch flow ends here, not at the monitor's
             // earlier receipt of the real interrupt.
@@ -755,12 +754,10 @@ pub trait VirtPolicy: ExitPolicy + Sized {
                 let val = c.machine.cpu.reg(rs2);
                 if page == map::PIC_BASE && offset == hx_machine::pic::reg::EOI {
                     // The guest is retiring a virtual interrupt: close the
-                    // profiler's entry→EOI latency window and the causal
-                    // ISR-service flow. The monitor's own retirement of the
-                    // *real* PIC goes through the device directly, so this
-                    // is the only EOI the causal layer sees.
+                    // causal ISR-service flow. The monitor's own retirement
+                    // of the *real* PIC goes through the device directly, so
+                    // this is the only EOI the causal layer sees.
                     let now = c.machine.now();
-                    c.machine.obs.prof_irq_eoi(now);
                     c.machine.obs.eoi(now);
                 }
                 if ipi {

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use hitactix::GuestStats;
 use hx_machine::Platform;
-use hx_query::json::JsonObj;
+use hx_obs::json::{Json, JsonObj};
 
 mod boot;
 
@@ -536,6 +536,7 @@ fn handle_control(shared: &FarmShared, line: &str) -> String {
             }
         }
     };
+    let mut reply = JsonObj::new();
     let res = match cmd {
         "status" => Ok(status_json(shared)),
         "stats" => guest_arg(arg).map(|g| stats_json(shared, g)),
@@ -544,28 +545,20 @@ fn handle_control(shared: &FarmShared, line: &str) -> String {
         "evict" => match guest_arg(arg) {
             Ok(Some(id)) => {
                 shared.guests[id].lock().unwrap().evict();
-                let mut o = JsonObj::new();
-                o.u64("evicted", id as u64);
-                Ok(o.finish())
+                Ok(reply.set("evicted", id as u64).finish())
             }
             Ok(None) => Err("evict needs a guest id".into()),
             Err(e) => Err(e),
         },
         "shutdown" => {
             shared.running.store(false, Ordering::Relaxed);
-            let mut o = JsonObj::new();
-            o.bool("ok", true);
-            Ok(o.finish())
+            Ok(reply.set("ok", true).finish())
         }
         _ => Err(format!(
             "unknown command `{cmd}` (status|stats [id]|prof [id]|metrics [id]|evict <id>|shutdown)"
         )),
     };
-    res.unwrap_or_else(|e| {
-        let mut o = JsonObj::new();
-        o.str("error", &e);
-        o.finish()
-    })
+    res.unwrap_or_else(|e| reply.set("error", &e).finish())
 }
 
 fn status_json(shared: &FarmShared) -> String {
@@ -575,25 +568,34 @@ fn status_json(shared: &FarmShared) -> String {
         let g = slot.lock().unwrap();
         *counts.entry(g.health.label()).or_insert(0u64) += 1;
         let mut o = JsonObj::new();
-        o.u64("id", g.id as u64)
-            .str("platform", g.platform.name())
-            .str("health", g.health.label())
-            .u64("port", g.port as u64)
-            .u64("now", g.platform.machine().now())
-            .u64("sessions", g.sessions)
-            .u64("bytes_in", g.bytes_in)
-            .u64("bytes_out", g.bytes_out);
-        guests.push(o.finish());
+        o.set("id", g.id as u64)
+            .set("platform", g.platform.name())
+            .set("health", g.health.label())
+            .set("port", g.port as u64)
+            .set("now", g.platform.machine().now())
+            .set("sessions", g.sessions)
+            .set("bytes_in", g.bytes_in)
+            .set("bytes_out", g.bytes_out);
+        guests.push(Json::from(o));
     }
     let mut fleet = JsonObj::new();
-    fleet.u64("guests", shared.guests.len() as u64);
+    fleet.set("guests", shared.guests.len() as u64);
     for (health, n) in counts {
-        fleet.u64(health, n);
+        fleet.set(health, n);
     }
     let mut o = JsonObj::new();
-    o.raw("fleet", &fleet.finish());
-    o.raw("guests", &format!("[{}]", guests.join(",")));
+    o.set("fleet", fleet).set("guests", guests);
     o.finish()
+}
+
+/// Runs `f` on each guest `which` selects (every guest for `None`).
+fn for_selected(shared: &FarmShared, which: Option<usize>, mut f: impl FnMut(&GuestSlot)) {
+    for slot in &shared.guests {
+        let g = slot.lock().unwrap();
+        if which.is_none_or(|id| id == g.id) {
+            f(&g);
+        }
+    }
 }
 
 /// Per-guest counters plus a fleet total that is, by construction, the
@@ -601,7 +603,6 @@ fn status_json(shared: &FarmShared) -> String {
 /// re-derives the sum externally and asserts equality.
 fn stats_json(shared: &FarmShared, which: Option<usize>) -> String {
     let mut guests = Vec::new();
-    let mut tot: BTreeMap<&str, u64> = BTreeMap::new();
     let keys = [
         "instret",
         "guest_cycles",
@@ -613,11 +614,8 @@ fn stats_json(shared: &FarmShared, which: Option<usize>) -> String {
         "journal_payload_bytes",
         "sessions",
     ];
-    for slot in &shared.guests {
-        let g = slot.lock().unwrap();
-        if which.is_some_and(|id| id != g.id) {
-            continue;
-        }
+    let mut tot = keys.map(|_| 0u64);
+    for_selected(shared, which, |g| {
         let m = g.platform.machine();
         let t = g.platform.time_stats();
         let gs = GuestStats::read(m).unwrap_or_default();
@@ -633,22 +631,21 @@ fn stats_json(shared: &FarmShared, which: Option<usize>) -> String {
             g.sessions,
         ];
         let mut o = JsonObj::new();
-        o.u64("id", g.id as u64)
-            .str("health", g.health.label())
-            .u64("now", m.now());
-        for (k, v) in keys.iter().zip(vals) {
-            o.u64(k, v);
-            *tot.entry(k).or_insert(0) += v;
+        o.set("id", g.id as u64)
+            .set("health", g.health.label())
+            .set("now", m.now());
+        for ((k, v), t) in keys.iter().zip(vals).zip(&mut tot) {
+            o.set(k, v);
+            *t += v;
         }
-        guests.push(o.finish());
-    }
+        guests.push(Json::from(o));
+    });
     let mut totals = JsonObj::new();
-    for k in keys {
-        totals.u64(k, tot.get(k).copied().unwrap_or(0));
+    for (k, t) in keys.iter().zip(tot) {
+        totals.set(k, t);
     }
     let mut o = JsonObj::new();
-    o.raw("qstats", &totals.finish());
-    o.raw("guests", &format!("[{}]", guests.join(",")));
+    o.set("qstats", totals).set("guests", guests);
     o.finish()
 }
 
@@ -657,13 +654,9 @@ fn stats_json(shared: &FarmShared, which: Option<usize>) -> String {
 fn prof_json(shared: &FarmShared, which: Option<usize>) -> String {
     let mut by_symbol: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut profiled = 0u64;
-    for slot in &shared.guests {
-        let g = slot.lock().unwrap();
-        if which.is_some_and(|id| id != g.id) {
-            continue;
-        }
+    for_selected(shared, which, |g| {
         let Some(prof) = g.platform.machine().obs.prof() else {
-            continue;
+            return;
         };
         profiled += 1;
         for (name, cycles, samples) in prof.top(usize::MAX) {
@@ -671,22 +664,21 @@ fn prof_json(shared: &FarmShared, which: Option<usize>) -> String {
             e.0 += cycles;
             e.1 += samples;
         }
-    }
+    });
     let mut rows: Vec<_> = by_symbol.into_iter().collect();
     rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-    let symbols: Vec<String> = rows
+    let symbols: Vec<Json> = rows
         .into_iter()
         .map(|(name, (cycles, samples))| {
             let mut o = JsonObj::new();
-            o.str("symbol", &name)
-                .u64("cycles", cycles)
-                .u64("samples", samples);
-            o.finish()
+            o.set("symbol", &name)
+                .set("cycles", cycles)
+                .set("samples", samples);
+            Json::from(o)
         })
         .collect();
     let mut o = JsonObj::new();
-    o.u64("profiled_guests", profiled);
-    o.raw("symbols", &format!("[{}]", symbols.join(",")));
+    o.set("profiled_guests", profiled).set("symbols", symbols);
     o.finish()
 }
 
@@ -697,13 +689,9 @@ fn metrics_json(shared: &FarmShared, which: Option<usize>) -> String {
     let mut marks = 0u64;
     let mut phases: BTreeMap<String, u64> = BTreeMap::new();
     let mut profiled = 0u64;
-    for slot in &shared.guests {
-        let g = slot.lock().unwrap();
-        if which.is_some_and(|id| id != g.id) {
-            continue;
-        }
+    for_selected(shared, which, |g| {
         let Some(att) = g.platform.machine().obs.host_attribution() else {
-            continue;
+            return;
         };
         profiled += 1;
         wall += att.wall_ns;
@@ -711,16 +699,16 @@ fn metrics_json(shared: &FarmShared, which: Option<usize>) -> String {
         for (label, ns) in att.phases() {
             *phases.entry(label).or_insert(0) += ns;
         }
-    }
+    });
     let mut ph = JsonObj::new();
     for (label, ns) in &phases {
-        ph.u64(label, *ns);
+        ph.set(label, *ns);
     }
     let mut o = JsonObj::new();
-    o.u64("profiled_guests", profiled)
-        .u64("wall_ns", wall)
-        .u64("marks", marks);
-    o.raw("phase_ns", &ph.finish());
+    o.set("profiled_guests", profiled)
+        .set("wall_ns", wall)
+        .set("marks", marks)
+        .set("phase_ns", ph);
     o.finish()
 }
 

@@ -200,7 +200,7 @@ pub trait Platform: Send {
         let set = |metric: &str, v: u64| {
             reg.counter_set(&format!("{metric}{{platform=\"{name}\"}}"), v);
         };
-        set("lwvmm_instructions_total", m.cpu.instret());
+        set("lwvmm_instructions_total", m.total_instret());
         set("lwvmm_guest_cycles_total", t.guest);
         set("lwvmm_monitor_cycles_total", t.monitor);
         set("lwvmm_host_model_cycles_total", t.host_model);

@@ -319,7 +319,7 @@ impl CausalTracker {
     }
 
     /// The guest wrote the PIC EOI register: completes the most recent
-    /// `irq-service` flow (ISRs nest LIFO, like the profiler assumes).
+    /// `irq-service` flow (ISRs nest LIFO).
     pub fn eoi(&mut self, at: u64, core: u8) {
         match self.service.pop() {
             Some((key, p)) => self.finish(FlowClass::IrqService, key, p, at, core),
@@ -506,6 +506,24 @@ mod tests {
         let chain = c.chain_to(&flows[1]);
         assert_eq!(chain.len(), 2);
         assert_eq!(chain[0].class, FlowClass::IrqDispatch);
+    }
+
+    #[test]
+    fn nested_isrs_are_serviced_lifo() {
+        let mut c = CausalTracker::new();
+        c.inta(1000, 0, 0);
+        c.inta(1200, 0, 5); // nested: entered later, EOI'd first
+        c.eoi(1300, 0);
+        c.eoi(1900, 0);
+        c.eoi(2000, 0); // spurious: an orphan end, not a flow
+        let service: Vec<(u32, u64)> = c
+            .flows()
+            .iter()
+            .filter(|f| f.class == FlowClass::IrqService)
+            .map(|f| (f.key, f.latency()))
+            .collect();
+        assert_eq!(service, vec![(5, 100), (0, 900)]);
+        assert_eq!(c.orphan_ends(), 1);
     }
 
     #[test]

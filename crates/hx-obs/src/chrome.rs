@@ -14,6 +14,7 @@
 //! are a tested invariant.
 
 use crate::event::{Dev, EventKind};
+use crate::json::escape;
 use crate::recorder::Recorder;
 use crate::span::Track;
 
@@ -29,19 +30,6 @@ pub struct ChromeTrace {
     lines: Vec<String>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ChromeTrace {
     pub fn new() -> Self {
         Self::default()
@@ -51,8 +39,8 @@ impl ChromeTrace {
         self.lines.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{}\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(what),
-            esc(name)
+            escape(what),
+            escape(name)
         ));
     }
 
@@ -98,7 +86,7 @@ impl ChromeTrace {
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"name\":\"{}\",\
                  \"cat\":\"cpu\",\"ts\":{},\"dur\":{}}}",
                 s.track.index(),
-                esc(s.track.label()),
+                escape(s.track.label()),
                 s.start,
                 s.len()
             ));
@@ -115,23 +103,23 @@ impl ChromeTrace {
             };
             let args = match ev.kind {
                 EventKind::VmExit { cause, cycles } => {
-                    format!("\"cause\":\"{}\",\"cycles\":{}", esc(cause.label()), cycles)
+                    format!(
+                        "\"cause\":\"{}\",\"cycles\":{cycles}",
+                        escape(cause.label())
+                    )
                 }
                 EventKind::ShadowFault { vaddr } => format!("\"vaddr\":{vaddr}"),
                 EventKind::DeviceIrq { dev, irq } => {
-                    format!("\"dev\":\"{}\",\"irq\":{}", esc(dev.label()), irq)
+                    format!("\"dev\":\"{}\",\"irq\":{}", escape(dev.label()), irq)
                 }
                 EventKind::DeviceDma { dev, bytes } => {
-                    format!("\"dev\":\"{}\",\"bytes\":{}", esc(dev.label()), bytes)
+                    format!("\"dev\":\"{}\",\"bytes\":{}", escape(dev.label()), bytes)
                 }
                 EventKind::Doorbell { dev, reg } => {
-                    format!("\"dev\":\"{}\",\"reg\":{}", esc(dev.label()), reg)
+                    format!("\"dev\":\"{}\",\"reg\":{}", escape(dev.label()), reg)
                 }
                 EventKind::DebugCommand { code } => {
                     format!("\"code\":{}", code)
-                }
-                EventKind::GuestSample { bytes, frames } => {
-                    format!("\"bytes\":{bytes},\"frames\":{frames}")
                 }
                 EventKind::FaultInjected { code, arg } => {
                     format!("\"code\":{code},\"arg\":{arg}")
@@ -142,13 +130,13 @@ impl ChromeTrace {
                 EventKind::IrqEntry { irq } => format!("\"irq\":{irq}"),
                 EventKind::IrqEoi => String::new(),
                 EventKind::Tracepoint { op, id } => {
-                    format!("\"op\":\"{}\",\"id\":{}", esc(op.label()), id)
+                    format!("\"op\":\"{}\",\"id\":{}", escape(op.label()), id)
                 }
             };
             self.lines.push(format!(
                 "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{}\",\
                  \"s\":\"t\",\"ts\":{},\"args\":{{{args}}}}}",
-                esc(ev.kind.name()),
+                escape(ev.kind.name()),
                 ev.at
             ));
         }
@@ -180,7 +168,7 @@ impl ChromeTrace {
         };
         for f in causal.flows() {
             let flow_id = ((pid as u64) << 32) | f.id;
-            let name = esc(f.class.label());
+            let name = escape(f.class.label());
             self.lines.push(format!(
                 "{{\"ph\":\"s\",\"pid\":{pid},\"tid\":{},\"name\":\"{name}\",\
                  \"cat\":\"flow\",\"id\":{flow_id},\"ts\":{},\"args\":{{\"key\":{}}}}}",
@@ -277,35 +265,10 @@ mod tests {
         assert_eq!(t2.finish(), json);
     }
 
-    /// Structural sanity without a JSON parser: balanced braces/brackets
-    /// outside strings, no unterminated string, envelope fields present.
     fn assert_well_formed(json: &str) {
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"traceEvents\""));
-        let (mut depth_obj, mut depth_arr, mut in_str, mut prev_escape) =
-            (0i32, 0i32, false, false);
-        for c in json.chars() {
-            if in_str {
-                if prev_escape {
-                    prev_escape = false;
-                } else if c == '\\' {
-                    prev_escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            assert!(depth_obj >= 0 && depth_arr >= 0);
-        }
-        assert_eq!((depth_obj, depth_arr, in_str), (0, 0, false));
+        use crate::json::{parse, Json};
+        let doc = parse(json).expect("the trace parses as JSON");
+        assert!(matches!(doc.get("traceEvents"), Some(Json::Arr(_))));
     }
 
     #[test]
@@ -333,6 +296,6 @@ mod tests {
         assert_well_formed(&json);
         // The raw bytes must never appear unescaped.
         assert!(!json.contains("evil\"sym"));
-        assert!(json.contains("evil\\\"sym\\\\name\\u000a\\u0001end"));
+        assert!(json.contains("evil\\\"sym\\\\name\\n\\u0001end"));
     }
 }

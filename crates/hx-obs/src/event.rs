@@ -107,8 +107,6 @@ pub enum EventKind {
     /// The debug stub executed one wire command (`code` is the command
     /// byte, e.g. b'g', b'm', b'q').
     DebugCommand { code: u8 },
-    /// A guest-stats snapshot was sampled (bytes/frames are cumulative).
-    GuestSample { bytes: u64, frames: u64 },
     /// A deterministic fault was injected (`code` is the fault-class code
     /// from `hx-fault`, `arg` a class-specific detail such as the target
     /// address or IRQ mask).
@@ -138,7 +136,6 @@ impl EventKind {
             EventKind::DeviceDma { .. } => "dma",
             EventKind::Doorbell { .. } => "doorbell",
             EventKind::DebugCommand { .. } => "debug-cmd",
-            EventKind::GuestSample { .. } => "guest-sample",
             EventKind::FaultInjected { .. } => "fault-inject",
             EventKind::Logpoint { .. } => "logpoint",
             EventKind::IrqEntry { .. } => "inta",

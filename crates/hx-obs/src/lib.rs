@@ -27,7 +27,6 @@
 //! | `DeviceDma` | device moved payload bytes | [`Dev`] + byte count |
 //! | `Doorbell` | guest rang a device kick register | [`Dev`] + register offset |
 //! | `DebugCommand` | debug stub executed a wire command | command byte |
-//! | `GuestSample` | guest-stats snapshot sampled | cumulative bytes/frames |
 //! | `IrqEntry` | guest entered an ISR (INTA) | irq line (causal-gated) |
 //! | `IrqEoi` | guest retired an ISR (EOI write) | — (causal-gated) |
 //! | `Tracepoint` | guest wrote a `TRACE`-page register | [`TraceOp`] + id |
@@ -53,8 +52,7 @@
 //!   reconcile exactly with the platform `TimeStats`.
 //! - [`Profiler`]/[`SymbolMap`] — guest-aware deterministic profiler:
 //!   per-symbol exact cycle attribution of the guest track, cycle-driven
-//!   PC sampling, collapsed-stack flamegraph output, and per-IRQ
-//!   entry→EOI latency histograms.
+//!   PC sampling and collapsed-stack flamegraph output.
 //! - [`ChromeTrace`] — Perfetto-compatible JSON exporter.
 //! - [`Report`] — the one table formatter (text + CSV) all bench binaries
 //!   share.
@@ -85,6 +83,7 @@ pub mod event;
 pub mod hist;
 pub mod hostprof;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod prof;
 pub mod recorder;

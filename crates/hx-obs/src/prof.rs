@@ -15,16 +15,10 @@
 //!   [`Profiler::interval`] cumulative guest cycles — simulated cycles,
 //!   never wall clock — so recording a run and replaying its journal
 //!   produce byte-identical profiles.
-//! - **IRQ latency.** The monitor observes virtual-interrupt injection and
-//!   the guest's EOI write to the virtual PIC; the entry→EOI distance per
-//!   IRQ feeds a [`CycleHist`]. Nested injections resolve LIFO, matching
-//!   the interrupt nesting discipline.
 //!
 //! Cycles charged before the first instruction boundary (or at a PC outside
 //! every symbol) land in the `[unknown]` bucket, keeping totals exact.
 
-use crate::hist::CycleHist;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One symbolized guest function: a half-open `[start, end)` PC range.
@@ -103,10 +97,6 @@ pub struct Profiler {
     per_core: Vec<Vec<u64>>,
     /// Guest cycles accumulated towards the next sample.
     acc: u64,
-    /// Injected-but-not-yet-EOI'd virtual interrupts, innermost last.
-    pending_irq: Vec<(u32, u64)>,
-    /// Entry→EOI latency per IRQ number.
-    irq_latency: BTreeMap<u32, CycleHist>,
 }
 
 impl Profiler {
@@ -134,8 +124,6 @@ impl Profiler {
             core: 0,
             per_core: Vec::new(),
             acc: 0,
-            pending_irq: Vec::new(),
-            irq_latency: BTreeMap::new(),
         }
     }
 
@@ -186,28 +174,6 @@ impl Profiler {
                 None => self.unknown_samples += 1,
             }
         }
-    }
-
-    /// Notes a virtual-interrupt injection for `irq` at cycle `at`.
-    pub fn irq_entry(&mut self, irq: u32, at: u64) {
-        self.pending_irq.push((irq, at));
-    }
-
-    /// Notes the guest's EOI at cycle `at`, closing the innermost pending
-    /// injection (LIFO — interrupts nest). A spurious EOI with no pending
-    /// entry is ignored.
-    pub fn irq_eoi(&mut self, at: u64) {
-        if let Some((irq, entry)) = self.pending_irq.pop() {
-            self.irq_latency
-                .entry(irq)
-                .or_default()
-                .record(at.saturating_sub(entry));
-        }
-    }
-
-    /// Entry→EOI latency histograms, keyed by IRQ number.
-    pub fn irq_latencies(&self) -> impl Iterator<Item = (u32, &CycleHist)> {
-        self.irq_latency.iter().map(|(&irq, h)| (irq, h))
     }
 
     /// Total guest cycles attributed (== the span-track guest total when
@@ -309,8 +275,6 @@ impl Profiler {
         self.unknown_samples = 0;
         self.per_core.clear();
         self.acc = 0;
-        self.pending_irq.clear();
-        self.irq_latency.clear();
     }
 }
 
@@ -382,27 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn irq_latency_nests_lifo() {
-        let mut p = Profiler::new(map(), 100);
-        p.irq_entry(0, 1000);
-        p.irq_entry(5, 1200); // nested: entered later, EOI'd first
-        p.irq_eoi(1300);
-        p.irq_eoi(1900);
-        p.irq_eoi(2000); // spurious: ignored
-        let lat: Vec<(u32, u64)> = p.irq_latencies().map(|(i, h)| (i, h.max())).collect();
-        assert_eq!(lat, vec![(0, 900), (5, 100)]);
-    }
-
-    #[test]
     fn reset_counts_keeps_map_and_anchor() {
         let mut p = Profiler::new(map(), 10);
         p.instr_boundary(0x1000);
         p.charge_guest(25);
-        p.irq_entry(0, 1);
         p.reset_counts();
         assert_eq!(p.total_cycles(), 0);
         assert_eq!(p.total_samples(), 0);
-        assert_eq!(p.irq_latencies().count(), 0);
         // The anchor survives: post-reset charges attribute correctly, and
         // the sampler phase restarts from zero.
         p.charge_guest(10);

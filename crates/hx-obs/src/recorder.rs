@@ -216,22 +216,6 @@ impl Recorder {
         }
     }
 
-    /// Notes a virtual-interrupt injection at cycle `at` for the profiler's
-    /// entry→EOI latency histograms.
-    pub fn prof_irq_entry(&mut self, irq: u32, at: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.irq_entry(irq, at);
-        }
-    }
-
-    /// Notes the guest's EOI write at cycle `at` (see
-    /// [`Profiler::irq_eoi`]).
-    pub fn prof_irq_eoi(&mut self, at: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.irq_eoi(at);
-        }
-    }
-
     /// Journal one nondeterministic input applied at cycle `at`.
     pub fn journal_input(&mut self, at: u64, input: JournalInput) {
         if let Some(j) = self.journal.as_deref_mut() {
@@ -557,11 +541,8 @@ mod tests {
         r.instr_boundary(0x104);
         r.charge(Track::Guest, 40);
         r.charge(Track::Monitor, 7); // not guest: not attributed
-        r.prof_irq_entry(0, 10);
-        r.prof_irq_eoi(25);
         assert_eq!(r.prof().unwrap().total_cycles(), 40);
         assert_eq!(r.prof().unwrap().top(1), vec![("f", 40, 0)]);
-        assert_eq!(r.prof().unwrap().irq_latencies().count(), 1);
         // Tracing stayed off: spans empty, profiler still fed.
         assert!(r.spans.spans().is_empty());
         // Reset zeroes counts but keeps the profiler installed.

@@ -5,6 +5,7 @@
 //! aligned text for the terminal and CSV for downstream plotting — so the
 //! numbers in both are guaranteed to come from the same cells.
 
+use crate::json::{Json, JsonObj};
 use std::fmt::Write as _;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,20 +174,15 @@ pub fn hist_row(h: &crate::hist::CycleHist) -> [String; 7] {
     ]
 }
 
-/// The same histogram summary as [`hist_row`], rendered as a JSON object —
-/// shared by the bench JSON emitters so both renderings come from the same
-/// accessors.
-pub fn hist_json(h: &crate::hist::CycleHist) -> String {
-    format!(
-        "{{\"count\":{},\"min\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"max\":{},\"mean\":{}}}",
-        h.count(),
-        h.min(),
-        h.p50(),
-        h.p99(),
-        h.p999(),
-        h.max(),
-        h.mean()
-    )
+/// The same histogram summary as [`hist_row`], as a JSON object — shared
+/// by the bench documents so both renderings come from the same accessors.
+pub fn hist_json(h: &crate::hist::CycleHist) -> JsonObj {
+    let keys = ["count", "min", "p50", "p99", "p999", "max", "mean"];
+    let mut o = JsonObj::new();
+    for (k, v) in keys.iter().zip(hist_row(h)) {
+        o.set(k, Json::Num(v));
+    }
+    o
 }
 
 #[cfg(test)]
@@ -215,7 +211,7 @@ mod tests {
         h.record(10);
         h.record(30);
         let row = hist_row(&h);
-        let json = hist_json(&h);
+        let json = hist_json(&h).finish();
         assert_eq!(row[0], "2");
         for cell in &row {
             assert!(json.contains(cell.as_str()), "{json} missing {cell}");

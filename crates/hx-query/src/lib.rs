@@ -19,16 +19,12 @@
 //!   (`irqlat n over k` answers "the first IRQ whose dispatch took more
 //!   than k cycles"), guest tracepoint hits, and the first divergent event
 //!   between two recordings (via the divergence auditor).
-//! * [`json`] — tiny hand-rolled JSON-line helpers so `dbgctl` and
-//!   `lwvmm-run --query-json` emit machine-readable output without pulling
-//!   a serialization dependency into the workspace.
 //!
 //! Everything here is deterministic and observation-only: evaluating an
 //! expression reads state, never mutates it, so armed logpoints and
 //! queries cannot perturb a recorded timeline.
 
 pub mod expr;
-pub mod json;
 pub mod query;
 
 pub use expr::{BinOp, EvalCtx, Expr, ParseError, SliceCtx, UnOp};

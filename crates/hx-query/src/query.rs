@@ -4,7 +4,7 @@
 //! the simulation path: they answer "what happened when" questions whose
 //! results are cycles that can drive a replay seek.
 
-use crate::json::JsonObj;
+use hx_obs::json::JsonObj;
 use hx_obs::{audit, Journal, JournalEvent};
 
 /// The first event at which two recordings disagree, per the divergence
@@ -117,13 +117,10 @@ impl QueryAnswer {
     /// One JSON line describing the answer.
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
-        o.str("event", "query");
-        o.str("query", &self.query);
-        o.u64("count", self.count as u64);
-        match self.first {
-            Some(c) => o.u64("first", c),
-            None => o.null("first"),
-        };
+        o.set("event", "query");
+        o.set("query", &self.query);
+        o.set("count", self.count as u64);
+        o.set("first", self.first);
         o.u64_list("cycles", &self.cycles);
         o.finish()
     }

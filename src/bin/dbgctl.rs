@@ -28,8 +28,8 @@ use lwvmm::guest::{apps, kernel::layout, Workload};
 use lwvmm::hosted::HostedPlatform;
 use lwvmm::machine::{smp, Machine, Platform};
 use lwvmm::monitor::{LvmmPlatform, UartLink};
+use lwvmm::obs::json::JsonObj;
 use lwvmm::obs::{audit, FlowClass, Journal};
-use lwvmm::query::json::JsonObj;
 use lwvmm::query::{first_divergent_event, JournalQuery};
 use rdbg::{DbgError, Debugger, StopReason, WatchKind};
 use std::io::Read;
@@ -126,13 +126,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let m = platform.machine();
     let mut o = JsonObj::new();
-    o.str("event", "run")
-        .str("platform", platform.name())
-        .u64("ran_cycles", ran)
-        .u64("now", m.now())
+    o.set("event", "run")
+        .set("platform", platform.name())
+        .set("ran_cycles", ran)
+        .set("now", m.now())
         .hex("pc", m.cpu.pc() as u64)
-        .u64("instret", m.cpu.instret())
-        .u64("tx_frames", m.nic.counters().tx_frames);
+        .set("instret", m.total_instret())
+        .set("tx_frames", m.nic.counters().tx_frames);
     println!("{}", o.finish());
 
     if let Some(path) = journal_path {
@@ -141,9 +141,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         journal.seal(now);
         std::fs::write(path, journal.save()).map_err(|e| format!("cannot write {path}: {e}"))?;
         let mut o = JsonObj::new();
-        o.str("event", "journal")
-            .str("path", path)
-            .u64("events", journal.events.len() as u64);
+        o.set("event", "journal")
+            .set("path", path)
+            .set("events", journal.events.len() as u64);
         println!("{}", o.finish());
     }
     Ok(())
@@ -164,35 +164,25 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let b = load_journal(b_path)?;
     for s in audit(&a, &b) {
         let mut o = JsonObj::new();
-        o.str("event", "stream")
-            .str("name", &s.name)
-            .u64("len_a", s.len_a as u64)
-            .u64("len_b", s.len_b as u64)
-            .bool("clean", s.clean());
-        match &s.divergence {
-            Some(d) => o.u64("divergence_index", d.index as u64),
-            None => o.null("divergence_index"),
-        };
+        o.set("event", "stream")
+            .set("name", &s.name)
+            .set("len_a", s.len_a as u64)
+            .set("len_b", s.len_b as u64)
+            .set("clean", s.clean());
+        o.set("divergence_index", s.divergence.map(|d| d.index as u64));
         println!("{}", o.finish());
     }
     let mut o = JsonObj::new();
-    o.str("event", "first-divergence");
+    o.set("event", "first-divergence");
     match first_divergent_event(&a, &b) {
         Some(d) => {
-            o.bool("found", true)
-                .str("stream", &d.stream)
-                .u64("index", d.index as u64);
-            match d.at_a {
-                Some(c) => o.u64("at_a", c),
-                None => o.null("at_a"),
-            };
-            match d.at_b {
-                Some(c) => o.u64("at_b", c),
-                None => o.null("at_b"),
-            };
+            o.set("found", true)
+                .set("stream", &d.stream)
+                .set("index", d.index as u64);
+            o.set("at_a", d.at_a).set("at_b", d.at_b);
         }
         None => {
-            o.bool("found", false);
+            o.set("found", false);
         }
     }
     println!("{}", o.finish());
@@ -215,36 +205,36 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
 fn stop_json(event: &str, stop: &StopReason) -> String {
     let mut o = JsonObj::new();
-    o.str("event", event);
+    o.set("event", event);
     let (reason, pc) = match *stop {
         StopReason::Halted { pc } => ("halted", pc),
         StopReason::Breakpoint { pc } => ("breakpoint", pc),
         StopReason::Step { pc } => ("step", pc),
         StopReason::Watchpoint { pc, addr } => {
-            o.str("reason", "watchpoint").hex("pc", pc as u64);
+            o.set("reason", "watchpoint").hex("pc", pc as u64);
             o.hex("addr", addr as u64);
             return o.finish();
         }
         StopReason::Fault { pc, cause } => {
-            o.str("reason", "fault").hex("pc", pc as u64);
-            o.u64("cause", cause as u64);
+            o.set("reason", "fault").hex("pc", pc as u64);
+            o.set("cause", cause as u64);
             return o.finish();
         }
         StopReason::TimeTravel { pc, cycle } => {
-            o.str("reason", "time-travel").hex("pc", pc as u64);
-            o.u64("cycle", cycle);
+            o.set("reason", "time-travel").hex("pc", pc as u64);
+            o.set("cycle", cycle);
             return o.finish();
         }
     };
-    o.str("reason", reason).hex("pc", pc as u64);
+    o.set("reason", reason).hex("pc", pc as u64);
     o.finish()
 }
 
 fn dbg_json(cmd: &str, err: &DbgError) {
     let mut o = JsonObj::new();
-    o.str("event", "error")
-        .str("cmd", cmd)
-        .str("error", &err.to_string());
+    o.set("event", "error")
+        .set("cmd", cmd)
+        .set("error", &err.to_string());
     println!("{}", o.finish());
 }
 
@@ -284,7 +274,7 @@ fn session_line<L: rdbg::Link>(
     let words: Vec<&str> = line.split_whitespace().collect();
     let ok = |cmd: &str| {
         let mut o = JsonObj::new();
-        o.str("event", "ok").str("cmd", cmd);
+        o.set("event", "ok").set("cmd", cmd);
         println!("{}", o.finish());
     };
     // One closure per reply shape keeps every arm a one-liner below.
@@ -302,7 +292,7 @@ fn session_line<L: rdbg::Link>(
             let ms = parse_u64(ms)?;
             let now = run_ms(dbg, ms)?;
             let mut o = JsonObj::new();
-            o.str("event", "ran").u64("ms", ms).u64("now", now);
+            o.set("event", "ran").set("ms", ms).set("now", now);
             println!("{}", o.finish());
         }
         ["halt"] => stop(dbg.halt()),
@@ -344,15 +334,15 @@ fn session_line<L: rdbg::Link>(
         ["query", expr @ ..] if !expr.is_empty() => match dbg.query_first(&expr.join(" ")) {
             Ok(Some((cycle, s))) => {
                 let mut o = JsonObj::new();
-                o.str("event", "query-first")
-                    .bool("found", true)
-                    .u64("cycle", cycle);
+                o.set("event", "query-first")
+                    .set("found", true)
+                    .set("cycle", cycle);
                 println!("{}", o.finish());
                 println!("{}", stop_json("stop", &s));
             }
             Ok(None) => {
                 let mut o = JsonObj::new();
-                o.str("event", "query-first").bool("found", false);
+                o.set("event", "query-first").set("found", false);
                 println!("{}", o.finish());
             }
             Err(e) => {
@@ -363,7 +353,7 @@ fn session_line<L: rdbg::Link>(
             Ok(r) => {
                 let gprs: Vec<u64> = r.gprs.iter().map(|&v| v as u64).collect();
                 let mut o = JsonObj::new();
-                o.str("event", "regs").hex("pc", r.pc as u64);
+                o.set("event", "regs").hex("pc", r.pc as u64);
                 o.u64_list("gprs", &gprs);
                 println!("{}", o.finish());
             }
@@ -377,8 +367,8 @@ fn session_line<L: rdbg::Link>(
                 Ok(bytes) => {
                     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
                     let mut o = JsonObj::new();
-                    o.str("event", "mem").hex("addr", addr as u64);
-                    o.u64("len", bytes.len() as u64).str("bytes", &hex);
+                    o.set("event", "mem").hex("addr", addr as u64);
+                    o.set("len", bytes.len() as u64).set("bytes", &hex);
                     println!("{}", o.finish());
                 }
                 Err(e) => {
@@ -395,24 +385,24 @@ fn session_line<L: rdbg::Link>(
             // transcript stays byte-identical across reruns.
             Ok(s) => {
                 let mut o = JsonObj::new();
-                o.str("event", "flow")
-                    .u64("now", s.now)
-                    .u64("completed", s.completed)
-                    .u64("dropped", s.dropped)
-                    .u64("orphan_ends", s.orphan_ends)
-                    .u64("instants", s.instants);
+                o.set("event", "flow")
+                    .set("now", s.now)
+                    .set("completed", s.completed)
+                    .set("dropped", s.dropped)
+                    .set("orphan_ends", s.orphan_ends)
+                    .set("instants", s.instants);
                 println!("{}", o.finish());
                 for (i, &(n, p50, p99, max)) in s.classes.iter().enumerate() {
                     if n == 0 {
                         continue;
                     }
                     let mut o = JsonObj::new();
-                    o.str("event", "flow-class")
-                        .str("class", FlowClass::ALL[i].label())
-                        .u64("n", n)
-                        .u64("p50", p50)
-                        .u64("p99", p99)
-                        .u64("max", max);
+                    o.set("event", "flow-class")
+                        .set("class", FlowClass::ALL[i].label())
+                        .set("n", n)
+                        .set("p50", p50)
+                        .set("p99", p99)
+                        .set("max", max);
                     println!("{}", o.finish());
                 }
             }
@@ -421,18 +411,18 @@ fn session_line<L: rdbg::Link>(
         ["stats"] => match dbg.query_stats() {
             Ok(s) => {
                 let mut o = JsonObj::new();
-                o.str("event", "stats")
-                    .u64("now", s.now)
-                    .u64("guest", s.guest)
-                    .u64("monitor", s.monitor)
-                    .u64("idle", s.idle);
+                o.set("event", "stats")
+                    .set("now", s.now)
+                    .set("guest", s.guest)
+                    .set("monitor", s.monitor)
+                    .set("idle", s.idle);
                 o.u64_list("exits", &s.exits);
                 o.u64_list("faults", &s.faults)
-                    .u64("blocked", s.fault_blocked);
+                    .set("blocked", s.fault_blocked);
                 // SMP keys appear only on multi-core targets so single-core
                 // session transcripts stay byte-identical to the golden.
                 if s.cores > 1 {
-                    o.u64("cores", s.cores);
+                    o.set("cores", s.cores);
                     o.u64_list("core_instret", &s.core_instret);
                     o.u64_list("core_exits", &s.core_exits);
                 }
@@ -487,9 +477,9 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let mut dbg = Debugger::new(link);
         let mut o = JsonObj::new();
-        o.str("event", "session")
-            .str("platform", "remote")
-            .str("target", &addr);
+        o.set("event", "session")
+            .set("platform", "remote")
+            .set("target", &addr);
         println!("{}", o.finish());
         let mut run_ms = |_: &mut Debugger<lwvmm::farm::TcpLink>, _: u64| {
             Err("`run` is local-only: farm guests run continuously (use `continue`)".to_string())
@@ -520,9 +510,9 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
         slice: 2_000,
     });
     let mut o = JsonObj::new();
-    o.str("event", "session")
-        .str("platform", "lvmm")
-        .u64("clock_hz", clock);
+    o.set("event", "session")
+        .set("platform", "lvmm")
+        .set("clock_hz", clock);
     println!("{}", o.finish());
 
     let mut run_ms = |dbg: &mut Debugger<UartLink<LvmmPlatform>>, ms: u64| {
@@ -547,13 +537,13 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
 /// parse any run's output the same way.
 fn metrics_json(s: &rdbg::MetricsSample) -> String {
     let mut o = JsonObj::new();
-    o.str("event", "metrics")
-        .u64("now", s.now)
-        .u64("wall_ns", s.wall_ns)
-        .u64("marks", s.marks)
-        .u64("attributed_ns", s.attributed_ns());
+    o.set("event", "metrics")
+        .set("now", s.now)
+        .set("wall_ns", s.wall_ns)
+        .set("marks", s.marks)
+        .set("attributed_ns", s.attributed_ns());
     for (i, phase) in lwvmm::obs::HostPhase::ALL.iter().enumerate() {
-        o.u64(&phase.label(), s.phase_ns[i]);
+        o.set(&phase.label(), s.phase_ns[i]);
     }
     o.finish()
 }
@@ -585,10 +575,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let stats = dbg.query_stats().map_err(|e| format!("qStats: {e}"))?;
     for core in 0..stats.core_instret.len() {
         let mut o = JsonObj::new();
-        o.str("event", "core-metrics")
-            .u64("core", core as u64)
-            .u64("instret", stats.core_instret[core])
-            .u64("exits", stats.core_exits.get(core).copied().unwrap_or(0));
+        o.set("event", "core-metrics")
+            .set("core", core as u64)
+            .set("instret", stats.core_instret[core])
+            .set("exits", stats.core_exits.get(core).copied().unwrap_or(0));
         println!("{}", o.finish());
     }
     Ok(())
@@ -625,13 +615,13 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
 
     let c = vmm.machine().obs.causal().expect("causal enabled above");
     let mut o = JsonObj::new();
-    o.str("event", "flow-summary")
-        .u64("now", now)
-        .u64("cycle", cycle)
-        .u64("completed", c.completed())
-        .u64("dropped", c.dropped_flows())
-        .u64("orphan_ends", c.orphan_ends())
-        .u64("instants", c.instants());
+    o.set("event", "flow-summary")
+        .set("now", now)
+        .set("cycle", cycle)
+        .set("completed", c.completed())
+        .set("dropped", c.dropped_flows())
+        .set("orphan_ends", c.orphan_ends())
+        .set("instants", c.instants());
     println!("{}", o.finish());
     for class in FlowClass::ALL {
         let h = c.hist(class);
@@ -639,41 +629,41 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
             continue;
         }
         let mut o = JsonObj::new();
-        o.str("event", "flow-class")
-            .str("class", class.label())
-            .u64("n", h.count())
-            .u64("p50", h.p50())
-            .u64("p99", h.p99())
-            .u64("max", h.max());
+        o.set("event", "flow-class")
+            .set("class", class.label())
+            .set("n", h.count())
+            .set("p50", h.p50())
+            .set("p99", h.p99())
+            .set("max", h.max());
         println!("{}", o.finish());
     }
 
     let Some(head) = c.flow_ending_by(cycle) else {
         let mut o = JsonObj::new();
-        o.str("event", "flow-chain").bool("found", false);
+        o.set("event", "flow-chain").set("found", false);
         println!("{}", o.finish());
         return Ok(());
     };
     // Own the chain before the platform moves into the debugger below.
     let chain = c.chain_to(head);
     let mut o = JsonObj::new();
-    o.str("event", "flow-chain")
-        .bool("found", true)
-        .u64("len", chain.len() as u64);
+    o.set("event", "flow-chain")
+        .set("found", true)
+        .set("len", chain.len() as u64);
     println!("{}", o.finish());
     // `chain_to` returns oldest cause first, so the chain reads as a story
     // ending at `cycle`.
     for (depth, f) in chain.iter().enumerate() {
         let mut o = JsonObj::new();
-        o.str("event", "flow")
-            .u64("depth", depth as u64)
-            .str("class", f.class.label())
-            .u64("key", f.key as u64)
-            .u64("begin", f.begin)
-            .u64("end", f.end)
-            .u64("latency", f.latency())
-            .u64("begin_core", f.begin_core as u64)
-            .u64("end_core", f.end_core as u64);
+        o.set("event", "flow")
+            .set("depth", depth as u64)
+            .set("class", f.class.label())
+            .set("key", f.key as u64)
+            .set("begin", f.begin)
+            .set("end", f.end)
+            .set("latency", f.latency())
+            .set("begin_core", f.begin_core as u64)
+            .set("end_core", f.end_core as u64);
         println!("{}", o.finish());
     }
 
@@ -693,8 +683,8 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
         let regs = dbg.read_registers().map_err(|e| format!("regs: {e}"))?;
         let gprs: Vec<u64> = regs.gprs.iter().map(|&v| v as u64).collect();
         let mut o = JsonObj::new();
-        o.str("event", "state")
-            .u64("cycle", target)
+        o.set("event", "state")
+            .set("cycle", target)
             .hex("pc", regs.pc as u64);
         o.u64_list("gprs", &gprs);
         println!("{}", o.finish());
@@ -761,28 +751,28 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     let lvmm_track = sample(&mut vmm);
 
     let mut o = JsonObj::new();
-    o.str("event", "samples")
-        .str("symbol", symbol)
+    o.set("event", "samples")
+        .set("symbol", symbol)
         .hex("addr", addr as u64)
-        .u64("interval", interval)
-        .u64("count", steps);
+        .set("interval", interval)
+        .set("count", steps);
     println!("{}", o.finish());
 
     // First sample index where the two runs disagree on the value.
     let Some(i) = (0..steps as usize).find(|&i| hosted_track[i].1 != lvmm_track[i].1) else {
         let mut o = JsonObj::new();
-        o.str("event", "diverge").bool("found", false);
+        o.set("event", "diverge").set("found", false);
         println!("{}", o.finish());
         return Ok(());
     };
     let (prev_cycle, prev_val) = if i == 0 { (0, 0) } else { lvmm_track[i - 1] };
     let mut o = JsonObj::new();
-    o.str("event", "first-differing-sample")
-        .u64("index", i as u64)
-        .u64("hosted_value", hosted_track[i].1 as u64)
-        .u64("lvmm_value", lvmm_track[i].1 as u64)
-        .u64("agreed_value", prev_val as u64)
-        .u64("agreed_cycle", prev_cycle);
+    o.set("event", "first-differing-sample")
+        .set("index", i as u64)
+        .set("hosted_value", hosted_track[i].1 as u64)
+        .set("lvmm_value", lvmm_track[i].1 as u64)
+        .set("agreed_value", prev_val as u64)
+        .set("agreed_cycle", prev_cycle);
     println!("{}", o.finish());
 
     // Refine on the lvmm timeline: the first recorded cycle after the last
@@ -797,13 +787,13 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
         .query_first(&expr)
         .map_err(|e| format!("query `{expr}`: {e}"))?;
     let mut o = JsonObj::new();
-    o.str("event", "diverge").str("expr", &expr);
+    o.set("event", "diverge").set("expr", &expr);
     let Some((cycle, stop)) = hit else {
-        o.bool("found", false);
+        o.set("found", false);
         println!("{}", o.finish());
         return Ok(());
     };
-    o.bool("found", true).u64("cycle", cycle);
+    o.set("found", true).set("cycle", cycle);
     println!("{}", o.finish());
     println!("{}", stop_json("seek", &stop));
 
@@ -814,10 +804,10 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     let mut o = JsonObj::new();
     // `cycle` is the parked replay position; the machine's own clock keeps
     // ticking while the stub services the wire, so `now()` would mislead.
-    o.str("event", "state")
-        .u64("cycle", cycle)
+    o.set("event", "state")
+        .set("cycle", cycle)
         .hex("pc", regs.pc as u64)
-        .u64(
+        .set(
             "value",
             read_word(dbg.link_mut().platform.machine_mut(), addr) as u64,
         );
@@ -870,29 +860,29 @@ fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
         track.push((m.now(), counter, sum));
     }
     let mut o = JsonObj::new();
-    o.str("event", "samples")
-        .str("invariant", "counter >= tally0 + tally1")
+    o.set("event", "samples")
+        .set("invariant", "counter >= tally0 + tally1")
         .hex("addr", COUNTER as u64)
-        .u64("cores", cores as u64)
-        .u64("interval", interval)
-        .u64("count", steps);
+        .set("cores", cores as u64)
+        .set("interval", interval)
+        .set("count", steps);
     println!("{}", o.finish());
 
     // First sample where the shared counter has fallen behind the work the
     // cores actually performed — some increments are gone.
     let Some(i) = track.iter().position(|&(_, counter, sum)| counter < sum) else {
         let mut o = JsonObj::new();
-        o.str("event", "diverge").bool("found", false);
+        o.set("event", "diverge").set("found", false);
         println!("{}", o.finish());
         return Ok(());
     };
     let prev_cycle = if i == 0 { 0 } else { track[i - 1].0 };
     let mut o = JsonObj::new();
-    o.str("event", "first-lost-update-sample")
-        .u64("index", i as u64)
-        .u64("counter", track[i].1 as u64)
-        .u64("expected", track[i].2 as u64)
-        .u64("agreed_cycle", prev_cycle);
+    o.set("event", "first-lost-update-sample")
+        .set("index", i as u64)
+        .set("counter", track[i].1 as u64)
+        .set("expected", track[i].2 as u64)
+        .set("agreed_cycle", prev_cycle);
     println!("{}", o.finish());
 
     // Refine on the recording: the first cycle after the last healthy
@@ -910,13 +900,13 @@ fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
         .query_first(&expr)
         .map_err(|e| format!("query `{expr}`: {e}"))?;
     let mut o = JsonObj::new();
-    o.str("event", "diverge").str("expr", &expr);
+    o.set("event", "diverge").set("expr", &expr);
     let Some((cycle, stop)) = hit else {
-        o.bool("found", false);
+        o.set("found", false);
         println!("{}", o.finish());
         return Ok(());
     };
-    o.bool("found", true).u64("cycle", cycle);
+    o.set("found", true).set("cycle", cycle);
     println!("{}", o.finish());
     println!("{}", stop_json("seek", &stop));
 
@@ -930,11 +920,11 @@ fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
     let counter = read_word(m, COUNTER) as u64;
     let tallies: Vec<u64> = (0..2).map(|i| read_word(m, TALLY + 4 * i) as u64).collect();
     let mut o = JsonObj::new();
-    o.str("event", "state")
-        .u64("cycle", cycle)
-        .u64("core", core as u64)
+    o.set("event", "state")
+        .set("cycle", cycle)
+        .set("core", core as u64)
         .hex("pc", regs.pc as u64)
-        .u64("counter", counter)
+        .set("counter", counter)
         .u64_list("tallies", &tallies);
     println!("{}", o.finish());
     Ok(())

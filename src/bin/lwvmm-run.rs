@@ -33,8 +33,8 @@ use lwvmm::farm::{new_machine, PlatformKind};
 use lwvmm::fault::FaultKind;
 use lwvmm::guest::{GuestStats, Workload};
 use lwvmm::machine::Platform;
+use lwvmm::obs::json::JsonObj;
 use lwvmm::obs::{ChromeTrace, EventKind, MetricsRegistry, Profiler, SymbolMap};
-use lwvmm::query::json::JsonObj;
 use lwvmm::query::Expr;
 use std::process::ExitCode;
 
@@ -380,7 +380,7 @@ fn main() -> ExitCode {
     println!(
         "cpu: pc={:#010x}  {} instructions retired, {} cycles",
         m.cpu.pc(),
-        m.cpu.instret(),
+        m.total_instret(),
         m.cpu.cycles()
     );
     let nic = m.nic.counters();
@@ -511,30 +511,30 @@ fn emit_json(
     let m = platform.machine();
     let nic = m.nic.counters();
     let mut run = JsonObj::new();
-    run.str("event", "run")
-        .str("platform", platform.name())
-        .u64("clock_hz", clock)
-        .u64("ran_cycles", ran)
-        .u64("now", m.now())
+    run.set("event", "run")
+        .set("platform", platform.name())
+        .set("clock_hz", clock)
+        .set("ran_cycles", ran)
+        .set("now", m.now())
         .hex("pc", m.cpu.pc() as u64)
-        .u64("instret", m.cpu.instret())
-        .u64("tx_frames", nic.tx_frames)
-        .u64("tx_bytes", nic.tx_bytes);
+        .set("instret", m.total_instret())
+        .set("tx_frames", nic.tx_frames)
+        .set("tx_bytes", nic.tx_bytes);
     println!("{}", run.finish());
 
     if is_workload {
         let mut o = JsonObj::new();
-        o.str("event", "guest");
+        o.set("event", "guest");
         match GuestStats::read(m) {
             Ok(s) => {
-                o.u64("frames", s.frames as u64)
-                    .u64("bytes", s.bytes)
-                    .u64("ticks", s.ticks as u64)
-                    .u64("underruns", s.underruns as u64)
-                    .u64("fault_cause", s.fault_cause as u64);
+                o.set("frames", s.frames as u64)
+                    .set("bytes", s.bytes)
+                    .set("ticks", s.ticks as u64)
+                    .set("underruns", s.underruns as u64)
+                    .set("fault_cause", s.fault_cause as u64);
             }
             Err(e) => {
-                o.str("error", &e.to_string());
+                o.set("error", &e.to_string());
             }
         }
         println!("{}", o.finish());
@@ -542,9 +542,9 @@ fn emit_json(
 
     if let Some(f) = m.fault_stats() {
         let mut o = JsonObj::new();
-        o.str("event", "faults");
+        o.set("event", "faults");
         o.u64_list("attempted", &f.injected);
-        o.u64("blocked", f.blocked);
+        o.set("blocked", f.blocked);
         println!("{}", o.finish());
     }
 
@@ -560,18 +560,18 @@ fn emit_json(
         };
         if m.obs.ring.dropped() > 0 {
             let mut o = JsonObj::new();
-            o.str("event", "ring-dropped")
-                .u64("events", m.obs.ring.dropped());
+            o.set("event", "ring-dropped")
+                .set("events", m.obs.ring.dropped());
             println!("{}", o.finish());
         }
         for ev in m.obs.ring.iter() {
             if let EventKind::Logpoint { addr, value } = ev.kind {
                 let mut o = JsonObj::new();
-                o.str("event", "logpoint")
-                    .u64("at", ev.at)
+                o.set("event", "logpoint")
+                    .set("at", ev.at)
                     .hex("addr", addr as u64)
-                    .str("label", &label_of(addr))
-                    .u64("value", value);
+                    .set("label", &label_of(addr))
+                    .set("value", value);
                 println!("{}", o.finish());
             }
         }
@@ -589,10 +589,10 @@ fn emit_json(
             }
         }
         let mut o = JsonObj::new();
-        o.str("event", "memory")
+        o.set("event", "memory")
             .hex("addr", addr as u64)
-            .u64("len", len as u64)
-            .str("bytes", &bytes);
+            .set("len", len as u64)
+            .set("bytes", &bytes);
         println!("{}", o.finish());
     }
 
@@ -606,9 +606,9 @@ fn emit_json(
             return ExitCode::FAILURE;
         }
         let mut o = JsonObj::new();
-        o.str("event", "profile")
-            .str("path", path)
-            .u64("samples", prof.total_samples());
+        o.set("event", "profile")
+            .set("path", path)
+            .set("samples", prof.total_samples());
         println!("{}", o.finish());
     }
 
@@ -618,12 +618,12 @@ fn emit_json(
             return ExitCode::FAILURE;
         };
         let mut o = JsonObj::new();
-        o.str("event", "causal")
-            .str("path", path)
-            .u64("flows", c.completed())
-            .u64("dropped", c.dropped_flows())
-            .u64("orphan_ends", c.orphan_ends())
-            .u64("instants", c.instants());
+        o.set("event", "causal")
+            .set("path", path)
+            .set("flows", c.completed())
+            .set("dropped", c.dropped_flows())
+            .set("orphan_ends", c.orphan_ends())
+            .set("instants", c.instants());
         println!("{}", o.finish());
     }
     ExitCode::SUCCESS

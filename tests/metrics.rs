@@ -149,6 +149,37 @@ fn published_registry_covers_counters_and_host_phases() {
     }
 }
 
+/// On a multi-core machine the platform-wide instruction counter is the
+/// sum over every core, not the count of whichever core happened to be
+/// active at publication.
+#[test]
+fn instructions_total_sums_every_core() {
+    let spin = lwvmm::guest::apps::smp_spin_guest();
+    let entry = spin.symbols.get("start").expect("start symbol");
+    for kind in lwvmm::farm::PlatformKind::ALL {
+        let mut machine = lwvmm::farm::new_machine(2);
+        machine.load_program(&spin);
+        let mut p = kind.boot(machine, entry, None);
+        // Two scheduler quanta: both cores have run, core 1 is active.
+        p.run_for(2 * 37_123);
+        let reg = MetricsRegistry::new();
+        p.publish_metrics(&reg);
+        let s = reg.snapshot();
+        let label = kind.label();
+        let total = s.counter(&format!("lwvmm_instructions_total{{platform=\"{label}\"}}"));
+        let per_core: Vec<u64> = (0..2)
+            .map(|n| {
+                s.counter(&format!(
+                    "lwvmm_core_instructions_total{{platform=\"{label}\",core=\"{n}\"}}"
+                ))
+            })
+            .collect();
+        assert!(per_core.iter().all(|&n| n > 0), "{label}: both cores ran");
+        assert_eq!(total, per_core.iter().sum::<u64>(), "{label}");
+        assert_eq!(total, p.machine().total_instret(), "{label}");
+    }
+}
+
 /// The wire protocol's fixed phase-vector width tracks the profiler's
 /// phase enum — a drifting count would silently truncate attributions.
 #[test]

@@ -183,7 +183,6 @@ fn monitor_region_size_is_configurable() {
         program.base(),
         LvmmConfig {
             monitor_mem: 4 << 20,
-            debug_on_unhandled_fault: true,
         },
     );
     assert_eq!(vmm.monitor_base(), (16 << 20) - (4 << 20));
