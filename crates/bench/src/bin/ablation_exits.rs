@@ -14,27 +14,26 @@
 //! (`--metrics` is implied — this binary *is* the metrics view; the flag is
 //! accepted for symmetry with `fig3_1`.)
 
-use hitactix::Workload;
-use hx_machine::{Machine, MachineConfig, Platform};
+use hx_farm::{guest_machine, parse_num64, Flags, GuestSpec};
+use hx_machine::Platform;
 use hx_obs::{Align, Report};
 use lvmm::LvmmPlatform;
-use lwvmm_bench::{arg_value, chrome_trace, exit_report};
+use lwvmm_bench::{chrome_trace, exit_report, or_exit};
 
 fn main() {
-    let rate: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(100);
-    let trace_path = arg_value("--trace");
-    let mut machine = Machine::new(MachineConfig::default());
-    let workload = Workload::new(rate);
-    let program = workload.build(&machine).expect("kernel assembles");
-    machine.load_program(&program);
+    let flags = or_exit(Flags::from_env(&["--trace"], &["--metrics"], 1));
+    let rate = flags.positional.first().map(|r| parse_num64(r));
+    let rate = or_exit(rate.transpose()).unwrap_or(100);
+    let trace_path = flags.get("--trace");
+    let (mut machine, entry, _) = or_exit(guest_machine(&GuestSpec {
+        rate_mbps: rate,
+        ..GuestSpec::default()
+    }));
     let clock = machine.config().clock_hz;
     if trace_path.is_some() {
         machine.obs.enable_tracing();
     }
-    let mut vmm = LvmmPlatform::new(machine, hitactix::kernel::layout::ENTRY);
+    let mut vmm = LvmmPlatform::new(machine, entry);
 
     // Warm up, then measure a 400 ms window.
     vmm.run_for(clock / 10);
@@ -110,7 +109,7 @@ fn main() {
     println!("the residual tax is interrupt virtualization + privileged emulation.");
 
     if let Some(path) = trace_path {
-        lwvmm_bench::write_output(&path, chrome_trace(&[("lvmm", &vmm)]));
+        lwvmm_bench::write_output(path, chrome_trace(&[("lvmm", &vmm)]));
         println!("\nwrote {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
 }

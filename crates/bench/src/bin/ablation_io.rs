@@ -11,9 +11,10 @@
 
 use hitactix::Workload;
 use hx_obs::{Align, Report};
-use lwvmm_bench::{build_platform, measure, PlatformKind};
+use lwvmm_bench::{build_platform, flags, measure, PlatformKind};
 
 fn main() {
+    flags(&[], &[]); // takes none, so any argument is an error
     let moderations = [1u32, 4, 16];
     let mut table = Report::new("Table B — saturation rate (Mbps) vs NIC TX interrupt moderation")
         .column("platform", Align::Left)

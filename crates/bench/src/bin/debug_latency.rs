@@ -12,23 +12,22 @@
 //! Usage: `cargo run --release -p lwvmm-bench --bin debug_latency
 //!         [--trace out.json] [--metrics]`
 
-use hitactix::{GuestStats, Workload};
+use hitactix::GuestStats;
+use hx_farm::{guest_machine, GuestSpec};
 use hx_fault::{FaultKind, FaultPlan};
-use hx_machine::{Machine, MachineConfig, Platform};
+use hx_machine::Platform;
 use hx_obs::{Align, ExitCause, Report};
 use lvmm::{LvmmPlatform, UartLink};
-use lwvmm_bench::{arg_flag, arg_value, chrome_trace, exit_report};
+use lwvmm_bench::{chrome_trace, exit_report, flags, or_exit};
 use rdbg::{Debugger, StatsSample};
 
 fn main() {
-    let trace_path = arg_value("--trace");
-    let metrics = arg_flag("--metrics");
-    let csv = arg_flag("--csv");
-    let mut machine = Machine::new(MachineConfig::default());
+    let flags = flags(&["--trace"], &["--metrics", "--csv"]);
+    let trace_path = flags.get("--trace");
+    let metrics = flags.has("--metrics");
+    let csv = flags.has("--csv");
+    let (mut machine, entry, _) = or_exit(guest_machine(&GuestSpec::default()));
     let clock = machine.config().clock_hz;
-    let workload = Workload::new(100);
-    let program = workload.build(&machine).expect("kernel assembles");
-    machine.load_program(&program);
     // Arm a deterministic wild-write campaign whose attempts are all
     // blocked by the protection model (applied limit 0): the guest is
     // untouched and keeps streaming, but the remote `qStats` sample below
@@ -42,7 +41,7 @@ fn main() {
     if trace_path.is_some() {
         machine.obs.enable_tracing();
     }
-    let mut vmm = LvmmPlatform::new(machine, hitactix::kernel::layout::ENTRY);
+    let mut vmm = LvmmPlatform::new(machine, entry);
     vmm.run_for(clock / 10); // let the stream reach steady state
 
     let frames_before = vmm.machine().nic.counters().tx_frames;
@@ -161,7 +160,7 @@ fn main() {
         );
     }
     if let Some(path) = trace_path {
-        lwvmm_bench::write_output(&path, chrome_trace(&[("lvmm", &platform)]));
+        lwvmm_bench::write_output(path, chrome_trace(&[("lvmm", &platform)]));
         println!("\nwrote {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
 }

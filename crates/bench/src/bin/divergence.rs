@@ -14,10 +14,10 @@ use hitactix::Workload;
 use hx_obs::{audit, Journal};
 use hx_obs::{Align, Report};
 use lvmm::ReplayDriver;
-use lwvmm_bench::{arg_value, build_platform, PlatformKind};
+use lwvmm_bench::{build_platform, flags, or_exit, PlatformKind};
 
 fn main() {
-    let ms: u64 = arg_value("--ms").map_or(60, |v| v.parse().expect("--ms takes a number"));
+    let ms = or_exit(flags(&["--ms"], &[]).num("--ms")).unwrap_or(60);
     let workload = Workload::new(100);
 
     let record = |kind: PlatformKind, driver: Option<&Journal>| -> Journal {

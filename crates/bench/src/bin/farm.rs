@@ -10,12 +10,13 @@
 //! storm completed no sessions, so CI can gate on it directly.
 
 use lwvmm_bench::{
-    arg_flag, farm_report, farm_section, run_farm_bench, write_section, FarmBenchConfig,
+    farm_report, farm_section, flags, run_farm_bench, write_section, FarmBenchConfig,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let cfg = if arg_flag("--fast") {
+    let flags = flags(&["--json", "--merge"], &["--fast"]);
+    let cfg = if flags.has("--fast") {
         FarmBenchConfig::fast()
     } else {
         FarmBenchConfig::new()
@@ -30,7 +31,7 @@ fn main() -> ExitCode {
     let points = run_farm_bench(&cfg);
     println!("\n{}", farm_report(&cfg, &points).to_text());
 
-    write_section("farm", farm_section(&cfg, &points));
+    write_section(&flags, "farm", farm_section(&cfg, &points));
 
     let all_settled = points.iter().all(|p| p.settled);
     let sessions_served = points.iter().all(|p| p.sessions > 0);

@@ -37,8 +37,8 @@ use hx_farm::{boot_guest, new_machine, GuestSpec};
 use hx_obs::json::{self, Json};
 use hx_obs::{HostPhase, MetricsRegistry};
 use lwvmm_bench::{
-    arg_flag, arg_value, ascii_plot, build_platform, check_sim_speed, chrome_trace, exit_report,
-    measure, measure_point, profile_row, sweep_report, time_run, PlatformKind, SimSpeed,
+    ascii_plot, build_platform, check_sim_speed, chrome_trace, exit_report, measure, measure_point,
+    profile_row, sweep_report, time_run, PlatformKind, SimSpeed,
 };
 
 /// The run with the median host speed.
@@ -48,11 +48,15 @@ fn median<T>(mut runs: Vec<T>, speed: fn(&T) -> f64) -> T {
 }
 
 fn main() {
-    let fast = arg_flag("--fast");
-    let trace_path = arg_value("--trace");
-    let profile_path = arg_value("--profile");
-    let metrics_path = arg_value("--metrics");
-    let check_speed = arg_value("--check-speed");
+    let flags = lwvmm_bench::flags(
+        &["--trace", "--profile", "--metrics", "--check-speed"],
+        &["--fast"],
+    );
+    let fast = flags.has("--fast");
+    let trace_path = flags.get("--trace");
+    let profile_path = flags.get("--profile");
+    let metrics_path = flags.get("--metrics");
+    let check_speed = flags.get("--check-speed");
     let (warmup_ms, window_ms) = if fast { (40, 120) } else { (80, 400) };
     let rates: &[u64] = if fast {
         &[50, 150, 300, 500, 700, 950]
@@ -254,7 +258,7 @@ fn main() {
                 .iter()
                 .map(|(k, p)| (k.label(), p.as_ref()))
                 .collect();
-            lwvmm_bench::write_output(&path, chrome_trace(&named));
+            lwvmm_bench::write_output(path, chrome_trace(&named));
             println!("wrote {path} (open in chrome://tracing or ui.perfetto.dev)");
         }
     }
@@ -287,7 +291,7 @@ fn main() {
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or(0.75);
-        let baseline = std::fs::read_to_string(&path)
+        let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("--check-speed: cannot read {path}: {e}"));
         let baseline = json::parse(&baseline)
             .unwrap_or_else(|e| panic!("--check-speed: {path} is not JSON: {e}"));

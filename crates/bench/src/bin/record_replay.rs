@@ -13,7 +13,7 @@ use hitactix::{GuestStats, Workload};
 use hx_machine::Platform;
 use hx_obs::Journal;
 use lvmm::ReplayDriver;
-use lwvmm_bench::{arg_value, build_platform, chrome_trace, write_output, PlatformKind};
+use lwvmm_bench::{build_platform, chrome_trace, flags, or_exit, write_output, PlatformKind};
 
 struct RunResult {
     trace: String,
@@ -34,7 +34,8 @@ fn finish(platform: &mut dyn Platform) -> RunResult {
 }
 
 fn main() {
-    let ms: u64 = arg_value("--ms").map_or(60, |v| v.parse().expect("--ms takes a number"));
+    let flags = flags(&["--ms", "--trace", "--journal"], &[]);
+    let ms = or_exit(flags.num("--ms")).unwrap_or(60);
     let workload = Workload::new(100);
 
     // Record.
@@ -65,12 +66,12 @@ fn main() {
     let rep_instr = rep.machine().cpu.instret();
     let replayed = finish(rep.as_mut());
 
-    if let Some(path) = arg_value("--trace") {
-        write_output(&path, original.trace.clone());
+    if let Some(path) = flags.get("--trace") {
+        write_output(path, original.trace.clone());
         println!("wrote {path}");
     }
-    if let Some(path) = arg_value("--journal") {
-        write_output(&path, journal.save());
+    if let Some(path) = flags.get("--journal") {
+        write_output(path, journal.save());
         println!("wrote {path}");
     }
 

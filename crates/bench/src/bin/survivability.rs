@@ -16,14 +16,15 @@
 //! all-alive or any replay diverged, so CI can gate on it directly.
 
 use lwvmm_bench::{
-    arg_flag, arg_value, run_matrix, survivability_section, survival_report, write_section,
+    flags, or_exit, run_matrix, survivability_section, survival_report, write_section,
     SurvivalConfig,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let seed: u64 = arg_value("--seed").map_or(42, |v| v.parse().expect("--seed takes a number"));
-    let cfg = if arg_flag("--fast") {
+    let flags = flags(&["--seed", "--json", "--merge"], &["--fast"]);
+    let seed = or_exit(flags.num("--seed")).unwrap_or(42);
+    let cfg = if flags.has("--fast") {
         SurvivalConfig::fast(seed)
     } else {
         SurvivalConfig::new(seed)
@@ -37,7 +38,11 @@ fn main() -> ExitCode {
     let matrix = run_matrix(&cfg);
     println!("\n{}", survival_report(&matrix).to_text());
 
-    write_section("survivability", survivability_section(&cfg, &matrix));
+    write_section(
+        &flags,
+        "survivability",
+        survivability_section(&cfg, &matrix),
+    );
 
     let stub_ok = matrix.lvmm_stub_all_alive();
     let replay_ok = matrix.replays_identical();

@@ -6,6 +6,7 @@
 //! steady-state window — exactly the procedure behind Fig. 3.1.
 
 use hitactix::{GuestStats, Workload};
+use hx_farm::Flags;
 use hx_machine::{Platform, TimeStats};
 use hx_obs::json::{self, Json, JsonObj};
 use hx_obs::{report, Align, ChromeTrace, ExitCause, ExitHists, HostAttribution, Report};
@@ -216,30 +217,25 @@ pub fn ascii_plot(series: &[(PlatformKind, Vec<(f64, f64)>)]) -> String {
     out
 }
 
-/// Returns the value following `--flag` on the command line, if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
+/// The bench's command line, parsed by the shared parser against the value
+/// flags and switches it declares (no positional arguments).
+pub fn flags(values: &[&'static str], switches: &[&'static str]) -> Flags {
+    or_exit(Flags::from_env(values, switches, 0))
 }
 
-/// Writes an output artifact (trace JSON, CSV); a bad path is a clean
-/// user-facing error, not a panic, so a long run's tables aren't drowned
-/// in a backtrace.
+/// The value of `r`; an error is a clean user-facing message and exit 1,
+/// not a panic, so a long run's tables aren't drowned in a backtrace.
+pub fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Writes an output artifact (trace JSON, CSV); a bad path is an
+/// [`or_exit`] error.
 pub fn write_output(path: &str, contents: String) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// True if `--flag` appears on the command line.
-pub fn arg_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+    or_exit(std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}")));
 }
 
 /// Builds the Fig. 3.1 sweep table (one row per measured point, one block
@@ -483,15 +479,15 @@ pub fn set_section(doc: &str, key: &str, value: impl Into<Json>) -> String {
 
 /// Writes a bench's `key` section as a standalone document to `--json
 /// PATH`, and sets it in the document at `--merge PATH`.
-pub fn write_section(key: &str, value: impl Into<Json>) {
+pub fn write_section(flags: &Flags, key: &str, value: impl Into<Json>) {
     let value = value.into();
-    if let Some(path) = arg_value("--json") {
-        write_output(&path, set_section("", key, value.clone()));
+    if let Some(path) = flags.get("--json") {
+        write_output(path, set_section("", key, value.clone()));
         println!("wrote {path}");
     }
-    if let Some(path) = arg_value("--merge") {
-        let existing = std::fs::read_to_string(&path).unwrap_or_default();
-        write_output(&path, set_section(&existing, key, value));
+    if let Some(path) = flags.get("--merge") {
+        let existing = std::fs::read_to_string(path).unwrap_or_default();
+        write_output(path, set_section(&existing, key, value));
         println!("merged {key} section into {path}");
     }
 }

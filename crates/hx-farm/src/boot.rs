@@ -1,21 +1,26 @@
-//! The one boot recipe: which platform a guest runs on, and how the
-//! streaming guest becomes a running platform.
+//! The one boot recipe: which platform a guest runs on, and how a guest
+//! becomes a running platform.
 //!
-//! Every harness boots through here — the farm, the CLIs (`lwvmm-run`,
-//! `dbgctl`, `lwvmm-farm`) and the benches — so "the same guest on
-//! platform X" means the same machine, the same enable order and the same
-//! wild-write reach wherever it is asked for. That is what makes a
-//! farm-served guest standalone-identical: there is no second recipe for it
-//! to drift from.
+//! A [`GuestSpec`] is the only description of a guest the binaries boot,
+//! and [`guest_machine`] then [`PlatformKind::boot`] is the only recipe:
+//! the farm, the CLIs (`lwvmm-run`, `dbgctl`, `lwvmm-farm`) and the benches
+//! all go through it, and the CLIs fill the spec from the shared guest
+//! flags ([`GuestSpec::from_flags`]). So "the same guest on platform X"
+//! means the same machine, the same enable order and the same wild-write
+//! reach wherever it is asked for. That is what makes a farm-served guest
+//! standalone-identical: there is no second recipe for it to drift from.
 
 use hitactix::kernel::{self, layout};
 use hitactix::Workload;
 use hosted_vmm::{HostedConfig, HostedPlatform};
 use hx_asm::Program;
 use hx_fault::{FaultKind, FaultPlan};
+use hx_machine::smp::MAX_CORES;
 use hx_machine::{Machine, MachineConfig, Platform, RawPlatform};
 use hx_obs::{Profiler, SymbolMap};
 use lvmm::{LvmmConfig, LvmmPlatform};
+
+use crate::Flags;
 
 /// The three systems of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,16 +113,6 @@ impl PlatformKind {
     }
 }
 
-impl std::str::FromStr for PlatformKind {
-    type Err = String;
-
-    /// [`PlatformKind::from_label`] with a CLI-ready error.
-    fn from_str(s: &str) -> Result<PlatformKind, String> {
-        PlatformKind::from_label(s)
-            .ok_or_else(|| format!("unknown platform `{s}` (raw|lvmm|hosted)"))
-    }
-}
-
 /// A default machine with `cores` vCPUs: what every boot starts from.
 pub fn new_machine(cores: usize) -> Machine {
     Machine::new(MachineConfig {
@@ -127,8 +122,7 @@ pub fn new_machine(cores: usize) -> Machine {
 }
 
 /// Builds a machine with `cores` vCPUs and loads the streaming `workload`
-/// into it — the first step of every boot, before observability, faults
-/// and the platform are added.
+/// into it.
 pub fn load_workload(workload: &Workload, cores: usize) -> Result<(Machine, Program), String> {
     let mut machine = new_machine(cores);
     let program = workload
@@ -138,14 +132,21 @@ pub fn load_workload(workload: &Workload, cores: usize) -> Result<(Machine, Prog
     Ok((machine, program))
 }
 
-/// One guest's boot recipe.
+/// One guest's boot recipe, and the only description of a guest any
+/// binary boots.
 #[derive(Debug, Clone)]
 pub struct GuestSpec {
+    /// `--platform`.
     pub platform: PlatformKind,
-    /// vCPU count (1..=MAX_CORES).
+    /// vCPU count (`--cores`, 1..=[`MAX_CORES`]).
     pub cores: usize,
-    /// Streaming-workload target rate, Mbit/s.
+    /// Streaming-workload target rate, Mbit/s (`--workload`).
     pub rate_mbps: u64,
+    /// An assembled image (`lwvmm-run guest.s`) to boot instead of the
+    /// streaming workload. It enters at its `start` label (or its base) and
+    /// profiles by its code labels; the workload enters at
+    /// [`layout::ENTRY`] and profiles by [`kernel::profile_symbols`].
+    pub image: Option<Program>,
     /// Record a journal (and, under lvmm, a flight recorder with
     /// checkpoints) so sessions can time-travel.
     pub record: bool,
@@ -153,7 +154,10 @@ pub struct GuestSpec {
     pub profile: bool,
     /// Attribute host wall-clock (serves `metrics`).
     pub hostprof: bool,
-    /// Fault campaign: `Some(("all"|class, seed))`.
+    /// Track causal flows, plus the event tracing their endpoints ride on.
+    pub causal: bool,
+    /// Fault campaign: `Some(("all"|class, seed))` (`--fault`,
+    /// `--fault-seed`).
     pub fault: Option<(String, u64)>,
 }
 
@@ -163,34 +167,102 @@ impl Default for GuestSpec {
             platform: PlatformKind::Lvmm,
             cores: 1,
             rate_mbps: 100,
+            image: None,
             record: true,
             profile: false,
             hostprof: false,
+            causal: false,
             fault: None,
         }
     }
 }
 
-/// Boots the streaming guest `spec` describes: machine and workload,
-/// observability, faults, platform, recorder — in that order, which the
-/// journal of a recorded guest depends on. `record_every` is the lvmm
-/// checkpoint cadence for `record` guests.
-pub fn boot_guest(spec: &GuestSpec, record_every: u64) -> Result<Box<dyn Platform>, String> {
-    let (mut machine, program) = load_workload(&Workload::new(spec.rate_mbps), spec.cores)?;
+impl GuestSpec {
+    /// The guest flags every binary shares.
+    pub const FLAGS: [&'static str; 5] = [
+        "--platform",
+        "--cores",
+        "--workload",
+        "--fault",
+        "--fault-seed",
+    ];
+
+    /// The default spec with whichever of [`FLAGS`](Self::FLAGS) `flags`
+    /// carries applied; a campaign's seed defaults to 42.
+    pub fn from_flags(flags: &Flags) -> Result<GuestSpec, String> {
+        let d = GuestSpec::default();
+        let seed = flags.num("--fault-seed")?.unwrap_or(42);
+        Ok(GuestSpec {
+            platform: match flags.get("--platform") {
+                Some(p) => PlatformKind::from_label(p).ok_or_else(|| {
+                    format!("--platform: unknown platform `{p}` (raw|lvmm|hosted)")
+                })?,
+                None => d.platform,
+            },
+            cores: flags.num("--cores")?.unwrap_or(d.cores),
+            rate_mbps: flags.num("--workload")?.unwrap_or(d.rate_mbps),
+            fault: flags.get("--fault").map(|class| (class.to_string(), seed)),
+            ..d
+        })
+    }
+}
+
+/// Builds the machine `spec` describes and returns it with the guest's
+/// entry point and loaded image: the recipe's first step, before the
+/// platform wrap.
+///
+/// Order matters: the recorder lives inside the machine, and flight-recorder
+/// checkpoints clone it, so the profiler, the host profiler, causal tracking
+/// and faults are all switched on here, before the platform exists and
+/// before its first checkpoint. A tracker turned on after
+/// `enable_flight_recorder` would be lost on every seek back to the initial
+/// checkpoint. This is also the one place `cores` is checked.
+pub fn guest_machine(spec: &GuestSpec) -> Result<(Machine, u32, Program), String> {
+    if !(1..=MAX_CORES).contains(&spec.cores) {
+        return Err(format!(
+            "--cores must be between 1 and {MAX_CORES}, got {}",
+            spec.cores
+        ));
+    }
+    let (mut machine, program, symbols, entry) = match &spec.image {
+        None => {
+            let (machine, program) = load_workload(&Workload::new(spec.rate_mbps), spec.cores)?;
+            let symbols = kernel::profile_symbols(&program);
+            (machine, program, symbols, layout::ENTRY)
+        }
+        Some(program) => {
+            let mut machine = new_machine(spec.cores);
+            machine.load_program(program);
+            let entry = program.symbols.get("start").unwrap_or(program.base());
+            (machine, program.clone(), program.code_symbols(), entry)
+        }
+    };
     if spec.profile {
         machine.obs.enable_profiler(Profiler::new(
-            SymbolMap::from_ranges(kernel::profile_symbols(&program)),
+            SymbolMap::from_ranges(symbols),
             Profiler::DEFAULT_INTERVAL,
         ));
     }
     if spec.hostprof {
         machine.obs.enable_hostprof();
     }
+    if spec.causal {
+        machine.obs.enable_tracing();
+        machine.obs.enable_causal();
+    }
     if let Some((class, seed)) = &spec.fault {
         let ram_size = machine.config().ram_size as u32;
         machine.enable_fault_injection(spec.platform.fault_plan(ram_size, class, *seed)?);
     }
+    Ok((machine, entry, program))
+}
+
+/// Boots the guest `spec` describes: [`guest_machine`], then the platform
+/// and recorder. `record_every` is the lvmm checkpoint cadence for `record`
+/// guests.
+pub fn boot_guest(spec: &GuestSpec, record_every: u64) -> Result<Box<dyn Platform>, String> {
+    let (machine, entry, _) = guest_machine(spec)?;
     Ok(spec
         .platform
-        .boot(machine, layout::ENTRY, spec.record.then_some(record_every)))
+        .boot(machine, entry, spec.record.then_some(record_every)))
 }

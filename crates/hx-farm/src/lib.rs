@@ -51,9 +51,11 @@ use hitactix::GuestStats;
 use hx_machine::Platform;
 use hx_obs::json::{Json, JsonObj};
 
+mod args;
 mod boot;
 
-pub use boot::{boot_guest, load_workload, new_machine, GuestSpec, PlatformKind};
+pub use args::{parse_hex32, parse_num64, Flags};
+pub use boot::{boot_guest, guest_machine, load_workload, new_machine, GuestSpec, PlatformKind};
 
 /// Farm-wide configuration.
 #[derive(Debug, Clone)]
@@ -786,6 +788,33 @@ mod tests {
             PlatformKind::Hosted.wild_limit(ram),
             ram - hosted_vmm::HostedConfig::default().host_mem
         );
+    }
+
+    #[test]
+    fn out_of_range_cores_are_refused_not_clamped() {
+        for cores in [0, hx_machine::smp::MAX_CORES + 1] {
+            let spec = GuestSpec {
+                cores,
+                ..GuestSpec::default()
+            };
+            let Err(err) = guest_machine(&spec) else {
+                panic!("{cores} cores booted");
+            };
+            assert!(err.contains("--cores"), "{err}");
+            let Err(err) = Farm::launch(FarmConfig {
+                guests: vec![spec],
+                ..FarmConfig::default()
+            }) else {
+                panic!("a farm guest booted with {cores} cores");
+            };
+            assert!(err.contains("--cores"), "{err}");
+        }
+        let spec = GuestSpec {
+            cores: hx_machine::smp::MAX_CORES,
+            ..GuestSpec::default()
+        };
+        let (machine, _, _) = guest_machine(&spec).expect("MAX_CORES boots");
+        assert_eq!(machine.num_cores(), hx_machine::smp::MAX_CORES);
     }
 
     #[test]

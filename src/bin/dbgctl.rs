@@ -21,12 +21,19 @@
 //! disagree, refines that to an exact cycle with a `Qq` timeline query
 //! over the lvmm flight recording, seeks the replay there, and dumps
 //! state.
+//!
+//! Each subcommand takes only the flags its usage line lists, parsed by the
+//! shared parser (`lwvmm::cli::Flags`), and boots its guest through
+//! `lwvmm::farm::GuestSpec` like `lwvmm-run` and `lwvmm-farm` do. A
+//! misspelled flag, a flag without its value (`--journal --ms 5`) or a
+//! malformed number is an error naming the flag; numbers are decimal or
+//! `0x` hex.
 
-use lwvmm::farm::{load_workload, new_machine, PlatformKind};
+use lwvmm::cli::{parse_hex32, parse_num64, Flags};
+use lwvmm::farm::{boot_guest, guest_machine, GuestSpec, PlatformKind};
 use lwvmm::fault::{FaultKind, FaultPlan};
-use lwvmm::guest::{apps, kernel::layout, Workload};
-use lwvmm::hosted::HostedPlatform;
-use lwvmm::machine::{smp, Machine, Platform};
+use lwvmm::guest::{apps, kernel::layout};
+use lwvmm::machine::{Machine, Platform};
 use lwvmm::monitor::{LvmmPlatform, UartLink};
 use lwvmm::obs::json::JsonObj;
 use lwvmm::obs::{audit, FlowClass, Journal};
@@ -47,7 +54,7 @@ fn main() -> ExitCode {
         Some("diverge") => cmd_diverge(&args[1..]),
         _ => Err(
             "usage: dbgctl <run|audit|query|session|metrics|flow|diverge> [args]\n\
-                  run     --platform raw|lvmm|hosted [--ms N] [--workload MBPS] [--cores N] [--journal PATH]\n\
+                  run     [--platform raw|lvmm|hosted] [--ms N] [--workload MBPS] [--cores N] [--journal PATH]\n\
                   audit   A.jnl B.jnl\n\
                   query   JOURNAL.jnl \"<irq N [in A..B] | first-event STREAM | logs [ADDR] | irqlat N [over K] | trace [ID]>\"\n\
                   session [--cores N] [--connect HOST:PORT] [SCRIPT]   (stdin when omitted)\n\
@@ -67,61 +74,52 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--flag value` lookup over a raw argument slice.
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_u64(s: &str) -> Result<u64, String> {
-    lwvmm::cli::parse_num64(s)
-}
-
-fn parse_addr(s: &str) -> Result<u32, String> {
-    lwvmm::cli::parse_hex32(s)
-}
-
-/// Parses and validates a `--cores` value (1 to [`smp::MAX_CORES`]).
-fn parse_cores(s: &str) -> Result<usize, String> {
-    let n: usize = s
-        .parse()
-        .map_err(|_| format!("--cores expects a number, got `{s}`"))?;
-    if n == 0 || n > smp::MAX_CORES {
-        return Err(format!(
-            "--cores must be between 1 and {}, got {n}",
-            smp::MAX_CORES
-        ));
+/// Boots the lightweight monitor on the machine `spec` describes, for the
+/// subcommands that drive a concrete [`LvmmPlatform`]; `record` turns on
+/// the flight recorder with a checkpoint every 100k cycles.
+fn boot_lvmm(spec: &GuestSpec, record: bool) -> Result<LvmmPlatform, String> {
+    let (machine, entry, _) = guest_machine(spec)?;
+    let mut vmm = LvmmPlatform::new(machine, entry);
+    if record {
+        vmm.enable_flight_recorder(100_000);
     }
-    Ok(n)
+    Ok(vmm)
 }
 
-/// The `--cores` option of a subcommand, defaulting to single-core.
-fn opt_cores(args: &[String]) -> Result<usize, String> {
-    opt(args, "--cores").map_or(Ok(1), parse_cores)
-}
+type LvmmDebugger = Debugger<UartLink<LvmmPlatform>>;
 
-/// Boots the built-in streaming workload on a machine with `cores` vCPUs.
-fn boot_machine(rate: u64, cores: usize) -> Result<Machine, String> {
-    load_workload(&Workload::new(rate), cores).map(|(machine, _)| machine)
+/// A debugger attached to `vmm`'s stub over the simulated UART.
+fn debugger(vmm: LvmmPlatform) -> LvmmDebugger {
+    Debugger::new(UartLink {
+        platform: vmm,
+        slice: 2_000,
+    })
 }
 
 // ---------------------------------------------------------------- run ----
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let kind: PlatformKind = opt(args, "--platform").unwrap_or("lvmm").parse()?;
-    let ms = parse_u64(opt(args, "--ms").unwrap_or("100"))?;
-    let rate = parse_u64(opt(args, "--workload").unwrap_or("100"))?;
-    let cores = opt_cores(args)?;
-    let journal_path = opt(args, "--journal");
+    let f = Flags::parse(
+        args.to_vec(),
+        &["--platform", "--cores", "--workload", "--ms", "--journal"],
+        &[],
+        0,
+    )?;
+    let ms = f.num("--ms")?.unwrap_or(100);
+    let journal_path = f.get("--journal");
+    let spec = GuestSpec {
+        record: false,
+        ..GuestSpec::from_flags(&f)?
+    };
 
-    let machine = boot_machine(rate, cores)?;
-    let clock = machine.config().clock_hz;
-    let mut platform = kind.boot(machine, layout::ENTRY, None);
+    let mut platform = boot_guest(&spec, 0)?;
     if journal_path.is_some() {
-        platform.machine_mut().obs.enable_journal(kind.label());
+        platform
+            .machine_mut()
+            .obs
+            .enable_journal(spec.platform.label());
     }
+    let clock = platform.machine().config().clock_hz;
     let ran = platform.run_for(clock / 1_000 * ms);
 
     let m = platform.machine();
@@ -242,8 +240,8 @@ fn dbg_json(cmd: &str, err: &DbgError) {
 /// new `now` cycle (local sessions drive the platform, remote ones reject).
 type RunMs<'a, L> = &'a mut dyn FnMut(&mut Debugger<L>, u64) -> Result<u64, String>;
 
-/// Runs one script line and prints its JSON line(s). The script language,
-/// one command per line (`#` comments and blank lines are skipped):
+/// Runs one script line and prints its JSON line(s), skipping `#` comments
+/// and blank lines. The script language, one command per line:
 ///
 /// ```text
 /// run MS                          let the guest run MS simulated ms (local only)
@@ -272,6 +270,9 @@ fn session_line<L: rdbg::Link>(
     line: &str,
 ) -> Result<(), String> {
     let words: Vec<&str> = line.split_whitespace().collect();
+    if words.first().is_none_or(|w| w.starts_with('#')) {
+        return Ok(());
+    }
     let ok = |cmd: &str| {
         let mut o = JsonObj::new();
         o.set("event", "ok").set("cmd", cmd);
@@ -289,7 +290,7 @@ fn session_line<L: rdbg::Link>(
     };
     match words.as_slice() {
         ["run", ms] => {
-            let ms = parse_u64(ms)?;
+            let ms = parse_num64(ms)?;
             let now = run_ms(dbg, ms)?;
             let mut o = JsonObj::new();
             o.set("event", "ran").set("ms", ms).set("now", now);
@@ -301,19 +302,19 @@ fn session_line<L: rdbg::Link>(
         ["continue"] => stop(dbg.continue_until_stop()),
         ["reverse-step"] => stop(dbg.reverse_step()),
         ["reverse-continue"] => stop(dbg.reverse_continue()),
-        ["seek", cycle] => stop(dbg.seek(parse_u64(cycle)?)),
-        ["break", addr] => unit(dbg.set_breakpoint(parse_addr(addr)?)),
+        ["seek", cycle] => stop(dbg.seek(parse_num64(cycle)?)),
+        ["break", addr] => unit(dbg.set_breakpoint(parse_hex32(addr)?)),
         ["break", addr, expr @ ..] => {
-            let addr = parse_addr(addr)?;
+            let addr = parse_hex32(addr)?;
             unit(
                 dbg.set_breakpoint(addr)
                     .and_then(|()| dbg.set_break_condition(addr, &expr.join(" "))),
             );
         }
-        ["clear-break", addr] => unit(dbg.clear_breakpoint(parse_addr(addr)?)),
+        ["clear-break", addr] => unit(dbg.clear_breakpoint(parse_hex32(addr)?)),
         ["watch", addr, len, rest @ ..] => {
-            let addr = parse_addr(addr)?;
-            let len = parse_u64(len)? as u32;
+            let addr = parse_hex32(addr)?;
+            let len = parse_num64(len)? as u32;
             let (kind, expr) = match rest {
                 ["w", e @ ..] => (WatchKind::Write, e),
                 ["r", e @ ..] => (WatchKind::Read, e),
@@ -326,11 +327,11 @@ fn session_line<L: rdbg::Link>(
             }
             unit(r);
         }
-        ["clear-watch", addr] => unit(dbg.clear_watchpoint(parse_addr(addr)?)),
+        ["clear-watch", addr] => unit(dbg.clear_watchpoint(parse_hex32(addr)?)),
         ["logpoint", addr, label, expr @ ..] => {
-            unit(dbg.set_logpoint(parse_addr(addr)?, label, &expr.join(" ")));
+            unit(dbg.set_logpoint(parse_hex32(addr)?, label, &expr.join(" ")));
         }
-        ["clear-logpoint", addr] => unit(dbg.clear_logpoint(parse_addr(addr)?)),
+        ["clear-logpoint", addr] => unit(dbg.clear_logpoint(parse_hex32(addr)?)),
         ["query", expr @ ..] if !expr.is_empty() => match dbg.query_first(&expr.join(" ")) {
             Ok(Some((cycle, s))) => {
                 let mut o = JsonObj::new();
@@ -345,9 +346,7 @@ fn session_line<L: rdbg::Link>(
                 o.set("event", "query-first").set("found", false);
                 println!("{}", o.finish());
             }
-            Err(e) => {
-                dbg_json(cmd, &e);
-            }
+            Err(e) => dbg_json(cmd, &e),
         },
         ["regs"] => match dbg.read_registers() {
             Ok(r) => {
@@ -357,13 +356,11 @@ fn session_line<L: rdbg::Link>(
                 o.u64_list("gprs", &gprs);
                 println!("{}", o.finish());
             }
-            Err(e) => {
-                dbg_json(cmd, &e);
-            }
+            Err(e) => dbg_json(cmd, &e),
         },
         ["mem", addr, len] => {
-            let addr = parse_addr(addr)?;
-            match dbg.read_memory(addr, parse_u64(len)? as u32) {
+            let addr = parse_hex32(addr)?;
+            match dbg.read_memory(addr, parse_num64(len)? as u32) {
                 Ok(bytes) => {
                     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
                     let mut o = JsonObj::new();
@@ -371,9 +368,7 @@ fn session_line<L: rdbg::Link>(
                     o.set("len", bytes.len() as u64).set("bytes", &hex);
                     println!("{}", o.finish());
                 }
-                Err(e) => {
-                    dbg_json(cmd, &e);
-                }
+                Err(e) => dbg_json(cmd, &e),
             }
         }
         ["metrics"] => match dbg.query_metrics() {
@@ -428,9 +423,7 @@ fn session_line<L: rdbg::Link>(
                 }
                 println!("{}", o.finish());
             }
-            Err(e) => {
-                dbg_json(cmd, &e);
-            }
+            Err(e) => dbg_json(cmd, &e),
         },
         other => return Err(format!("bad session command `{}`", other.join(" "))),
     }
@@ -438,92 +431,63 @@ fn session_line<L: rdbg::Link>(
 }
 
 fn cmd_session(args: &[String]) -> Result<(), String> {
-    let cores = opt_cores(args)?;
-    let connect = opt(args, "--connect").map(str::to_string);
-    // Everything that is not an `--option value` pair is the script path.
-    let positional: Vec<&String> = {
-        let mut skip = false;
-        args.iter()
-            .filter(|a| {
-                if skip {
-                    skip = false;
-                    return false;
-                }
-                if *a == "--cores" || *a == "--connect" {
-                    skip = true;
-                    return false;
-                }
-                true
-            })
-            .collect()
+    let f = Flags::parse(args.to_vec(), &["--cores", "--connect"], &[], 1)?;
+    let spec = GuestSpec {
+        // Host-time attribution for the `metrics` script command; simulation-
+        // invisible, so the session transcript stays deterministic.
+        hostprof: true,
+        // Causal flows for the `flow` script command. Observation-only: it
+        // adds recorded events, never perturbs the simulated run.
+        causal: true,
+        ..GuestSpec::from_flags(&f)?
     };
-    let script = match positional.as_slice() {
-        [] => {
+    let script = match f.positional.first() {
+        None => {
             let mut s = String::new();
             std::io::stdin()
                 .read_to_string(&mut s)
                 .map_err(|e| format!("cannot read stdin: {e}"))?;
             s
         }
-        [path] => std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
-        _ => return Err("session expects at most one script path".into()),
+        Some(path) => {
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
+        }
     };
 
-    if let Some(addr) = connect {
+    if let Some(addr) = f.get("--connect") {
         // Remote session: attach to a guest an `lwvmm-farm` process is
         // already serving. The farm owns the simulation, so `run MS` is
         // rejected — everything else in the script language works as-is.
-        let link = lwvmm::farm::TcpLink::connect(&addr)
+        let link = lwvmm::farm::TcpLink::connect(addr)
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let mut dbg = Debugger::new(link);
         let mut o = JsonObj::new();
         o.set("event", "session")
             .set("platform", "remote")
-            .set("target", &addr);
+            .set("target", addr);
         println!("{}", o.finish());
         let mut run_ms = |_: &mut Debugger<lwvmm::farm::TcpLink>, _: u64| {
             Err("`run` is local-only: farm guests run continuously (use `continue`)".to_string())
         };
         for line in script.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
             session_line(&mut dbg, &mut run_ms, line)?;
         }
         return Ok(());
     }
 
-    let mut machine = boot_machine(100, cores)?;
-    // Host-time attribution for the `metrics` script command; simulation-
-    // invisible, so the session transcript stays deterministic.
-    machine.obs.enable_hostprof();
-    // Causal flows for the `flow` script command. Observation-only: it adds
-    // recorded events, never perturbs the simulated run.
-    machine.obs.enable_tracing();
-    machine.obs.enable_causal();
-    let clock = machine.config().clock_hz;
-    let mut vmm = LvmmPlatform::new(machine, layout::ENTRY);
-    vmm.enable_flight_recorder(100_000);
-    let mut dbg = Debugger::new(UartLink {
-        platform: vmm,
-        slice: 2_000,
-    });
+    let mut dbg = debugger(boot_lvmm(&spec, true)?);
+    let clock = dbg.link_ref().platform.machine().config().clock_hz;
     let mut o = JsonObj::new();
     o.set("event", "session")
         .set("platform", "lvmm")
         .set("clock_hz", clock);
     println!("{}", o.finish());
 
-    let mut run_ms = |dbg: &mut Debugger<UartLink<LvmmPlatform>>, ms: u64| {
+    let mut run_ms = |dbg: &mut LvmmDebugger, ms: u64| {
         dbg.link_mut().platform.run_for(clock / 1_000 * ms);
         Ok(dbg.link_ref().platform.machine().now())
     };
     for line in script.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
         session_line(&mut dbg, &mut run_ms, line)?;
     }
     Ok(())
@@ -552,18 +516,14 @@ fn metrics_json(s: &rdbg::MetricsSample) -> String {
 /// on, run the streaming workload, and report where the monitor's own
 /// wall-clock went, sampled live over the debug wire (`qMetrics`).
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let ms = parse_u64(opt(args, "--ms").unwrap_or("50"))?;
-    let rate = parse_u64(opt(args, "--workload").unwrap_or("100"))?;
-    let cores = opt_cores(args)?;
-
-    let mut machine = boot_machine(rate, cores)?;
-    machine.obs.enable_hostprof();
-    let clock = machine.config().clock_hz;
-    let vmm = LvmmPlatform::new(machine, layout::ENTRY);
-    let mut dbg = Debugger::new(UartLink {
-        platform: vmm,
-        slice: 2_000,
-    });
+    let f = Flags::parse(args.to_vec(), &["--ms", "--workload", "--cores"], &[], 0)?;
+    let ms = f.num("--ms")?.unwrap_or(50);
+    let spec = GuestSpec {
+        hostprof: true,
+        ..GuestSpec::from_flags(&f)?
+    };
+    let mut dbg = debugger(boot_lvmm(&spec, false)?);
+    let clock = dbg.link_ref().platform.machine().config().clock_hz;
     dbg.link_mut().platform.run_for(clock / 1_000 * ms);
     let s = dbg.query_metrics().map_err(|e| format!("qMetrics: {e}"))?;
     println!("{}", metrics_json(&s));
@@ -594,24 +554,23 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 /// debugger at the chain head's completion cycle and dump registers —
 /// "show me the state at the end of the causal story".
 fn cmd_flow(args: &[String]) -> Result<(), String> {
-    let ms = parse_u64(opt(args, "--ms").unwrap_or("50"))?;
-    let rate = parse_u64(opt(args, "--workload").unwrap_or("100"))?;
-    let cores = opt_cores(args)?;
-    let seek = args.iter().any(|a| a == "--seek");
-
-    let mut machine = boot_machine(rate, cores)?;
-    machine.obs.enable_tracing();
-    machine.obs.enable_causal();
-    let clock = machine.config().clock_hz;
-    let mut vmm = LvmmPlatform::new(machine, layout::ENTRY);
-    vmm.enable_flight_recorder(100_000);
+    let f = Flags::parse(
+        args.to_vec(),
+        &["--cycle", "--ms", "--workload", "--cores"],
+        &["--seek"],
+        0,
+    )?;
+    let ms = f.num("--ms")?.unwrap_or(50);
+    let spec = GuestSpec {
+        causal: true,
+        ..GuestSpec::from_flags(&f)?
+    };
+    let mut vmm = boot_lvmm(&spec, true)?;
+    let clock = vmm.machine().config().clock_hz;
     vmm.run_for(clock / 1_000 * ms);
 
     let now = vmm.machine().now();
-    let cycle = match opt(args, "--cycle") {
-        Some(s) => parse_u64(s)?,
-        None => now,
-    };
+    let cycle = f.num("--cycle")?.unwrap_or(now);
 
     let c = vmm.machine().obs.causal().expect("causal enabled above");
     let mut o = JsonObj::new();
@@ -667,14 +626,11 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
         println!("{}", o.finish());
     }
 
-    if seek {
+    if f.has("--seek") {
         // Ride the existing time-travel machinery: halt, seek the replay to
         // the chain's final completion, and dump state there.
         let target = chain.last().expect("chain is never empty").end;
-        let mut dbg = Debugger::new(UartLink {
-            platform: vmm,
-            slice: 2_000,
-        });
+        let mut dbg = debugger(vmm);
         dbg.halt().map_err(|e| format!("halt: {e}"))?;
         let stop = dbg
             .seek(target)
@@ -703,7 +659,7 @@ fn resolve_symbol(name: &str) -> Option<u32> {
         "ticks" => layout::STATS + 12,
         "underruns" => layout::STATS + 16,
         "glob" => layout::GLOB,
-        hex => return parse_addr(hex).ok(),
+        hex => return parse_hex32(hex).ok(),
     })
 }
 
@@ -721,13 +677,15 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--race") {
         return cmd_diverge_race(args);
     }
-    let symbol = opt(args, "--symbol").unwrap_or("frames");
-    let ms = parse_u64(opt(args, "--ms").unwrap_or("60"))?;
+    let f = Flags::parse(args.to_vec(), &["--symbol", "--ms"], &[], 0)?;
+    let symbol = f.get("--symbol").unwrap_or("frames");
+    let ms = f.num("--ms")?.unwrap_or(60);
     let addr = resolve_symbol(symbol).ok_or(format!(
         "unknown symbol `{symbol}` (bytes|frames|ticks|underruns|glob|0xADDR)"
     ))?;
 
-    let machine = boot_machine(100, 1)?;
+    let spec = GuestSpec::default();
+    let (machine, entry, _) = guest_machine(&spec)?;
     let clock = machine.config().clock_hz;
     let interval = clock / 10_000; // sample every 100 simulated µs
     let steps = ms * clock / 1_000 / interval;
@@ -743,11 +701,8 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
             })
             .collect()
     };
-    let mut hosted = HostedPlatform::new(boot_machine(100, 1)?, layout::ENTRY);
-    let hosted_track = sample(&mut hosted);
-
-    let mut vmm = LvmmPlatform::new(machine, layout::ENTRY);
-    vmm.enable_flight_recorder(100_000);
+    let hosted_track = sample(PlatformKind::Hosted.boot(machine, entry, None).as_mut());
+    let mut vmm = boot_lvmm(&spec, true)?;
     let lvmm_track = sample(&mut vmm);
 
     let mut o = JsonObj::new();
@@ -777,25 +732,10 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
 
     // Refine on the lvmm timeline: the first recorded cycle after the last
     // agreement at which the symbol no longer holds the agreed value.
-    let mut dbg = Debugger::new(UartLink {
-        platform: vmm,
-        slice: 2_000,
-    });
-    dbg.halt().map_err(|e| format!("halt: {e}"))?;
     let expr = format!("cycle > {prev_cycle} && [0x{addr:x}] != {prev_val}");
-    let hit = dbg
-        .query_first(&expr)
-        .map_err(|e| format!("query `{expr}`: {e}"))?;
-    let mut o = JsonObj::new();
-    o.set("event", "diverge").set("expr", &expr);
-    let Some((cycle, stop)) = hit else {
-        o.set("found", false);
-        println!("{}", o.finish());
+    let Some((mut dbg, cycle)) = refine_and_park(vmm, &expr)? else {
         return Ok(());
     };
-    o.set("found", true).set("cycle", cycle);
-    println!("{}", o.finish());
-    println!("{}", stop_json("seek", &stop));
 
     // Parked at the divergence: dump state, then prove single-stepping
     // works from here.
@@ -818,6 +758,29 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The tail both `diverge` modes share: halt the recorded guest, seek its
+/// replay to the first cycle `expr` holds, and print the `diverge` and
+/// `seek` events. Returns the debugger parked there and the cycle, or
+/// `None` (having printed `"found":false`) when `expr` never holds.
+fn refine_and_park(vmm: LvmmPlatform, expr: &str) -> Result<Option<(LvmmDebugger, u64)>, String> {
+    let mut dbg = debugger(vmm);
+    dbg.halt().map_err(|e| format!("halt: {e}"))?;
+    let hit = dbg
+        .query_first(expr)
+        .map_err(|e| format!("query `{expr}`: {e}"))?;
+    let mut o = JsonObj::new();
+    o.set("event", "diverge").set("expr", expr);
+    let Some((cycle, stop)) = hit else {
+        o.set("found", false);
+        println!("{}", o.finish());
+        return Ok(None);
+    };
+    o.set("found", true).set("cycle", cycle);
+    println!("{}", o.finish());
+    println!("{}", stop_json("seek", &stop));
+    Ok(Some((dbg, cycle)))
+}
+
 /// `dbgctl diverge --race` — the cross-core race demo. Boots the two-core
 /// racy-counter guest under the lightweight monitor with the
 /// `racy-increment` fault class armed, samples the shared counter against
@@ -828,17 +791,27 @@ fn cmd_diverge(args: &[String]) -> Result<(), String> {
 /// injector replayed a stale value.
 fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
     use apps::smp_layout::{COUNTER, TALLY};
-    let ms = parse_u64(opt(args, "--ms").unwrap_or("40"))?;
-    let cores = opt(args, "--cores").map_or(Ok(2), parse_cores)?;
-    if cores < 2 {
+    let f = Flags::parse(
+        args.to_vec(),
+        &["--cores", "--ms", "--fault-seed"],
+        &["--race"],
+        0,
+    )?;
+    let ms = f.num("--ms")?.unwrap_or(40);
+    let seed = f.num("--fault-seed")?.unwrap_or(42);
+    let spec = GuestSpec {
+        cores: f.num("--cores")?.unwrap_or(2),
+        image: Some(apps::racy_counter_guest()),
+        ..GuestSpec::default()
+    };
+    if spec.cores < 2 {
         return Err("--race needs --cores of at least 2".into());
     }
-    let seed = parse_u64(opt(args, "--fault-seed").unwrap_or("42"))?;
+    let cores = spec.cores;
 
-    let program = apps::racy_counter_guest();
-    let entry = program.symbols.get("start").expect("racy guest has start");
-    let mut machine = new_machine(cores);
-    machine.load_program(&program);
+    let (mut machine, entry, _) = guest_machine(&spec)?;
+    // The plan races on the shared counter, which no `--fault` class
+    // expresses, so it is armed here rather than through the spec.
     machine.enable_fault_injection(
         FaultPlan::new(seed)
             .only(FaultKind::RacyIncrement)
@@ -887,28 +860,13 @@ fn cmd_diverge_race(args: &[String]) -> Result<(), String> {
 
     // Refine on the recording: the first cycle after the last healthy
     // sample at which the invariant no longer holds.
-    let mut dbg = Debugger::new(UartLink {
-        platform: vmm,
-        slice: 2_000,
-    });
-    dbg.halt().map_err(|e| format!("halt: {e}"))?;
     let expr = format!(
         "cycle > {prev_cycle} && [{COUNTER:#x}] < [{TALLY:#x}] + [{t1:#x}]",
         t1 = TALLY + 4
     );
-    let hit = dbg
-        .query_first(&expr)
-        .map_err(|e| format!("query `{expr}`: {e}"))?;
-    let mut o = JsonObj::new();
-    o.set("event", "diverge").set("expr", &expr);
-    let Some((cycle, stop)) = hit else {
-        o.set("found", false);
-        println!("{}", o.finish());
+    let Some((mut dbg, cycle)) = refine_and_park(vmm, &expr)? else {
         return Ok(());
     };
-    o.set("found", true).set("cycle", cycle);
-    println!("{}", o.finish());
-    println!("{}", stop_json("seek", &stop));
 
     // Parked at the first lost update: name the core that was running and
     // dump its view of the evidence.

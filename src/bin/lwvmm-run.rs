@@ -11,6 +11,13 @@
 //! of a source file. Platforms: `raw` (real hardware), `lvmm` (the paper's
 //! lightweight monitor, default), `hosted` (the conventional full monitor).
 //!
+//! The guest flags (`--platform`, `--cores`, `--workload`, `--fault`,
+//! `--fault-seed`) are the ones `dbgctl` and `lwvmm-farm` take, and every
+//! flag goes through the same parser (`lwvmm::cli::Flags`) into the same
+//! boot recipe (`lwvmm::farm::GuestSpec`): a misspelled flag, a flag
+//! without its value, a malformed number or a `--cores` outside 1..=8 is an
+//! error naming the flag.
+//!
 //! `--fault all` (or a single class such as `--fault wild-write-kernel`)
 //! arms the deterministic fault injector: the campaign is a pure function
 //! of `--fault-seed` and the simulated clock, so the same invocation always
@@ -29,28 +36,26 @@
 //! latency histograms. The trace bytes are a pure function of the simulated
 //! run, so identical invocations produce identical files.
 
-use lwvmm::farm::{new_machine, PlatformKind};
+use lwvmm::cli::{parse_dump, parse_hex32, Flags};
+use lwvmm::farm::{guest_machine, GuestSpec};
 use lwvmm::fault::FaultKind;
-use lwvmm::guest::{GuestStats, Workload};
+use lwvmm::guest::GuestStats;
 use lwvmm::machine::Platform;
 use lwvmm::obs::json::JsonObj;
-use lwvmm::obs::{ChromeTrace, EventKind, MetricsRegistry, Profiler, SymbolMap};
+use lwvmm::obs::{CausalTracker, ChromeTrace, EventKind, MetricsRegistry, Profiler};
 use lwvmm::query::Expr;
 use std::process::ExitCode;
 
 struct Options {
+    /// The guest; its `image` is assembled from `input` once the file is read.
+    spec: GuestSpec,
     input: Option<String>,
-    workload: Option<u64>,
-    platform: PlatformKind,
-    cores: usize,
     ms: u64,
     dump: Option<(u32, u32)>,
     engine_stats: bool,
     no_decode_cache: bool,
     profile: Option<String>,
-    fault: Option<String>,
-    fault_seed: u64,
-    logpoints: Vec<(u32, String, Option<String>)>,
+    logpoints: Vec<(u32, String, Option<Expr>)>,
     query_json: bool,
     metrics: Option<String>,
     heartbeat: Option<u64>,
@@ -58,114 +63,86 @@ struct Options {
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        input: None,
-        workload: None,
-        platform: PlatformKind::Lvmm,
-        cores: 1,
-        ms: 100,
-        dump: None,
-        engine_stats: false,
-        no_decode_cache: false,
-        profile: None,
-        fault: None,
-        fault_seed: 42,
-        logpoints: Vec::new(),
-        query_json: false,
-        metrics: None,
-        heartbeat: None,
-        causal: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--platform" => {
-                opts.platform = args.next().ok_or("missing --platform value")?.parse()?
-            }
-            "--cores" => {
-                let v = args.next().ok_or("missing --cores value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--cores expects a number, got `{v}`"))?;
-                if n == 0 || n > lwvmm::machine::smp::MAX_CORES {
-                    return Err(format!(
-                        "--cores must be between 1 and {}, got {n}",
-                        lwvmm::machine::smp::MAX_CORES
-                    ));
-                }
-                opts.cores = n;
-            }
-            "--ms" => {
-                opts.ms = args
-                    .next()
-                    .ok_or("missing --ms value")?
-                    .parse()
-                    .map_err(|_| "--ms expects a number")?
-            }
-            "--workload" => {
-                opts.workload = Some(
-                    args.next()
-                        .ok_or("missing --workload value")?
-                        .parse()
-                        .map_err(|_| "--workload expects Mbit/s")?,
-                )
-            }
-            "--dump" => {
-                let spec = args.next().ok_or("missing --dump value")?;
-                let (addr, len) = spec.split_once(':').ok_or("--dump expects addr:len")?;
-                let addr = lwvmm::cli::parse_hex32(addr)?;
-                let len: u32 = len.parse().map_err(|_| "--dump length must be decimal")?;
-                opts.dump = Some((addr, len));
-            }
-            "--engine-stats" => opts.engine_stats = true,
-            "--fault" => opts.fault = Some(args.next().ok_or("missing --fault value")?),
-            "--fault-seed" => {
-                opts.fault_seed = args
-                    .next()
-                    .ok_or("missing --fault-seed value")?
-                    .parse()
-                    .map_err(|_| "--fault-seed expects a number")?
-            }
-            "--profile" => opts.profile = Some(args.next().ok_or("missing --profile value")?),
-            "--logpoint" => {
-                let spec = args.next().ok_or("missing --logpoint value")?;
-                // addr[:label[:expr]] — the expression may itself contain
-                // no colons (the grammar has none), but splitn keeps any
-                // future ones intact anyway.
-                let mut parts = spec.splitn(3, ':');
-                let addr = parts.next().unwrap_or("");
-                let addr = lwvmm::cli::parse_hex32(addr)?;
-                let label = match parts.next() {
-                    Some(l) if !l.is_empty() => l.to_string(),
-                    _ => format!("lp@{addr:#x}"),
-                };
-                let expr = parts.next().map(str::to_string);
-                opts.logpoints.push((addr, label, expr));
-            }
-            "--query-json" => opts.query_json = true,
-            "--metrics" => opts.metrics = Some(args.next().ok_or("missing --metrics value")?),
-            "--causal" => opts.causal = Some(args.next().ok_or("missing --causal value")?),
-            "--heartbeat" => {
-                let ms: u64 = args
-                    .next()
-                    .ok_or("missing --heartbeat value")?
-                    .parse()
-                    .map_err(|_| "--heartbeat expects milliseconds")?;
-                if ms == 0 {
-                    return Err("--heartbeat expects a nonzero interval".into());
-                }
-                opts.heartbeat = Some(ms);
-            }
-            "--no-decode-cache" => opts.no_decode_cache = true,
-            "-h" | "--help" => return Err(String::new()),
-            other if opts.input.is_none() => opts.input = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
+    let values = [
+        &GuestSpec::FLAGS[..],
+        &[
+            "--ms",
+            "--dump",
+            "--profile",
+            "--logpoint",
+            "--metrics",
+            "--causal",
+            "--heartbeat",
+        ],
+    ]
+    .concat();
+    let switches = [
+        "--engine-stats",
+        "--query-json",
+        "--no-decode-cache",
+        "-h",
+        "--help",
+    ];
+    let f = Flags::from_env(&values, &switches, 1)?;
+    if f.has("-h") || f.has("--help") {
+        return Err(String::new());
     }
-    if opts.input.is_none() && opts.workload.is_none() {
+    // `--workload` wins over a source file.
+    let input = f
+        .positional
+        .first()
+        .cloned()
+        .filter(|_| f.get("--workload").is_none());
+    if input.is_none() && f.get("--workload").is_none() {
         return Err("need an input file or --workload".into());
     }
-    Ok(opts)
+    let mut logpoints = Vec::new();
+    for spec in f.all("--logpoint") {
+        // addr[:label[:expr]] — the expression grammar has no colons, but
+        // splitn keeps any future ones intact anyway.
+        let mut parts = spec.splitn(3, ':');
+        let addr = parse_hex32(parts.next().unwrap_or(""))?;
+        let label = match parts.next() {
+            Some(l) if !l.is_empty() => l.to_string(),
+            _ => format!("lp@{addr:#x}"),
+        };
+        let cond = parts.next().map(Expr::parse).transpose();
+        let cond = cond.map_err(|e| format!("bad --logpoint condition in `{spec}`: {e}"))?;
+        logpoints.push((addr, label, cond));
+    }
+    let heartbeat = f.num("--heartbeat")?;
+    if heartbeat == Some(0) {
+        return Err("--heartbeat expects a nonzero interval".into());
+    }
+    let metrics = f.get("--metrics").map(str::to_string);
+    let profile = f.get("--profile").map(str::to_string);
+    let causal = f.get("--causal").map(str::to_string);
+    let spec = GuestSpec {
+        record: false,
+        profile: profile.is_some(),
+        // Host-time attribution is simulation-invisible: wall-clock reads
+        // never feed guest state, so enabling it (and the heartbeat's
+        // sliced run loop) keeps record/replay byte-identical.
+        hostprof: metrics.is_some() || heartbeat.is_some(),
+        // Observation-only: the simulated run is bit-identical with or
+        // without the tracker.
+        causal: causal.is_some(),
+        ..GuestSpec::from_flags(&f)?
+    };
+    Ok(Options {
+        spec,
+        input,
+        ms: f.num("--ms")?.unwrap_or(100),
+        dump: f.get("--dump").map(parse_dump).transpose()?,
+        engine_stats: f.has("--engine-stats"),
+        no_decode_cache: f.has("--no-decode-cache"),
+        profile,
+        logpoints,
+        query_json: f.has("--query-json"),
+        metrics,
+        heartbeat,
+        causal,
+    })
 }
 
 fn main() -> ExitCode {
@@ -181,7 +158,7 @@ fn main() -> ExitCode {
                  [--profile out.folded] [--fault all|<class>] [--fault-seed N] \
                  [--logpoint 0xADDR[:label[:expr]]]... [--query-json] \
                  [--metrics out.prom] [--causal out.json] \
-                 [--heartbeat <host report interval, simulated ms>]"
+                 [--heartbeat <host report interval, simulated ms>] [--no-decode-cache]"
             );
             return if e.is_empty() {
                 ExitCode::SUCCESS
@@ -191,99 +168,38 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut machine = new_machine(opts.cores);
+    match run(opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("lwvmm-run: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(mut opts: Options) -> Result<(), String> {
+    if let Some(path) = &opts.input {
+        let source =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let program = hx_asm::assemble(&source).map_err(|e| format!("{path}:{e}"))?;
+        opts.spec.image = Some(program);
+    }
+    let is_workload = opts.spec.image.is_none();
+    let (mut machine, entry, program) = guest_machine(&opts.spec)?;
     if opts.no_decode_cache {
         // Must be bit-identical to the default; kept for A/B timing and
         // determinism checks.
         machine.cpu.set_decode_cache(false);
     }
     let clock = machine.config().clock_hz;
-    let (program, is_workload) = if let Some(rate) = opts.workload {
-        (
-            Workload::new(rate)
-                .build(&machine)
-                .expect("built-in kernel assembles"),
-            true,
-        )
-    } else {
-        let path = opts.input.as_ref().unwrap();
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("lwvmm-run: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match hx_asm::assemble(&source) {
-            Ok(p) => (p, false),
-            Err(e) => {
-                eprintln!("{path}:{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    machine.load_program(&program);
-    let entry = program.symbols.get("start").unwrap_or(program.base());
-
-    if opts.profile.is_some() {
-        // Curated function-level ranges for the built-in kernel; every
-        // in-image label for ad-hoc guests.
-        let ranges = if is_workload {
-            lwvmm::guest::kernel::profile_symbols(&program)
-        } else {
-            program.code_symbols()
-        };
-        machine.obs.enable_profiler(Profiler::new(
-            SymbolMap::from_ranges(ranges),
-            Profiler::DEFAULT_INTERVAL,
-        ));
-    }
-
     if !opts.logpoints.is_empty() {
         // Hits are read back from the trace ring after the run.
         machine.obs.enable_tracing();
-        for (addr, label, expr) in &opts.logpoints {
-            let cond = match expr {
-                None => None,
-                Some(src) => match Expr::parse(src) {
-                    Ok(e) => Some(e),
-                    Err(e) => {
-                        eprintln!("lwvmm-run: bad --logpoint condition `{src}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-            };
-            machine.add_logpoint(*addr, label, cond);
+        for (addr, label, cond) in &opts.logpoints {
+            machine.add_logpoint(*addr, label, cond.clone());
         }
     }
-
-    if let Some(class) = &opts.fault {
-        let ram_size = machine.config().ram_size as u32;
-        match opts.platform.fault_plan(ram_size, class, opts.fault_seed) {
-            Ok(plan) => machine.enable_fault_injection(plan),
-            Err(e) => {
-                eprintln!("lwvmm-run: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if opts.causal.is_some() {
-        // Flow endpoints ride the event ring, so the causal exporter needs
-        // tracing on as well. Both are observation-only: the simulated run
-        // is bit-identical with or without them.
-        machine.obs.enable_tracing();
-        machine.obs.enable_causal();
-    }
-
-    if opts.metrics.is_some() || opts.heartbeat.is_some() {
-        // Host-time attribution is simulation-invisible: wall-clock reads
-        // never feed guest state, so enabling it (and the heartbeat's
-        // sliced run loop) keeps record/replay byte-identical.
-        machine.obs.enable_hostprof();
-    }
-
-    let mut platform = opts.platform.boot(machine, entry, None);
+    let mut platform = opts.spec.platform.boot(machine, entry, None);
 
     if !opts.query_json {
         println!(
@@ -347,24 +263,31 @@ fn main() -> ExitCode {
         }
         None => platform.run_for(target),
     };
+    // Every artifact is on disk before either report prints.
+    let mut files = Vec::new();
     if let Some(path) = &opts.metrics {
         platform.publish_metrics(MetricsRegistry::global());
-        let text = MetricsRegistry::global().snapshot().prometheus();
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("lwvmm-run: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        files.push((path, MetricsRegistry::global().snapshot().prometheus()));
     }
     if let Some(path) = &opts.causal {
         let mut trace = ChromeTrace::new();
         trace.add_platform(1, platform.name(), &platform.machine().obs);
-        if let Err(e) = std::fs::write(path, trace.finish()) {
-            eprintln!("lwvmm-run: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        files.push((path, trace.finish()));
     }
+    if let Some(path) = &opts.profile {
+        files.push((path, profiler(platform.as_ref()).fold()));
+    }
+    for (path, text) in files {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    let dump = opts.dump.map(|(addr, len)| {
+        let m = platform.machine_mut();
+        let bytes = (0..len).map(|i| m.bus_read(addr + i, hx_cpu::MemSize::Byte).ok());
+        (addr, bytes.collect::<Vec<_>>())
+    });
     if opts.query_json {
-        return emit_json(&opts, platform.as_mut(), ran, clock, is_workload);
+        emit_json(&opts, platform.as_ref(), ran, clock, is_workload, dump);
+        return Ok(());
     }
     let t = platform.time_stats();
     println!(
@@ -439,15 +362,7 @@ fn main() -> ExitCode {
         println!("engine: tlb {tlb_hits} hits, {tlb_misses} misses");
     }
     if let Some(path) = &opts.profile {
-        let obs = &platform.machine().obs;
-        let Some(prof) = obs.prof() else {
-            eprintln!("lwvmm-run: profiler vanished (internal error)");
-            return ExitCode::FAILURE;
-        };
-        if let Err(e) = std::fs::write(path, prof.fold()) {
-            eprintln!("lwvmm-run: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        let prof = profiler(platform.as_ref());
         let total = prof.total_cycles().max(1);
         println!(
             "\nprofile: {} guest cycles, {} samples (interval {}), hottest symbols:",
@@ -465,10 +380,7 @@ fn main() -> ExitCode {
         println!("profile written to {path}");
     }
     if let Some(path) = &opts.causal {
-        let Some(c) = platform.machine().obs.causal() else {
-            eprintln!("lwvmm-run: causal tracker vanished (internal error)");
-            return ExitCode::FAILURE;
-        };
+        let c = tracker(platform.as_ref());
         println!(
             "\ncausal: {} flows ({} dropped, {} orphan ends, {} instants), trace written to {path}",
             c.completed(),
@@ -480,34 +392,50 @@ fn main() -> ExitCode {
             println!("  {line}");
         }
     }
-    if let Some((addr, len)) = opts.dump {
+    if let Some((addr, bytes)) = dump {
         print!("memory at {addr:#010x}:");
-        for i in 0..len {
+        for (i, b) in bytes.iter().enumerate() {
             if i % 16 == 0 {
-                print!("\n  {:#010x}: ", addr + i);
+                print!("\n  {:#010x}: ", addr + i as u32);
             }
-            match platform
-                .machine_mut()
-                .bus_read(addr + i, hx_cpu::MemSize::Byte)
-            {
-                Ok(b) => print!("{b:02x} "),
-                Err(_) => print!("?? "),
+            match b {
+                Some(b) => print!("{b:02x} "),
+                None => print!("?? "),
             }
         }
         println!();
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// The guest profiler `--profile` switched on through the spec.
+fn profiler(platform: &dyn Platform) -> &Profiler {
+    platform
+        .machine()
+        .obs
+        .prof()
+        .expect("--profile enables the profiler")
+}
+
+/// The causal tracker `--causal` switched on through the spec.
+fn tracker(platform: &dyn Platform) -> &CausalTracker {
+    platform
+        .machine()
+        .obs
+        .causal()
+        .expect("--causal enables the tracker")
 }
 
 /// The `--query-json` report: one JSON object per line, every value taken
 /// from simulated state so identical invocations print identical bytes.
 fn emit_json(
     opts: &Options,
-    platform: &mut dyn Platform,
+    platform: &dyn Platform,
     ran: u64,
     clock: u64,
     is_workload: bool,
-) -> ExitCode {
+    dump: Option<(u32, Vec<Option<u32>>)>,
+) {
     let m = platform.machine();
     let nic = m.nic.counters();
     let mut run = JsonObj::new();
@@ -577,46 +505,29 @@ fn emit_json(
         }
     }
 
-    if let Some((addr, len)) = opts.dump {
-        let mut bytes = String::with_capacity(len as usize * 2);
-        for i in 0..len {
-            match platform
-                .machine_mut()
-                .bus_read(addr + i, hx_cpu::MemSize::Byte)
-            {
-                Ok(b) => bytes.push_str(&format!("{b:02x}")),
-                Err(_) => bytes.push_str("??"),
-            }
-        }
+    if let Some((addr, bytes)) = dump {
+        let hex: String = bytes
+            .iter()
+            .map(|b| b.map_or("??".to_string(), |b| format!("{b:02x}")))
+            .collect();
         let mut o = JsonObj::new();
         o.set("event", "memory")
             .hex("addr", addr as u64)
-            .set("len", len as u64)
-            .set("bytes", &bytes);
+            .set("len", bytes.len() as u64)
+            .set("bytes", &hex);
         println!("{}", o.finish());
     }
 
     if let Some(path) = &opts.profile {
-        let Some(prof) = platform.machine().obs.prof() else {
-            eprintln!("lwvmm-run: profiler vanished (internal error)");
-            return ExitCode::FAILURE;
-        };
-        if let Err(e) = std::fs::write(path, prof.fold()) {
-            eprintln!("lwvmm-run: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
         let mut o = JsonObj::new();
         o.set("event", "profile")
             .set("path", path)
-            .set("samples", prof.total_samples());
+            .set("samples", profiler(platform).total_samples());
         println!("{}", o.finish());
     }
 
     if let Some(path) = &opts.causal {
-        let Some(c) = platform.machine().obs.causal() else {
-            eprintln!("lwvmm-run: causal tracker vanished (internal error)");
-            return ExitCode::FAILURE;
-        };
+        let c = tracker(platform);
         let mut o = JsonObj::new();
         o.set("event", "causal")
             .set("path", path)
@@ -626,5 +537,4 @@ fn emit_json(
             .set("instants", c.instants());
         println!("{}", o.finish());
     }
-    ExitCode::SUCCESS
 }

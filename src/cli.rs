@@ -1,41 +1,24 @@
-//! Shared command-line parsing helpers for the `lwvmm-*` binaries.
+//! Shared command-line helpers for the `lwvmm-*` binaries.
 //!
-//! Every binary that accepts guest addresses (`lwvmm-run --dump/--logpoint`,
-//! `dbgctl`'s script addresses, `lwvmm-farm --dump`) parses them through
-//! [`parse_hex32`] so malformed input fails loudly and identically
-//! everywhere. The historical bug this guards against: parsing via
-//! `trim_start_matches("0x")` strips *repeated* prefixes, so `0x0xff`
-//! silently parsed as `0xff`, while the equally-valid uppercase `0X` prefix
-//! was rejected.
+//! The flag parser ([`Flags`]) and the strict number and address grammars
+//! live in `hx_farm`, next to the boot recipe and its shared guest flags
+//! (`GuestSpec::from_flags`), so the benches parse through the same code;
+//! this module re-exports them for the binaries and adds the `--dump`
+//! grammar that `lwvmm-run` and `lwvmm-farm` share.
+//!
+//! Addresses parse through [`parse_hex32`] everywhere, so malformed input
+//! fails loudly and identically. The historical bug it guards against:
+//! parsing via `trim_start_matches("0x")` strips *repeated* prefixes, so
+//! `0x0xff` silently parsed as `0xff`, while the equally-valid uppercase
+//! `0X` prefix was rejected.
 
-/// Parses a 32-bit address written in hex, with an optional single `0x` /
-/// `0X` prefix. Exactly one prefix is stripped — `0x0xff` is malformed,
-/// not `0xff` — and the digits themselves may be upper- or lowercase.
-pub fn parse_hex32(s: &str) -> Result<u32, String> {
-    let digits = strip_hex_prefix(s);
-    if digits.is_empty() {
-        return Err(format!("bad hex address `{s}`: no digits"));
-    }
-    u32::from_str_radix(digits, 16).map_err(|_| format!("bad hex address `{s}`"))
-}
+pub use hx_farm::{parse_hex32, parse_num64, Flags};
 
-/// Parses a 64-bit number: hex with a single `0x`/`0X` prefix, decimal
-/// without one.
-pub fn parse_num64(s: &str) -> Result<u64, String> {
-    let digits = strip_hex_prefix(s);
-    let r = if digits.len() != s.len() {
-        u64::from_str_radix(digits, 16)
-    } else {
-        s.parse()
-    };
-    r.map_err(|_| format!("bad number `{s}`"))
-}
-
-/// Strips at most one hex prefix, accepting both `0x` and `0X`.
-fn strip_hex_prefix(s: &str) -> &str {
-    s.strip_prefix("0x")
-        .or_else(|| s.strip_prefix("0X"))
-        .unwrap_or(s)
+/// Parses a `--dump` value, `0xADDR:LEN` (length in decimal).
+pub fn parse_dump(spec: &str) -> Result<(u32, u32), String> {
+    let (addr, len) = spec.split_once(':').ok_or("--dump expects addr:len")?;
+    let len = len.parse().map_err(|_| "--dump length must be decimal")?;
+    Ok((parse_hex32(addr)?, len))
 }
 
 #[cfg(test)]

@@ -76,6 +76,6 @@ pub use hx_query as query;
 /// debug sockets plus a fleet control endpoint.
 pub use hx_farm as farm;
 
-/// Shared CLI parsing helpers (strict hex address parsing) used by every
-/// `lwvmm-*` binary.
+/// The shared flag parser and strict number/address grammars every
+/// `lwvmm-*` binary parses its command line through.
 pub mod cli;
