@@ -1,18 +1,21 @@
 //! Record/replay self-check: runs the streaming workload under the
-//! lightweight monitor with the flight recorder on, then replays the sealed
-//! journal on a freshly booted platform and verifies the replay is
-//! *byte-identical* — same Chrome trace, same final guest statistics, same
-//! guest memory image.
+//! lightweight monitor with the flight recorder on (journal plus periodic
+//! checkpoints), then replays the sealed journal on a freshly booted
+//! platform without a recorder and verifies the replay is *byte-identical*
+//! — same Chrome trace, same final guest statistics, same guest memory
+//! image. So it also proves that capturing checkpoints never perturbs the
+//! run.
 //!
 //! Usage: `cargo run --release -p lwvmm-bench --bin record_replay
 //!         [--ms N] [--trace out.json] [--journal out.journal]`
 //!
 //! Exits non-zero on any mismatch, so CI can use it as a determinism gate.
 
+use hitactix::kernel::layout;
 use hitactix::{GuestStats, Workload};
 use hx_machine::Platform;
 use hx_obs::Journal;
-use lvmm::ReplayDriver;
+use lvmm::{FlightRecorder, ReplayDriver};
 use lwvmm_bench::{build_platform, chrome_trace, flags, or_exit, write_output, PlatformKind};
 
 struct RunResult {
@@ -39,9 +42,10 @@ fn main() {
     let workload = Workload::new(100);
 
     // Record.
-    let mut rec = build_platform(PlatformKind::Lvmm, &workload);
+    let (machine, _) = hx_farm::load_workload(&workload, 1).expect("kernel assembles");
+    let every = Some(FlightRecorder::DEFAULT_EVERY);
+    let mut rec = PlatformKind::Lvmm.boot(machine, layout::ENTRY, every);
     rec.machine_mut().obs.enable_tracing();
-    rec.machine_mut().obs.enable_journal("lvmm");
     let per_ms = rec.machine().config().clock_hz / 1_000;
     let t_rec = std::time::Instant::now();
     rec.run_for(ms * per_ms);

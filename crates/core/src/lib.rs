@@ -67,7 +67,7 @@ pub mod vcpu;
 pub mod virt;
 
 pub use platform::{LvmmConfig, LvmmPlatform, LvmmStats, UartLink};
-pub use replay::ReplayDriver;
+pub use replay::{FlightRecorder, ReplayDriver};
 pub use shadow::ShadowPager;
 pub use stub::{Stub, Watchpoint};
 pub use vcpu::VCpu;

@@ -22,6 +22,7 @@
 //! policy: device passthrough and the debug stub.
 
 use crate::costs;
+use crate::replay::{reexecute, FlightRecorder};
 use crate::shadow::ShadowStats;
 use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
 use crate::vcpu::VCpu;
@@ -31,11 +32,10 @@ use hx_cpu::isa::{Instr, LoadKind, StoreKind, EBREAK_WORD};
 use hx_cpu::mmu::{pte, Access, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::MemSize;
-use hx_machine::engine::{ExitPolicy, FlightRecorder};
+use hx_machine::engine::ExitPolicy;
 use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
-use hx_obs::journal::{fnv1a, FNV_OFFSET};
-use hx_obs::{ExitCause, HostPhase, JournalInput, ReplayCursor, StateDigest};
+use hx_obs::{ExitCause, HostPhase};
 use hx_query::{Expr, SliceCtx};
 use rdbg::msg::{Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason};
 use rdbg::wire::{self, WireEvent};
@@ -63,7 +63,7 @@ pub type LvmmStats = ExitStats;
 /// Everything that changes as the platform runs — the restorable part of a
 /// flight-recorder checkpoint.
 #[derive(Debug, Clone)]
-struct LvmmSnapshot {
+pub(crate) struct LvmmSnapshot {
     core: VirtCore,
     stub: Stub,
 }
@@ -80,7 +80,7 @@ pub struct LvmmPlatform {
     core: VirtCore,
     stub: Stub,
     entry: u32,
-    flight: Option<Box<FlightRecorder<LvmmSnapshot>>>,
+    pub(crate) flight: Option<Box<FlightRecorder>>,
 }
 impl LvmmPlatform {
     /// Installs the monitor on `machine` and prepares the guest to boot at
@@ -125,19 +125,17 @@ impl LvmmPlatform {
 
     /// Turns on the flight recorder: every nondeterministic input and device
     /// event is journaled from this point on, and a full machine snapshot is
-    /// taken every `every` cycles (see
-    /// [`hx_obs::CheckpointStore::DEFAULT_EVERY`] for a reasonable cadence).
-    /// An initial checkpoint is taken immediately so the whole recorded
-    /// window is reachable by `seek`.
+    /// taken every `every` cycles ([`FlightRecorder::DEFAULT_EVERY`] is a
+    /// reasonable cadence). An initial checkpoint is taken immediately so the
+    /// whole recorded window is reachable by `seek`.
     ///
     /// Enable this *before* running the workload — a journal that misses
     /// early inputs cannot reproduce the run.
     pub fn enable_flight_recorder(&mut self, every: u64) {
         self.core.machine.obs.enable_journal(self.name());
         let now = self.core.machine.now();
-        let digest = self.state_digest();
         let snap = self.snapshot();
-        self.flight = Some(Box::new(FlightRecorder::new(every, now, digest, snap)));
+        self.flight = Some(Box::new(FlightRecorder::new(every, now, snap)));
     }
 
     /// Is the flight recorder on?
@@ -147,64 +145,31 @@ impl LvmmPlatform {
 
     /// Number of checkpoints currently held (diagnostics and tests).
     pub fn checkpoint_count(&self) -> usize {
-        self.flight.as_ref().map_or(0, |f| f.checkpoints.len())
+        self.flight.as_ref().map_or(0, |f| f.len())
     }
 
-    /// Checksums of guest-visible machine state, used to audit replay
-    /// fidelity across checkpoints.
-    fn state_digest(&self) -> StateDigest {
-        let ram = fnv1a(FNV_OFFSET, self.core.machine.mem.as_bytes());
-        let mut regs = FNV_OFFSET;
-        // Every core folds in, in index order; on a single-core machine the
-        // loop body runs once over the active CPU, so the digest is
-        // bit-identical to the pre-SMP formula.
-        for i in 0..self.core.machine.num_cores() {
-            let cpu = self.core.machine.core(i);
-            for r in cpu.regs() {
-                regs = fnv1a(regs, &r.to_le_bytes());
-            }
-            regs = fnv1a(regs, &cpu.pc().to_le_bytes());
-            for csr in [Csr::Status, Csr::Tvec, Csr::Ptbr, Csr::Epc, Csr::Cause] {
-                regs = fnv1a(regs, &cpu.read_csr(csr).to_le_bytes());
-            }
-        }
-        let s = self.core.shadow.stats;
-        let mut shadow = FNV_OFFSET;
-        for v in [s.fills, s.flushes, s.contexts, s.protection_violations] {
-            shadow = fnv1a(shadow, &v.to_le_bytes());
-        }
-        StateDigest { ram, regs, shadow }
-    }
-
-    fn snapshot(&self) -> LvmmSnapshot {
+    pub(crate) fn snapshot(&self) -> LvmmSnapshot {
         LvmmSnapshot {
             core: self.core.clone(),
             stub: self.stub.clone(),
         }
     }
 
-    fn restore(&mut self, snap: LvmmSnapshot) {
-        self.core = snap.core;
-        self.stub = snap.stub;
-    }
-
     /// Takes a checkpoint when one is due. Runs during replay too: a seek
-    /// truncates the checkpoint store to its restore point and the re-run
-    /// rebuilds the later checkpoints on the (identical) new timeline.
+    /// rewinds the recorder to its restore point and the re-run rebuilds
+    /// the later checkpoints on the (identical) new timeline.
     fn maybe_checkpoint(&mut self) {
         let now = self.core.machine.now();
-        let due = self.flight.as_ref().is_some_and(|f| f.checkpoints.due(now));
-        if !due {
+        if !self.flight.as_ref().is_some_and(|f| f.due(now)) {
             return;
         }
         // Checkpoint capture is heavy host work (a full-state clone) that
         // happens *after* deferred guest-execution time; close the guest
         // window first so the clone is charged to Journal, not GuestExec.
         self.core.machine.obs.host_mark(HostPhase::GuestExec);
-        let digest = self.state_digest();
         let snap = self.snapshot();
         if let Some(f) = &mut self.flight {
-            f.checkpoints.record(now, digest, snap);
+            f.record(now, snap);
         }
         self.core.machine.obs.host_mark(HostPhase::Journal);
     }
@@ -231,48 +196,36 @@ impl LvmmPlatform {
     /// holds, and parks the guest there with a [`StopReason::TimeTravel`]
     /// stop. Returns the landing cycle; `None` when the flight recorder
     /// cannot serve the request.
-    fn replay(
-        &mut self,
-        restore: Option<u64>,
-        mut done: impl FnMut(&mut Self) -> bool,
-    ) -> Option<u64> {
-        if self.flight.as_deref()?.replaying {
+    fn replay(&mut self, restore: Option<u64>, done: impl FnMut(&mut Self) -> bool) -> Option<u64> {
+        let fr = self.flight.as_deref_mut()?;
+        if fr.replaying {
             return None;
         }
-        // Full journal as of now — the re-run script. The restored
-        // machine's own journal only reaches the checkpoint; re-injection
-        // re-records the segment up to the landing cycle identically.
-        let journal = self.core.machine.obs.journal().cloned()?;
-        let mut cursor = ReplayCursor::new(&journal);
-        let fr = self.flight.as_mut()?;
+        // The pre-seek journal is the re-run script. The restore replaces
+        // it with the checkpoint's own prefix, so it is moved out, not
+        // copied; re-injection re-records the segment up to the landing
+        // cycle identically. A forward seek restores nothing and has no
+        // input left to inject.
+        let mut script = None;
         if let Some(at) = restore {
-            let cp = fr.checkpoints.nearest_at_or_before(at)?;
-            let cp_at = cp.at;
-            let snap = cp.state.clone();
-            fr.checkpoints.truncate_after(cp_at);
-            fr.stop_history.retain(|&c| c <= cp_at);
-            self.restore(snap);
+            let snap = fr.rewind(at)?;
+            script = self.core.machine.obs.take_journal();
+            self.core = snap.core;
+            self.stub = snap.stub;
         }
+        // Inputs already baked into the restored state are exactly the ones
+        // its own journal holds — skip by count, not by cycle, so records
+        // tied with the checkpoint cycle (e.g. a break byte journaled before
+        // the initial cycle-0 checkpoint existed) are not wrongly dropped.
+        let baked = self
+            .core
+            .machine
+            .obs
+            .journal()
+            .map_or(0, |j| j.inputs.len());
+        let inputs = script.as_ref().and_then(|j| j.inputs.get(baked..));
         self.flight.as_mut()?.replaying = true;
-        // Inputs already baked into the (possibly restored) machine state
-        // are exactly the ones its own journal holds — skip by count, not
-        // by cycle, so records tied with the checkpoint cycle (e.g. a break
-        // byte journaled before the initial cycle-0 checkpoint existed) are
-        // not wrongly dropped.
-        let obs = &self.core.machine.obs;
-        cursor.skip_first(obs.journal().map_or(0, |j| j.inputs.len()));
-        while !done(self) {
-            let now = self.core.machine.now();
-            while let Some(rec) = cursor.pop_due(now) {
-                match rec.input {
-                    JournalInput::UartRx(bytes) => self.core.machine.uart_input(&bytes),
-                    JournalInput::NicRx(frame) => self.inject_rx_frame(&frame),
-                }
-            }
-            if self.step() == PlatformStep::Stuck {
-                break;
-            }
-        }
+        reexecute(self, inputs.unwrap_or_default(), done);
         // Stub replies regenerated during the re-run were already delivered
         // on the original timeline; the host must not see them twice.
         let _ = self.core.machine.uart_output();
@@ -960,11 +913,8 @@ impl LvmmPlatform {
     /// byte-identical) and reports `found = 0`.
     fn query_first(&mut self, expr: &Expr) -> Reply {
         let original = self.core.machine.now();
-        let first = self
-            .flight
-            .as_deref()
-            .and_then(|f| f.checkpoints.iter().next());
-        let restore = first.map_or(original, |c| c.at);
+        let first = self.flight.as_deref().and_then(|f| f.first_at());
+        let restore = first.unwrap_or(original);
         let mut found = None;
         let landed = self.replay(Some(restore), |p| {
             let now = p.core.machine.now();

@@ -18,10 +18,9 @@ fn main() -> ExitCode {
                 let Some(v) = args.next() else {
                     return usage("missing argument to --base");
                 };
-                let v = v.trim_start_matches("0x");
-                base = match u32::from_str_radix(v, 16) {
-                    Ok(b) => b,
-                    Err(_) => return usage("--base expects a hex address"),
+                base = match parse_hex(&v) {
+                    Some(b) => b,
+                    None => return usage("--base expects a hex address"),
                 };
             }
             "--symbols" => {
@@ -33,9 +32,7 @@ fn main() -> ExitCode {
                         for line in text.lines() {
                             // Format written by hxas: "0x00001000 name"
                             if let Some((addr, name)) = line.trim().split_once(' ') {
-                                if let Ok(a) =
-                                    u32::from_str_radix(addr.trim_start_matches("0x"), 16)
-                                {
+                                if let Some(a) = parse_hex(addr) {
                                     symbols.define(name.trim(), a);
                                 }
                             }
@@ -62,6 +59,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The last word must still have an address: the image may end at the
+    // top of the 32-bit space but not run past it.
+    if u64::from(base) + bytes.len().div_ceil(4) as u64 * 4 > 1 << 32 {
+        return usage(&format!(
+            "--base {base:#x}: a {}-byte image would run past 0xffffffff",
+            bytes.len()
+        ));
+    }
     for (i, chunk) in bytes.chunks(4).enumerate() {
         let mut word = [0u8; 4];
         word[..chunk.len()].copy_from_slice(chunk);
@@ -73,6 +78,11 @@ fn main() -> ExitCode {
         println!("  {addr:#010x}: {:08x}  {}", w, hx_asm::disasm(w, addr));
     }
     ExitCode::SUCCESS
+}
+
+/// A hex number with at most one `0x` prefix.
+fn parse_hex(s: &str) -> Option<u32> {
+    u32::from_str_radix(s.strip_prefix("0x").unwrap_or(s), 16).ok()
 }
 
 fn usage(err: &str) -> ExitCode {

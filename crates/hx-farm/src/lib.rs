@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 use hitactix::GuestStats;
 use hx_machine::Platform;
 use hx_obs::json::{Json, JsonObj};
+use lvmm::FlightRecorder;
 
 mod args;
 mod boot;
@@ -71,8 +72,8 @@ pub struct FarmConfig {
     /// the horizon — the journal is sealed exactly at it.
     pub horizon: Option<u64>,
     /// Flight-recorder checkpoint cadence (cycles), for `record` guests.
-    /// Each checkpoint snapshots and digests all of guest RAM, so a cadence
-    /// much below the default makes dozens of guests unaffordable.
+    /// Each checkpoint copies all of guest RAM, so a cadence much below the
+    /// default makes dozens of guests unaffordable.
     pub record_every: u64,
     /// Host-time budget for one slice; a guest exceeding it
     /// `slow_strikes` times in a row is evicted.
@@ -90,9 +91,7 @@ impl Default for FarmConfig {
             workers: 4,
             slice: 20_000,
             horizon: None,
-            // Matches `CheckpointStore::DEFAULT_EVERY` (the store is generic,
-            // so the constant cannot be named without a state type).
-            record_every: 2_000_000,
+            record_every: FlightRecorder::DEFAULT_EVERY,
             slow_budget: Duration::from_millis(250),
             slow_strikes: 3,
             base_port: None,

@@ -20,7 +20,7 @@
 use crate::machine::{Machine, MachineStep};
 use crate::platform::{track_of, PlatformStep, TimeBucket, TimeStats};
 use hx_cpu::trap::Trap;
-use hx_obs::{CheckpointStore, ExitCause, HostPhase, StateDigest};
+use hx_obs::{ExitCause, HostPhase};
 
 /// Livelock guard for shadow-fill paths: re-raising the identical fault
 /// after a fill means the fill is not taking effect — a monitor bug or
@@ -59,47 +59,6 @@ impl ProgressGuard {
     /// some other way, e.g. by reflecting the fault to the guest).
     pub fn reset(&mut self) {
         self.repeats = 0;
-    }
-}
-
-/// Time-travel state: periodic snapshots plus the bookkeeping needed to
-/// resolve `reverse-step` / `reverse-continue` targets. Generic over the
-/// platform's snapshot type `S` — the restorable part of its state.
-#[derive(Debug)]
-pub struct FlightRecorder<S> {
-    /// Periodic full-state checkpoints, the restore points for seeks.
-    pub checkpoints: CheckpointStore<S>,
-    /// Cycle at which the most recent guest instruction *began* executing —
-    /// the `reverse-step` landing target.
-    pub last_instr_at: u64,
-    /// Cycles of past debugger stops (breakpoints, watchpoints, faults,
-    /// halts), oldest first — the `reverse-continue` targets.
-    pub stop_history: Vec<u64>,
-    /// True while a seek is re-executing history; time-travel commands
-    /// arriving in that window are rejected instead of recursing.
-    pub replaying: bool,
-}
-
-impl<S> FlightRecorder<S> {
-    /// Creates a recorder checkpointing every `every` cycles, with the
-    /// initial state recorded at `now`.
-    pub fn new(every: u64, now: u64, digest: StateDigest, initial: S) -> FlightRecorder<S> {
-        let mut checkpoints = CheckpointStore::new(every);
-        checkpoints.record(now, digest, initial);
-        FlightRecorder {
-            checkpoints,
-            last_instr_at: now,
-            stop_history: Vec::new(),
-            replaying: false,
-        }
-    }
-
-    /// Appends a debugger stop at `now` as a `reverse-continue` target
-    /// (deduplicating an immediate re-stop at the same cycle).
-    pub fn note_stop(&mut self, now: u64) {
-        if self.stop_history.last() != Some(&now) {
-            self.stop_history.push(now);
-        }
     }
 }
 
@@ -274,16 +233,5 @@ mod tests {
         assert!(!g.no_progress(&t2), "different fault resets");
         g.reset();
         assert!(!g.no_progress(&t2), "reset forgets the count");
-    }
-
-    #[test]
-    fn flight_recorder_notes_stops_once() {
-        let mut fr = FlightRecorder::new(1000, 0, StateDigest::default(), ());
-        fr.note_stop(10);
-        fr.note_stop(10);
-        fr.note_stop(20);
-        assert_eq!(fr.stop_history, vec![10, 20]);
-        assert_eq!(fr.checkpoints.len(), 1);
-        assert_eq!(fr.last_instr_at, 0);
     }
 }

@@ -54,7 +54,7 @@ pub mod smp;
 pub mod timing;
 pub mod uart;
 
-pub use engine::{ExitPolicy, FlightRecorder, ProgressGuard};
+pub use engine::{ExitPolicy, ProgressGuard};
 pub use event::{Event, EventQueue};
 pub use machine::{Batch, Logpoint, Machine, MachineConfig, MachineStep};
 pub use nic::{Nic, NicCounters};

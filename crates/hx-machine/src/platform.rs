@@ -166,17 +166,26 @@ pub trait Platform: Send {
     /// The platform's cycle attribution so far.
     fn time_stats(&self) -> &TimeStats;
 
-    /// Runs until at least `cycles` of simulation time pass (or the machine
-    /// gets stuck). Returns the cycles actually simulated.
+    /// Runs until this call has consumed at least `cycles` of simulation
+    /// time (or the machine gets stuck). Returns the cycles consumed, which
+    /// is short of `cycles` exactly when the machine got stuck.
+    ///
+    /// A step that rewinds the clock (a time-travel command serviced
+    /// mid-slice) consumes nothing: the budget counts forward progress in
+    /// this call, so a rewound guest runs out the rest of its slice from
+    /// the landing cycle, not back up to the cycle it left.
     fn run_for(&mut self, cycles: u64) -> u64 {
-        let start = self.machine().now();
-        let target = start + cycles;
-        while self.machine().now() < target {
+        let mut ran = 0;
+        let mut now = self.machine().now();
+        while ran < cycles {
             if self.step() == PlatformStep::Stuck {
                 break;
             }
+            let after = self.machine().now();
+            ran += after.saturating_sub(now);
+            now = after;
         }
-        self.machine().now() - start
+        ran
     }
 
     /// Delivers a received network frame to the guest by whatever path this

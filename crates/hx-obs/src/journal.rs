@@ -6,7 +6,7 @@
 //!   outside the simulation: host→target UART traffic (debug-stub wire
 //!   commands) and injected NIC receive frames. The simulation itself is
 //!   deterministic, so re-applying these inputs at their recorded cycles
-//!   reproduces the run exactly (see `crate::replay::ReplayCursor`).
+//!   reproduces the run exactly (see `lvmm::ReplayDriver`).
 //! - **Events** — observed device activity: IRQ assertion cycles, DMA
 //!   completions with an FNV-1a digest of the payload moved, doorbell
 //!   writes and debug-stub commands. Events are not needed to replay; they

@@ -69,15 +69,15 @@
 //!   (UART bytes, NIC RX frames) with payloads, plus an unbounded stream of
 //!   device events (IRQs, DMA completions with payload digests, doorbells,
 //!   debug commands) for divergence auditing. Text-serializable.
-//! - [`ReplayCursor`] — walks a journal's inputs in cycle order for
-//!   re-injection by a replay driver.
-//! - [`CheckpointStore`] — periodic full-state snapshots with
-//!   [`StateDigest`] checksums; the substrate for time-travel debugging.
 //! - [`audit`]/[`first_divergence`] — per-device-stream comparison of two
 //!   journals, reporting the first point where runs disagree.
+//!
+//! Replaying a journal and time travel need a live platform, so they live
+//! with the lightweight monitor (`lvmm::replay`): its `ReplayDriver`
+//! re-injects a journal's inputs, and its `FlightRecorder` keeps the
+//! full-state checkpoints that seeks restore.
 
 pub mod causal;
-pub mod checkpoint;
 pub mod chrome;
 pub mod event;
 pub mod hist;
@@ -87,13 +87,11 @@ pub mod json;
 pub mod metrics;
 pub mod prof;
 pub mod recorder;
-pub mod replay;
 pub mod report;
 pub mod ring;
 pub mod span;
 
 pub use causal::{CausalTracker, Flow, FlowClass, TraceOp};
-pub use checkpoint::{Checkpoint, CheckpointStore, StateDigest};
 pub use chrome::ChromeTrace;
 pub use event::{Dev, EventKind, ExitCause, TraceEvent};
 pub use hist::{CycleHist, ExitHists};
@@ -105,7 +103,6 @@ pub use journal::{
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prof::{Profiler, SymbolMap};
 pub use recorder::Recorder;
-pub use replay::ReplayCursor;
 pub use report::{Align, Report};
 pub use ring::TraceRing;
 pub use span::{Span, SpanTrack, Track};

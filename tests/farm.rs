@@ -321,3 +321,32 @@ fn done_guest_still_serves_time_travel() {
     dbg.read_registers().expect("regs at the seek target");
     farm.shutdown();
 }
+
+/// A seek serviced mid-slice rewinds the clock, and the slice's budget
+/// counts only forward progress, so the service loop sees a full slice,
+/// not the short return that means `Stuck`: a running guest that is
+/// sought stays `running`, and after `continue` it executes again.
+#[test]
+fn seek_keeps_a_running_farm_guest_running() {
+    let farm = Farm::launch(farm_config(vec![GuestSpec::default()], None)).expect("launch");
+    let link = TcpLink::connect(&format!("127.0.0.1:{}", farm.ports()[0])).expect("connect");
+    let mut dbg = Debugger::new(link);
+    std::thread::sleep(Duration::from_millis(200));
+    dbg.halt().expect("halt");
+    let now = dbg.query_stats().expect("stats").now;
+    dbg.seek(now / 2).expect("seek back");
+
+    let status = control_request(farm.control_port(), "status").expect("status");
+    assert!(status.contains(r#""health":"running""#), "{status}");
+    dbg.resume().expect("resume");
+    let instret = || {
+        let stats = control_request(farm.control_port(), "stats 0").expect("stats");
+        all_u64s(&stats, "instret")[1]
+    };
+    let before = instret();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(instret() > before, "the guest executes after `continue`");
+    let status = control_request(farm.control_port(), "status").expect("status");
+    assert!(status.contains(r#""health":"running""#), "{status}");
+    farm.shutdown();
+}
