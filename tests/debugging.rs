@@ -223,3 +223,179 @@ fn stub_survives_protocol_garbage() {
     dbg.halt().expect("stub alive after garbage");
     assert!(dbg.read_registers().is_ok());
 }
+
+/// Boots `src` (entered at `start`) under the lightweight monitor with a
+/// debugger attached.
+fn asm_session(src: &str) -> (Dbg, hx_asm::Program) {
+    let program = hx_asm::assemble(src).expect("guest assembles");
+    let mut machine = Machine::new(MachineConfig {
+        ram_size: 8 << 20,
+        ..Default::default()
+    });
+    machine.load_program(&program);
+    let entry = program.symbols.get("start").unwrap();
+    let platform = LvmmPlatform::new(machine, entry);
+    (Debugger::new(UartLink::new(platform)), program)
+}
+
+/// Breakpoints live in the monitor, not in guest RAM: a guest that loads
+/// the code word under a breakpoint reads its own instruction.
+#[test]
+fn guest_reads_its_own_code_under_a_breakpoint() {
+    let (mut dbg, program) = asm_session(
+        "        .org 0x1000
+         start:  la   t0, target
+         loop:   lw   s1, 0(t0)
+         target: addi s0, s0, 1
+                 j    loop
+        ",
+    );
+    let target = program.symbols.get("target").unwrap();
+    let orig = dbg.link_ref().platform.machine().mem.word(target);
+    dbg.link_mut().platform.run_for(20_000);
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(target).unwrap();
+    for _ in 0..3 {
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: target });
+        let loaded = dbg.read_registers().unwrap().gpr(19);
+        assert_eq!(loaded, orig, "the guest's load saw {loaded:#010x}");
+        assert_eq!(dbg.link_ref().platform.machine().mem.word(target), orig);
+    }
+}
+
+/// A debugger write over a breakpoint lands in guest RAM and stays there:
+/// `m` shows it and clearing the breakpoint does not undo it.
+#[test]
+fn memory_writes_over_a_breakpoint_are_kept() {
+    let (mut dbg, program) = counter_session();
+    let bump = program.symbols.get("bump").unwrap();
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(bump).unwrap();
+    // Any other valid instruction: the `addi` that follows the `lw`.
+    let new = dbg.link_ref().platform.machine().mem.word(bump + 4);
+    dbg.write_memory(bump, &new.to_le_bytes()).unwrap();
+    let shown = dbg.read_memory(bump, 4).unwrap();
+    assert_eq!(shown, new.to_le_bytes(), "`m` shows the debugger's word");
+    dbg.clear_breakpoint(bump).unwrap();
+    assert_eq!(dbg.link_ref().platform.machine().mem.word(bump), new);
+}
+
+/// A breakpoint on the guest's own `ebreak`: every `continue` from it
+/// delivers that `ebreak` to the guest's trap handler exactly once, and
+/// the next pass stops on the breakpoint again.
+#[test]
+fn breakpoint_on_a_guest_ebreak_delivers_the_trap() {
+    let (mut dbg, program) = asm_session(
+        "        .org 0x1000
+         start:  csrw tvec, handler
+         loop:   addi s1, s1, 1
+         brk:    ebreak
+                 j    loop
+         handler:
+                 addi s0, s0, 1
+                 csrr t0, epc
+                 addi t0, t0, 4
+                 csrw epc, t0
+                 tret
+        ",
+    );
+    let brk = program.symbols.get("brk").unwrap();
+    dbg.link_mut().platform.run_for(20_000);
+    dbg.halt().unwrap();
+    let handled = |dbg: &mut Dbg| dbg.read_registers().unwrap().gpr(18);
+    assert!(handled(&mut dbg) > 0, "the guest handles its own ebreaks");
+    dbg.set_breakpoint(brk).unwrap();
+    let stop = dbg.continue_until_stop().unwrap();
+    assert_eq!(stop, StopReason::Breakpoint { pc: brk });
+    let first = handled(&mut dbg);
+    for i in 1..=3 {
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: brk });
+        assert_eq!(handled(&mut dbg), first + i, "continue #{i}");
+    }
+}
+
+/// Breakpoints are keyed by virtual address: when the guest remaps the
+/// page under one, it fires through the new mapping, and neither frame's
+/// bytes ever change.
+#[test]
+fn breakpoint_follows_a_guest_remap() {
+    let (mut dbg, program) = asm_session(
+        "        .equ PT_ROOT, 0x100000
+                 .equ PT_L2,   0x101000
+                 .equ WIN,     0x20000
+                 .org 0x1000
+         start:  csrw tvec, fault
+                 li   t0, PT_ROOT
+                 li   t1, PT_L2 + 1          ; V: L1[0] -> L2
+                 sw   t1, 0(t0)
+                 li   t0, PT_L2              ; identity-map 16 pages RWX
+                 li   t1, 0x0000000f
+                 li   t2, 16
+         map:    sw   t1, 0(t0)
+                 addi t0, t0, 4
+                 li   t3, 0x1000
+                 add  t1, t1, t3
+                 addi t2, t2, -1
+                 bnez t2, map
+                 li   t0, PT_L2 + 0x400      ; the page tables themselves
+                 li   t1, PT_ROOT + 0xf
+                 sw   t1, 0(t0)
+                 li   t1, PT_L2 + 0xf
+                 sw   t1, 4(t0)
+                 li   s2, PT_L2 + 0x80       ; the PTE of WIN
+                 li   t1, frame_a + 0xf
+                 sw   t1, 0(s2)
+                 li   t0, PT_ROOT + 1
+                 csrw ptbr, t0
+                 tlbflush
+         loop:   li   t1, frame_a + 0xf
+                 sw   t1, 0(s2)
+                 tlbflush
+                 li   t0, WIN
+                 jalr t0
+                 li   t1, frame_b + 0xf
+                 sw   t1, 0(s2)
+                 tlbflush
+                 li   t0, WIN
+                 jalr t0
+                 j    loop
+         fault:  j    fault
+                 .org 0x3000
+         frame_a:
+                 addi s0, s0, 1
+                 ret
+                 .org 0x4000
+         frame_b:
+                 addi s1, s1, 1
+                 ret
+        ",
+    );
+    let win = 0x20000;
+    let frame = |name: &str| program.symbols.get(name).unwrap();
+    let bytes = |dbg: &Dbg, at: u32| {
+        dbg.link_ref().platform.machine().mem.as_bytes()[at as usize..at as usize + 8].to_vec()
+    };
+    let (orig_a, orig_b) = (bytes(&dbg, frame("frame_a")), bytes(&dbg, frame("frame_b")));
+    dbg.link_mut().platform.run_for(100_000);
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(win).unwrap();
+    let mut hits = [0; 2];
+    for _ in 0..4 {
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: win });
+        assert_eq!(bytes(&dbg, frame("frame_a")), orig_a);
+        assert_eq!(bytes(&dbg, frame("frame_b")), orig_b);
+        // Step the first instruction: which frame's counter moved?
+        let before = dbg.read_registers().unwrap();
+        dbg.step().unwrap();
+        let after = dbg.read_registers().unwrap();
+        hits[0] += after.gpr(18) - before.gpr(18);
+        hits[1] += after.gpr(19) - before.gpr(19);
+    }
+    assert_eq!(hits, [2, 2], "stops alternate between the two frames");
+    dbg.clear_breakpoint(win).unwrap();
+    assert_eq!(bytes(&dbg, frame("frame_a")), orig_a);
+    assert_eq!(bytes(&dbg, frame("frame_b")), orig_b);
+}

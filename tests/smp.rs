@@ -198,6 +198,54 @@ fn seek_rewinds_multicore_state_exactly() {
 }
 
 // ------------------------------------------------------------------------
+// Breakpoints at two cores: stepping the parked core off a breakpoint must
+// not let its sibling run through it.
+
+#[test]
+fn stepping_off_a_breakpoint_never_lets_a_sibling_through() {
+    let program = apps::smp_spin_guest();
+    let machine = smp_machine(&program, 2, 5_000);
+    let entry = program.symbols.get("start").unwrap();
+    let tick = program.symbols.get("tick").unwrap();
+    let mut dbg = Debugger::new(UartLink::new(LvmmPlatform::new(machine, entry)));
+    dbg.link_mut().platform.run_for(200_000);
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(tick).unwrap();
+    let tallies = |dbg: &Debugger<UartLink<LvmmPlatform>>| -> Vec<u32> {
+        (0..2)
+            .map(|i| word(&dbg.link_ref().platform, smp_layout::TALLY + 4 * i))
+            .collect()
+    };
+    assert_eq!(
+        dbg.continue_until_stop().unwrap(),
+        StopReason::Breakpoint { pc: tick }
+    );
+    let start = tallies(&dbg);
+    let mut prev = start.clone();
+    let mut cores_stopped = [0; 2];
+    for n in 0..40 {
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: tick });
+        cores_stopped[dbg.last_stop_core() as usize] += 1;
+        let now = tallies(&dbg);
+        for core in 0..2 {
+            assert!(
+                now[core] - prev[core] <= 1,
+                "stop {n}: core {core}'s tally went {} -> {}",
+                prev[core],
+                now[core]
+            );
+        }
+        prev = now;
+    }
+    assert!(
+        cores_stopped.iter().all(|&n| n > 0),
+        "both cores reached the breakpoint: {cores_stopped:?}"
+    );
+    assert!(prev.iter().zip(&start).all(|(now, then)| now > then));
+}
+
+// ------------------------------------------------------------------------
 // The cross-core race: lost updates on the shared counter are caught by
 // seeking the flight recording to the first cycle the per-core-tally
 // invariant breaks.
