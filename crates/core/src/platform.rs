@@ -28,7 +28,7 @@ use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
 use crate::vcpu::VCpu;
 use crate::virt::{ExitCosts, ExitStats, RunState, VirtCore, VirtPolicy};
 use hx_cpu::csr::{Csr, Status};
-use hx_cpu::isa::{Instr, LoadKind, StoreKind, EBREAK_WORD};
+use hx_cpu::isa::{Instr, LoadKind, StoreKind};
 use hx_cpu::mmu::{pte, Access, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::MemSize;
@@ -284,12 +284,6 @@ impl LvmmPlatform {
             .cpu
             .write_csr(Csr::Status, s.with(Status::TF, false).0);
 
-        if let Some(addr) = self.stub.lifted_bp.take() {
-            // Re-plant the breakpoint we stepped off.
-            if let Some(pa) = self.debug_translate(addr) {
-                let _ = self.core.machine.mem.write(pa, EBREAK_WORD, MemSize::Word);
-            }
-        }
         match self.stub.step_intent.take() {
             Some(StepIntent::Step) => {
                 self.core.exits.exits_debug += 1;
@@ -546,6 +540,9 @@ impl LvmmPlatform {
                 }
             }
             Command::ReadMemory { addr, len } => {
+                if len > rdbg::msg::MEM_CHUNK {
+                    return Reply::Error(err::PARSE);
+                }
                 let mut out = Vec::with_capacity(len as usize);
                 for i in 0..len {
                     let va = addr.wrapping_add(i);
@@ -555,17 +552,6 @@ impl LvmmPlatform {
                     match self.core.machine.mem.read(pa, MemSize::Byte) {
                         Ok(b) => out.push(b as u8),
                         Err(_) => return Reply::Error(err::MEM),
-                    }
-                }
-                // Mask planted breakpoints: the host sees the original
-                // instructions, not the stub's `ebreak` patches.
-                for (&bp, &orig) in &self.stub.breakpoints {
-                    for k in 0..4u32 {
-                        let va = bp.wrapping_add(k);
-                        let off = va.wrapping_sub(addr);
-                        if off < len {
-                            out[off as usize] = orig.to_le_bytes()[k as usize];
-                        }
                     }
                 }
                 Reply::Hex(out)
@@ -589,36 +575,27 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::SetBreakpoint { addr } => {
-                if self.stub.breakpoints.contains_key(&addr) {
+                // A misaligned hook could never meet a fetch.
+                if addr & 3 != 0 {
+                    return Reply::Error(err::PARSE);
+                }
+                if self.has_breakpoint(addr) {
                     return Reply::Error(err::BP);
                 }
-                let Some(pa) = self.sel_translate(addr) else {
-                    return Reply::Error(err::MEM);
-                };
-                let Ok(orig) = self.core.machine.mem.read(pa, MemSize::Word) else {
-                    return Reply::Error(err::MEM);
-                };
-                if self
-                    .core
-                    .machine
-                    .mem
-                    .write(pa, EBREAK_WORD, MemSize::Word)
-                    .is_err()
-                {
+                if self.sel_translate(addr).is_none() {
                     return Reply::Error(err::MEM);
                 }
-                self.core.machine.cpu.tlb_flush();
-                self.stub.breakpoints.insert(addr, orig);
+                self.core.machine.hooks.entry(addr).or_default().brk = true;
                 Reply::Ok
             }
             Command::ClearBreakpoint { addr } => {
-                let Some(orig) = self.stub.breakpoints.remove(&addr) else {
+                let m = &mut self.core.machine;
+                let Some(hook) = m.hooks.get_mut(&addr).filter(|h| h.brk) else {
                     return Reply::Error(err::BP);
                 };
-                self.stub.bp_conds.remove(&addr);
-                if let Some(pa) = self.debug_translate(addr) {
-                    let _ = self.core.machine.mem.write(pa, orig, MemSize::Word);
-                }
+                (hook.brk, hook.cond) = (false, None);
+                m.hook_skips.retain(|_, at| *at != addr);
+                m.hooks.retain(|_, h| h.brk || !h.logpoints.is_empty());
                 Reply::Ok
             }
             Command::SetWatchpoint { addr, len, kind } => {
@@ -649,15 +626,14 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::SetBreakCondition { addr, expr } => {
-                if !self.stub.breakpoints.contains_key(&addr) {
-                    return Reply::Error(err::BP);
-                }
-                match Expr::parse(&expr) {
-                    Ok(e) => {
-                        self.stub.bp_conds.insert(addr, e);
+                let parsed = Expr::parse(&expr);
+                match self.core.machine.hooks.get_mut(&addr).filter(|h| h.brk) {
+                    None => Reply::Error(err::BP),
+                    Some(_) if parsed.is_err() => Reply::Error(err::QUERY),
+                    Some(hook) => {
+                        hook.cond = parsed.ok();
                         Reply::Ok
                     }
-                    Err(_) => Reply::Error(err::QUERY),
                 }
             }
             Command::SetWatchCondition { addr, expr } => {
@@ -678,6 +654,9 @@ impl LvmmPlatform {
                 }
             }
             Command::SetLogpoint { addr, label, expr } => {
+                if addr & 3 != 0 {
+                    return Reply::Error(err::PARSE);
+                }
                 let cond = if expr.is_empty() {
                     None
                 } else {
@@ -690,11 +669,13 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::ClearLogpoint { addr } => {
-                if self.core.machine.clear_logpoint(addr) {
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::BP)
-                }
+                let m = &mut self.core.machine;
+                let Some(hook) = m.hooks.get_mut(&addr).filter(|h| !h.logpoints.is_empty()) else {
+                    return Reply::Error(err::BP);
+                };
+                hook.logpoints.clear();
+                m.hooks.retain(|_, h| h.brk || !h.logpoints.is_empty());
+                Reply::Ok
             }
             Command::QueryFirst { expr } => {
                 if !self.stub.stopped {
@@ -709,28 +690,20 @@ impl LvmmPlatform {
                 if !self.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
-                self.arm_resume(StepIntent::Step);
+                self.arm_resume(Some(StepIntent::Step));
                 Reply::Ok
             }
             Command::Continue => {
                 if !self.stub.stopped {
                     return Reply::Error(err::NOT_STOPPED);
                 }
-                let pc = self.core.machine.cpu.pc();
-                if self.stub.breakpoints.contains_key(&pc) {
-                    // Step over the breakpoint we are parked on, then run.
-                    self.arm_resume(StepIntent::Resume);
-                } else {
-                    self.stub.stopped = false;
-                    self.core.state = RunState::Running;
-                    self.core.machine.pause_faults(false);
-                    self.sync_tf();
-                }
+                // Step off a breakpoint we are parked on, then run.
+                let on_bp = self.has_breakpoint(self.core.machine.cpu.pc());
+                self.arm_resume(on_bp.then_some(StepIntent::Resume));
                 Reply::Ok
             }
             Command::Reset => {
                 self.core.reset(self.entry);
-                self.stub.lifted_bp = None;
                 self.stub.step_intent = None;
                 self.stub_stop(StopReason::Halted { pc: self.entry });
                 Reply::Ok
@@ -874,11 +847,17 @@ impl LvmmPlatform {
         }
     }
 
+    /// Is a breakpoint armed at `addr`?
+    fn has_breakpoint(&self, addr: u32) -> bool {
+        self.core.machine.hooks.get(&addr).is_some_and(|h| h.brk)
+    }
+
     /// Does the condition attached to the breakpoint at `pc` hold?
     /// Unconditional breakpoints and unevaluable conditions stop — fail
     /// safe.
     fn bp_condition_holds(&mut self, pc: u32) -> bool {
-        let Some(cond) = self.stub.bp_conds.get(&pc).cloned() else {
+        let hook = self.core.machine.hooks.get(&pc);
+        let Some(cond) = hook.and_then(|h| h.cond.clone()) else {
             return true;
         };
         cond.eval(self).is_none_or(|v| v != 0)
@@ -933,39 +912,25 @@ impl LvmmPlatform {
         }
     }
 
-    /// Arms a single step (possibly lifting the breakpoint under the PC)
-    /// and resumes the guest.
-    fn arm_resume(&mut self, intent: StepIntent) {
+    /// Resumes the guest, arming a single step first for `intent`. The
+    /// parked core's first fetch passes a breakpoint under its PC; every
+    /// other core still stops there.
+    fn arm_resume(&mut self, intent: Option<StepIntent>) {
         let pc = self.core.machine.cpu.pc();
-        if self.stub.breakpoints.contains_key(&pc) {
-            if let Some(pa) = self.debug_translate(pc) {
-                let orig = self.stub.breakpoints[&pc];
-                let _ = self.core.machine.mem.write(pa, orig, MemSize::Word);
-                self.stub.lifted_bp = Some(pc);
-            }
+        if self.has_breakpoint(pc) {
+            let core = self.core.machine.active_core();
+            self.core.machine.hook_skips.insert(core, pc);
         }
-        self.stub.step_intent = Some(intent);
+        self.stub.step_intent = intent;
         self.stub.stopped = false;
         self.core.state = RunState::Running;
         self.core.machine.pause_faults(false);
         self.sync_tf();
     }
 
-    /// Translates a guest virtual address for debugger access: guest page
-    /// tables are honoured but permission bits are not (the debugger may
-    /// read execute-only pages). Only guest RAM is reachable. Uses the
-    /// *active* core's address space (breakpoint replants, conditions).
-    fn debug_translate(&mut self, va: u32) -> Option<u32> {
-        let root = self
-            .core
-            .vcpu
-            .paging_enabled()
-            .then(|| self.core.vcpu.page_table_root());
-        self.translate_for_debug(root, va)
-    }
-
-    /// [`Self::debug_translate`] through the `Hg`-selected core's address
-    /// space — what the host's register/memory commands look through.
+    /// [`Self::translate_for_debug`] through the `Hg`-selected core's
+    /// address space — what the host's register/memory commands look
+    /// through.
     fn sel_translate(&mut self, va: u32) -> Option<u32> {
         let v = self.sel_vcpu();
         let root = v.paging_enabled().then(|| v.page_table_root());
@@ -982,6 +947,10 @@ impl LvmmPlatform {
         }
     }
 
+    /// Translates a guest virtual address for debugger access: guest page
+    /// tables (at `paging_root`, if paging is on) are honoured but
+    /// permission bits are not (the debugger may read execute-only pages).
+    /// Only guest RAM is reachable.
     fn translate_for_debug(&mut self, paging_root: Option<u32>, va: u32) -> Option<u32> {
         let gpa = if let Some(root) = paging_root {
             let l1_addr = root + hx_cpu::mmu::l1_index(va) * 4;
@@ -1032,10 +1001,13 @@ impl hx_query::EvalCtx for LvmmPlatform {
         self.core.machine.now()
     }
 
+    /// Through the *active* core's address space: the core that hit.
     fn load(&mut self, addr: u32, size: u8) -> Option<u32> {
+        let vcpu = &self.core.vcpu;
+        let root = vcpu.paging_enabled().then(|| vcpu.page_table_root());
         let mut v = 0u32;
         for i in 0..size as u32 {
-            let pa = self.debug_translate(addr.wrapping_add(i))?;
+            let pa = self.translate_for_debug(root, addr.wrapping_add(i))?;
             let b = self.core.machine.mem.read(pa, MemSize::Byte).ok()?;
             v |= (b & 0xff) << (8 * i);
         }
@@ -1099,15 +1071,14 @@ impl VirtPolicy for LvmmPlatform {
 
     fn debug_exit(&mut self, trap: Trap) -> Option<ExitCause> {
         match trap.cause {
-            Cause::Breakpoint if self.stub.breakpoints.contains_key(&trap.epc) => {
+            Cause::Breakpoint if trap.is_hook() => {
                 self.core.exits.exits_debug += 1;
                 if self.bp_condition_holds(trap.epc) {
                     self.stub_stop(StopReason::Breakpoint { pc: trap.epc });
                 } else {
-                    // Condition false: silently step over the planted
-                    // `ebreak` and keep running — the guest never observes
-                    // the stop.
-                    self.arm_resume(StepIntent::Resume);
+                    // Condition false: silently step off the breakpoint and
+                    // keep running — the guest never observes the stop.
+                    self.arm_resume(Some(StepIntent::Resume));
                 }
             }
             // The guest's own `ebreak` (e.g. its embedded debugger).
@@ -1239,12 +1210,10 @@ impl Platform for LvmmPlatform {
 
     fn step(&mut self) -> PlatformStep {
         // The flight recorder needs per-instruction boundaries (its
-        // `reverse-step` anchor and checkpoint cadence), and so do the
-        // profiler (its PC attribution anchor) and armed logpoints;
-        // batching is only enabled when all are off.
-        let batch = self.flight.is_none()
-            && !self.core.machine.obs.profiling()
-            && !self.core.machine.has_logpoints();
+        // `reverse-step` anchor and checkpoint cadence), and so does the
+        // profiler (its PC attribution anchor); batching is only enabled
+        // when both are off.
+        let batch = self.flight.is_none() && !self.core.machine.obs.profiling();
         self.maybe_checkpoint();
         self.step_state(batch)
     }

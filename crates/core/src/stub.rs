@@ -1,16 +1,17 @@
-//! Debug-stub state: breakpoints, watchpoints, stop bookkeeping and the
-//! wire-protocol parser.
+//! Debug-stub state: watchpoints, stop bookkeeping and the wire-protocol
+//! parser.
 //!
 //! The stub's *state* lives here, in monitor memory (plain Rust fields —
-//! unreachable from the guest by construction of the shadow tables). The
-//! stub's *behaviour* — executing commands against the guest — is
-//! implemented on [`crate::LvmmPlatform`], which owns both the machine and
-//! this state.
+//! unreachable from the guest by construction of the shadow tables).
+//! Breakpoints, their conditions and logpoints live beside it in the
+//! machine's monitor-side hook table ([`hx_machine::Machine::hooks`]),
+//! checked at fetch: guest RAM is never patched. The stub's *behaviour* — executing
+//! commands against the guest — is implemented on [`crate::LvmmPlatform`],
+//! which owns both the machine and this state.
 
 use hx_query::Expr;
 use rdbg::msg::{StopReason, WatchKind};
 use rdbg::wire::PacketParser;
-use std::collections::HashMap;
 
 /// Stub error codes carried in `E..` replies.
 pub mod err {
@@ -63,7 +64,7 @@ pub struct Watchpoint {
 pub enum StepIntent {
     /// Host asked for one instruction: stop and report after it.
     Step,
-    /// Stepping over a lifted breakpoint on the way to `continue`.
+    /// Stepping off a breakpoint on the way to `continue`.
     Resume,
 }
 
@@ -87,20 +88,12 @@ pub struct StubStats {
 pub struct Stub {
     /// Wire-protocol parser over the UART byte stream.
     pub parser: PacketParser,
-    /// Planted software breakpoints: guest VA → original instruction word.
-    pub breakpoints: HashMap<u32, u32>,
-    /// Breakpoint conditions: guest VA → condition expression. A planted
-    /// breakpoint with no entry here stops unconditionally.
-    pub bp_conds: HashMap<u32, Expr>,
     /// Armed data watchpoints.
     pub watchpoints: Vec<Watchpoint>,
     /// Is the guest currently stopped under debugger control?
     pub stopped: bool,
     /// The most recent stop reason (valid while `stopped`).
     pub last_stop: Option<StopReason>,
-    /// A breakpoint temporarily lifted so the guest can step off it; it is
-    /// re-planted on the next single-step trap.
-    pub lifted_bp: Option<u32>,
     /// Why the real single-step flag is armed, if it is.
     pub step_intent: Option<StepIntent>,
     /// The last packet sent, kept until the host ACKs it so a NAK (or a
@@ -132,12 +125,9 @@ impl Stub {
     pub fn new() -> Stub {
         Stub {
             parser: PacketParser::new(),
-            breakpoints: HashMap::new(),
-            bp_conds: HashMap::new(),
             watchpoints: Vec::new(),
             stopped: false,
             last_stop: None,
-            lifted_bp: None,
             step_intent: None,
             last_tx: None,
             resends: 0,
@@ -232,8 +222,7 @@ mod tests {
     fn default_state() {
         let s = Stub::new();
         assert!(!s.stopped);
-        assert!(s.breakpoints.is_empty());
-        assert!(s.bp_conds.is_empty());
+        assert!(s.watchpoints.is_empty());
         assert!(s.last_stop.is_none());
     }
 

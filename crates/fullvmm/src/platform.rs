@@ -302,8 +302,8 @@ impl Platform for HostedPlatform {
     }
 
     fn step(&mut self) -> PlatformStep {
-        // The profiler and logpoints need per-instruction PC boundaries.
-        let batch = !self.core.machine.obs.profiling() && !self.core.machine.has_logpoints();
+        // The profiler needs per-instruction PC boundaries.
+        let batch = !self.core.machine.obs.profiling();
         self.step_state(batch)
     }
 

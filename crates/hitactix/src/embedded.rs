@@ -197,6 +197,9 @@ impl EmbeddedStubPlatform {
                 }
             }
             Command::ReadMemory { addr, len } => {
+                if len > rdbg::msg::MEM_CHUNK {
+                    return Reply::Error(1);
+                }
                 let mut out = Vec::with_capacity(len as usize);
                 for i in 0..len {
                     match self.machine.mem.read(addr.wrapping_add(i), MemSize::Byte) {
@@ -503,6 +506,24 @@ mod tests {
             rdbg::err_name(lvmm::stub::err::METRICS),
             Some("metrics unavailable")
         );
+    }
+
+    #[test]
+    fn embedded_stub_refuses_oversized_memory_reads() {
+        use rdbg::Link;
+        let platform = boot(&apps::counter_guest());
+        let mut dbg = Debugger::new(UartLink::new(platform));
+        dbg.halt().unwrap();
+        let link = dbg.link_mut();
+        link.send(&rdbg::encode_packet("m0,ffffffff"));
+        let mut out = Vec::new();
+        for _ in 0..100 {
+            out.extend(link.pump());
+        }
+        link.send(b"+");
+        let out = String::from_utf8_lossy(&out);
+        assert!(out.contains("$E01#"), "reply: {out}");
+        assert!(matches!(dbg.query_stop(), Ok(StopReason::Halted { .. })));
     }
 
     #[test]

@@ -353,6 +353,20 @@ impl Vcpu {
         }
     }
 
+    /// Raises the [`Cause::Breakpoint`] trap an `ebreak` at the (aligned)
+    /// PC would, marked by [`Trap::is_hook`], without executing the
+    /// instruction there. The fetch is still translated, so the trap costs
+    /// what the `ebreak` would, TLB walk included.
+    pub fn hook_trap<B: Bus + ?Sized>(&mut self, bus: &mut B) -> StepOutcome {
+        let mut cycles = cost::BASE;
+        let trap = match self.translate(bus, self.pc, Access::Fetch, &mut cycles) {
+            Ok(_) => Trap::new(Cause::Breakpoint, self.pc, Trap::HOOK_TVAL),
+            Err(fault) => fault,
+        };
+        self.cycles += cycles;
+        StepOutcome::Trapped { trap, cycles }
+    }
+
     /// Fetches and decodes the instruction at `pc`, through the predecoded
     /// cache when enabled. Returns `(word, instr)` — the raw word is needed
     /// for `tval` in privileged/illegal traps.

@@ -138,9 +138,19 @@ pub struct Trap {
 }
 
 impl Trap {
+    /// `tval` of a [`Cause::Breakpoint`] raised by a monitor-side hook
+    /// ([`crate::Cpu::hook_trap`]); an `ebreak` reports 0.
+    pub const HOOK_TVAL: u32 = 1;
+
     /// Convenience constructor.
     pub fn new(cause: Cause, epc: u32, tval: u32) -> Trap {
         Trap { cause, epc, tval }
+    }
+
+    /// Was this trap raised by a monitor-side hook rather than the guest's
+    /// own `ebreak`?
+    pub fn is_hook(&self) -> bool {
+        self.cause == Cause::Breakpoint && self.tval == Trap::HOOK_TVAL
     }
 }
 

@@ -56,7 +56,7 @@ pub mod uart;
 
 pub use engine::{ExitPolicy, ProgressGuard};
 pub use event::{Event, EventQueue};
-pub use machine::{Batch, Logpoint, Machine, MachineConfig, MachineStep};
+pub use machine::{Batch, Hook, Logpoint, Machine, MachineConfig, MachineStep};
 pub use nic::{Nic, NicCounters};
 pub use pic::Hpic;
 pub use pit::Hpit;

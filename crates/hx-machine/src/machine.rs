@@ -15,6 +15,7 @@ use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::{Bus, BusFault, Cpu, MemSize, StepOutcome};
 use hx_fault::{FaultInjector, FaultOp, FaultPlan, FaultStats};
 use hx_obs::{Dev, ExitCause, Recorder, TraceOp};
+use std::collections::BTreeMap;
 
 /// Construction parameters for a [`Machine`].
 ///
@@ -135,15 +136,22 @@ pub struct Batch {
     pub end: Option<MachineStep>,
 }
 
-/// A logpoint: when the instruction at `addr` retires and `cond` (absent
-/// means "always") evaluates nonzero, a [`hx_obs::EventKind::Logpoint`]
-/// event carrying the condition's value is recorded — the guest is never
-/// stopped. Logpoints live on the machine so every platform evaluates them
-/// at the same place: the executed-instruction boundary.
+/// Everything a debugger hooks on one instruction, in
+/// [`Machine::hooks`]: a breakpoint and its condition, and logpoints.
+#[derive(Debug, Clone, Default)]
+pub struct Hook {
+    /// A breakpoint is armed here.
+    pub brk: bool,
+    /// The breakpoint's condition; `None` stops unconditionally.
+    pub cond: Option<hx_query::Expr>,
+    /// Logpoints, each firing independently.
+    pub logpoints: Vec<Logpoint>,
+}
+
+/// A logpoint: when its instruction retires and `cond` (absent: always)
+/// is nonzero, a [`hx_obs::EventKind::Logpoint`] event records the value.
 #[derive(Debug, Clone)]
 pub struct Logpoint {
-    /// Guest address of the instruction the logpoint is attached to.
-    pub addr: u32,
     /// Free-form label for reports (not journaled).
     pub label: String,
     /// Condition over machine state; `None` fires unconditionally.
@@ -197,11 +205,14 @@ pub struct Machine {
     /// injection landing in a halted one would mutate the exact state the
     /// debugger is inspecting.
     fault_paused: bool,
-    /// Armed logpoints, evaluated at executed-instruction boundaries.
-    /// Platforms disable instruction batching while any are armed so
-    /// boundaries arrive per instruction (batching is simulation-invisible,
-    /// so arming one never changes cycle counts).
-    logpoints: Vec<Logpoint>,
+    /// Breakpoints, their conditions and logpoints by guest virtual
+    /// address, checked as the active core fetches ([`Machine::step`]):
+    /// guest RAM is never patched. Empty entries would only slow batches.
+    pub hooks: BTreeMap<u32, Hook>,
+    /// Per core, the breakpoint its next fetch passes once: a debugger
+    /// steps a parked core off a breakpoint that every other core still
+    /// stops on. Any fetch of that core ends it.
+    pub hook_skips: BTreeMap<usize, u32>,
 }
 
 impl Machine {
@@ -247,7 +258,8 @@ impl Machine {
             cfg,
             fault: None,
             fault_paused: false,
-            logpoints: Vec::new(),
+            hooks: BTreeMap::new(),
+            hook_skips: BTreeMap::new(),
         }
     }
 
@@ -598,32 +610,11 @@ impl Machine {
         self.fault_paused = paused;
     }
 
-    /// Arms a logpoint at `addr`. Multiple logpoints may share an address;
-    /// each fires independently.
+    /// Arms a logpoint at `addr` in the hook table. Multiple logpoints may
+    /// share an address; each fires independently.
     pub fn add_logpoint(&mut self, addr: u32, label: &str, cond: Option<hx_query::Expr>) {
-        self.logpoints.push(Logpoint {
-            addr,
-            label: label.to_string(),
-            cond,
-        });
-    }
-
-    /// Removes every logpoint at `addr`; returns whether any existed.
-    pub fn clear_logpoint(&mut self, addr: u32) -> bool {
-        let before = self.logpoints.len();
-        self.logpoints.retain(|lp| lp.addr != addr);
-        self.logpoints.len() != before
-    }
-
-    /// Whether any logpoint is armed (platforms use this to force precise
-    /// stepping).
-    pub fn has_logpoints(&self) -> bool {
-        !self.logpoints.is_empty()
-    }
-
-    /// The armed logpoints.
-    pub fn logpoints(&self) -> &[Logpoint] {
-        &self.logpoints
+        let (hook, label) = (self.hooks.entry(addr).or_default(), label.into());
+        hook.logpoints.push(Logpoint { label, cond });
     }
 
     /// Evaluates armed logpoints against the instruction at `pc` that just
@@ -631,31 +622,21 @@ impl Machine {
     /// event carrying the condition value; an unmapped memory operand is a
     /// silent miss. Pure observation — no machine state changes.
     pub fn note_logpoints(&mut self, pc: u32) {
-        if self.logpoints.is_empty() {
+        let Some(hook) = self.hooks.get(&pc) else {
             return;
-        }
-        let mut hits: Vec<(u32, u64)> = Vec::new();
-        {
-            let mut ctx =
-                hx_query::SliceCtx::new(self.mem.as_bytes(), self.cpu.regs(), pc, self.now);
-            for lp in &self.logpoints {
-                if lp.addr != pc {
-                    continue;
-                }
-                let value = match &lp.cond {
-                    None => 1,
-                    Some(e) => match e.eval(&mut ctx) {
-                        Some(v) => v,
-                        None => continue,
-                    },
-                };
-                if value != 0 {
-                    hits.push((lp.addr, value));
-                }
+        };
+        let mut ctx = hx_query::SliceCtx::new(self.mem.as_bytes(), self.cpu.regs(), pc, self.now);
+        for lp in &hook.logpoints {
+            let value = match &lp.cond {
+                None => 1,
+                Some(e) => match e.eval(&mut ctx) {
+                    Some(v) => v,
+                    None => continue,
+                },
+            };
+            if value != 0 {
+                self.obs.logpoint(self.now, pc, value);
             }
-        }
-        for (addr, value) in hits {
-            self.obs.logpoint(self.now, addr, value);
         }
     }
 
@@ -809,10 +790,17 @@ impl Machine {
     }
 
     /// Executes one machine step. See [`MachineStep`] for the contract.
+    ///
+    /// A breakpoint in [`Machine::hooks`] at the PC raises its trap
+    /// ([`hx_cpu::Cpu::hook_trap`]) unless [`Machine::hook_skips`] lets
+    /// this core pass it once.
     pub fn step(&mut self) -> MachineStep {
         if let Some(decided) = self.schedule_point() {
             return decided;
         }
+        let pc = self.cpu.pc();
+        let skipped = self.hook_skips.remove(&self.active) == Some(pc);
+        let hook = !skipped && self.hooks.get(&pc).is_some_and(|h| h.brk);
 
         let mut bus = MachineBus {
             mem: &mut self.mem,
@@ -830,7 +818,11 @@ impl Machine {
             mmio_extra: 0,
             mmio_cost: self.cfg.mmio_access_cycles,
         };
-        let outcome = self.cpu.step(&mut bus);
+        let outcome = if hook {
+            self.cpu.hook_trap(&mut bus)
+        } else {
+            self.cpu.step(&mut bus)
+        };
         let extra = bus.mmio_extra;
         if extra > 0 {
             self.cpu.add_cycles(extra);
@@ -880,7 +872,8 @@ impl Machine {
     /// pending device event coming due, or any MMIO access (which can change
     /// interrupt and event state). While the PIC's INTR line is latched,
     /// batching is disabled entirely — a single instruction can turn
-    /// interrupts on and make the request deliverable.
+    /// interrupts on and make the request deliverable. It also ends before
+    /// fetching any slot in [`Machine::hooks`], for [`Machine::step`].
     pub fn run_batch(&mut self) -> Batch {
         if let Some(decided) = self.schedule_point() {
             return Batch {
@@ -926,7 +919,14 @@ impl Machine {
         };
         let mut executed = 0u64;
         let mut end = None;
+        let hooked = !self.hooks.is_empty();
         for _ in 0..quantum {
+            if hooked {
+                if self.hooks.contains_key(&self.cpu.pc()) {
+                    break;
+                }
+                self.hook_skips.remove(&self.active);
+            }
             bus.now = self.now;
             let outcome = self.cpu.step(&mut bus);
             let extra = bus.mmio_extra;
@@ -1318,6 +1318,69 @@ mod tests {
         run_until(&mut m, 100_000, |m| m.cpu.reg(hx_cpu::Reg::R18) >= 3);
         assert!(m.pit.ticks() >= 3);
         assert!(m.now() >= 1500, "three 500-cycle periods must elapse");
+    }
+
+    #[test]
+    fn a_breakpoint_hook_traps_where_a_planted_ebreak_would() {
+        let program = hx_asm::assemble(
+            "start:  li   t0, 40
+             spin:   addi t0, t0, -1
+                     bnez t0, spin
+             target: addi s0, s0, 1
+                     j    start
+            ",
+        )
+        .unwrap();
+        let target = program.symbols.get("target").unwrap();
+        let build = || {
+            let mut m = Machine::new(MachineConfig {
+                ram_size: 1 << 20,
+                ..MachineConfig::default()
+            });
+            m.load_program(&program);
+            m
+        };
+        let trap_of = |m: &mut Machine, step: MachineStep| match step {
+            MachineStep::Trapped { trap, cycles } => Some((trap, cycles, m.now())),
+            _ => None,
+        };
+        let mut patched = build();
+        let word = hx_cpu::isa::EBREAK_WORD;
+        patched.mem.write(target, word, MemSize::Word).unwrap();
+        let planted = loop {
+            let step = patched.step();
+            if let Some(t) = trap_of(&mut patched, step) {
+                break t;
+            }
+        };
+        assert!(!planted.0.is_hook(), "the guest's own ebreak");
+        for batch in [false, true] {
+            let mut hooked = build();
+            let image = hooked.mem.as_bytes().to_vec();
+            hooked.hooks.entry(target).or_default().brk = true;
+            if batch {
+                // Batches end before the hooked slot, never fetching it.
+                while hooked.cpu.pc() != target {
+                    assert_eq!(hooked.run_batch().end, None);
+                }
+                assert_eq!(hooked.run_batch().executed, 0);
+            }
+            let hit = loop {
+                let step = hooked.step();
+                if let Some(t) = trap_of(&mut hooked, step) {
+                    break t;
+                }
+            };
+            assert!(hit.0.is_hook());
+            assert_eq!((hit.0.cause, hit.0.epc), (planted.0.cause, planted.0.epc));
+            assert_eq!(
+                (hit.1, hit.2),
+                (planted.1, planted.2),
+                "same cost, same cycle"
+            );
+            assert_eq!(hooked.cpu.instret(), patched.cpu.instret());
+            assert_eq!(hooked.mem.as_bytes(), &image[..], "guest RAM untouched");
+        }
     }
 
     #[test]

@@ -345,8 +345,8 @@ impl Platform for RawPlatform {
     }
 
     fn step(&mut self) -> PlatformStep {
-        // The profiler and logpoints need per-instruction PC boundaries.
-        let batch = !self.machine.obs.profiling() && !self.machine.has_logpoints();
+        // The profiler needs per-instruction PC boundaries.
+        let batch = !self.machine.obs.profiling();
         crate::engine::ExitPolicy::guest_step(self, batch)
     }
 

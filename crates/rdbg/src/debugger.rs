@@ -2,6 +2,7 @@
 
 use crate::msg::{
     Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason, WatchKind,
+    MEM_CHUNK,
 };
 use crate::wire::{encode_packet, PacketParser, WireEvent, ACK, BREAK_BYTE, NAK};
 use core::fmt;
@@ -92,9 +93,6 @@ impl Registers {
         self.gprs[index]
     }
 }
-
-/// Maximum memory bytes moved per packet (larger requests are chunked).
-const MEM_CHUNK: u32 = 256;
 
 /// How many empty pumps the debugger tolerates before declaring a timeout.
 const PUMP_BUDGET: usize = 20_000;
@@ -254,7 +252,7 @@ impl<L: Link> Debugger<L> {
         Ok(())
     }
 
-    /// Plants a software breakpoint at a guest virtual address.
+    /// Arms a software breakpoint at a word-aligned guest virtual address.
     ///
     /// # Errors
     ///
@@ -305,7 +303,7 @@ impl<L: Link> Debugger<L> {
         self.expect_ok(&Command::ClearWatchpoint { addr })
     }
 
-    /// Attaches a condition expression to a planted breakpoint; the target
+    /// Attaches a condition expression to an armed breakpoint; the target
     /// silently resumes when the breakpoint fires with the condition zero.
     /// An empty expression makes the breakpoint unconditional again.
     ///

@@ -15,6 +15,10 @@ use core::fmt;
 /// `0..=31` general-purpose, `32` the PC.
 pub const REG_PC: u8 = 32;
 
+/// Most memory bytes one `m` packet may ask for: the host chunks larger
+/// reads, and stubs refuse a longer `m` with `E01`.
+pub const MEM_CHUNK: u32 = 256;
+
 /// Which accesses a watchpoint traps on. The wire digit after `Z`/`z`
 /// follows the GDB remote convention: `2` write, `3` read, `4` access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +101,8 @@ pub enum Command {
         /// Bytes to write.
         data: Vec<u8>,
     },
-    /// Plant a software breakpoint (`ebreak` patch).
+    /// Arm a software breakpoint on the instruction at a word-aligned
+    /// address (a misaligned one is malformed).
     SetBreakpoint {
         /// Virtual address of the instruction.
         addr: u32,
@@ -121,7 +126,7 @@ pub enum Command {
         /// Start address it was armed with.
         addr: u32,
     },
-    /// Attach (or replace) a condition on a planted breakpoint. An empty
+    /// Attach (or replace) a condition on an armed breakpoint. An empty
     /// expression clears the condition, making the breakpoint
     /// unconditional again.
     SetBreakCondition {
@@ -753,7 +758,7 @@ pub enum StopReason {
         /// Guest PC at the stop.
         pc: u32,
     },
-    /// A planted breakpoint fired.
+    /// An armed breakpoint fired.
     Breakpoint {
         /// Guest PC of the breakpoint.
         pc: u32,

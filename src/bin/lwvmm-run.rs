@@ -102,6 +102,9 @@ fn parse_args() -> Result<Options, String> {
         // splitn keeps any future ones intact anyway.
         let mut parts = spec.splitn(3, ':');
         let addr = parse_hex32(parts.next().unwrap_or(""))?;
+        if addr & 3 != 0 {
+            return Err(format!("--logpoint {addr:#x} is not word-aligned"));
+        }
         let label = match parts.next() {
             Some(l) if !l.is_empty() => l.to_string(),
             _ => format!("lp@{addr:#x}"),
@@ -480,10 +483,10 @@ fn emit_json(
     // earliest ones on very long runs — say so rather than lie by omission).
     if !opts.logpoints.is_empty() {
         let label_of = |addr: u32| {
-            m.logpoints()
+            opts.logpoints
                 .iter()
-                .find(|lp| lp.addr == addr)
-                .map(|lp| lp.label.clone())
+                .find(|lp| lp.0 == addr)
+                .map(|lp| lp.1.clone())
                 .unwrap_or_default()
         };
         if m.obs.ring.dropped() > 0 {

@@ -101,6 +101,15 @@ fn out_of_range_cores_are_refused_not_clamped() {
 }
 
 #[test]
+fn misaligned_logpoint_is_an_error() {
+    assert_rejected(
+        RUN,
+        &["--workload", "100", "--ms", "1", "--logpoint", "0x15ae"],
+        "--logpoint",
+    );
+}
+
+#[test]
 fn source_guest_runs_and_profiles_by_its_labels() {
     let dir = scratch_dir("source");
     std::fs::write(

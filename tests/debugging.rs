@@ -1,7 +1,7 @@
 //! End-to-end remote-debugging tests over the full stack: host `Debugger`
 //! → wire protocol → simulated UART → monitor-resident stub → guest.
 
-use lwvmm::debugger::{DbgError, Debugger, StopReason};
+use lwvmm::debugger::{encode_packet, DbgError, Debugger, Link, StopReason};
 use lwvmm::guest::{apps, kernel::layout, Workload};
 use lwvmm::machine::{Machine, MachineConfig, Platform};
 use lwvmm::monitor::{LvmmPlatform, UartLink};
@@ -52,7 +52,7 @@ fn breakpoint_hits_exactly_at_symbol() {
         let stop = dbg.continue_until_stop().expect("hit");
         assert_eq!(stop, StopReason::Breakpoint { pc: bump });
     }
-    // Memory reads mask the planted ebreak.
+    // Memory reads show the original instruction: nothing is patched.
     let word = dbg.read_memory(bump, 4).unwrap();
     let instr = hx_cpu::Instr::decode(u32::from_le_bytes(word.try_into().unwrap())).unwrap();
     assert!(
@@ -398,4 +398,43 @@ fn breakpoint_follows_a_guest_remap() {
     dbg.clear_breakpoint(win).unwrap();
     assert_eq!(bytes(&dbg, frame("frame_a")), orig_a);
     assert_eq!(bytes(&dbg, frame("frame_b")), orig_b);
+}
+
+/// A hook on a misaligned address could never meet a fetch: `Z0` and `Ql`
+/// refuse it as malformed, and guest RAM is untouched.
+#[test]
+fn misaligned_breakpoints_and_logpoints_are_refused() {
+    let (mut dbg, program) = counter_session();
+    let bump = program.symbols.get("bump").unwrap();
+    let ram = |dbg: &Dbg| dbg.link_ref().platform.machine().mem.as_bytes().to_vec();
+    dbg.halt().unwrap();
+    let before = ram(&dbg);
+    assert_eq!(dbg.set_breakpoint(bump + 2), Err(DbgError::Target(1)));
+    assert_eq!(
+        dbg.set_logpoint(bump + 2, "lp", ""),
+        Err(DbgError::Target(1))
+    );
+    assert_eq!(ram(&dbg), before);
+    dbg.set_breakpoint(bump).unwrap();
+    dbg.set_logpoint(bump, "lp", "").unwrap();
+    assert_eq!(ram(&dbg), before, "aligned hooks do not patch RAM either");
+}
+
+/// An `m` longer than one host chunk is refused from the wire, before the
+/// stub sizes a buffer from it, and the stub keeps answering.
+#[test]
+fn oversized_memory_reads_are_refused() {
+    let (mut dbg, _program) = counter_session();
+    dbg.halt().unwrap();
+    let link = dbg.link_mut();
+    link.send(&encode_packet("m0,ffffffff"));
+    let mut out = Vec::new();
+    for _ in 0..100 {
+        out.extend(link.pump());
+    }
+    link.send(b"+");
+    let out = String::from_utf8_lossy(&out);
+    assert!(out.contains("$E01#"), "reply: {out}");
+    assert!(matches!(dbg.query_stop(), Ok(StopReason::Halted { .. })));
+    assert_eq!(dbg.read_memory(0x1000, 300).unwrap().len(), 300);
 }
