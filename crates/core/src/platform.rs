@@ -579,24 +579,21 @@ impl LvmmPlatform {
                 if addr & 3 != 0 {
                     return Reply::Error(err::PARSE);
                 }
-                if self.has_breakpoint(addr) {
+                if self.core.machine.has_breakpoint(addr) {
                     return Reply::Error(err::BP);
                 }
                 if self.sel_translate(addr).is_none() {
                     return Reply::Error(err::MEM);
                 }
-                self.core.machine.hooks.entry(addr).or_default().brk = true;
+                self.core.machine.set_breakpoint(addr, None);
                 Reply::Ok
             }
             Command::ClearBreakpoint { addr } => {
-                let m = &mut self.core.machine;
-                let Some(hook) = m.hooks.get_mut(&addr).filter(|h| h.brk) else {
-                    return Reply::Error(err::BP);
-                };
-                (hook.brk, hook.cond) = (false, None);
-                m.hook_skips.retain(|_, at| *at != addr);
-                m.hooks.retain(|_, h| h.brk || !h.logpoints.is_empty());
-                Reply::Ok
+                if self.core.machine.clear_breakpoint(addr) {
+                    Reply::Ok
+                } else {
+                    Reply::Error(err::BP)
+                }
             }
             Command::SetWatchpoint { addr, len, kind } => {
                 if len == 0 {
@@ -626,15 +623,14 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::SetBreakCondition { addr, expr } => {
-                let parsed = Expr::parse(&expr);
-                match self.core.machine.hooks.get_mut(&addr).filter(|h| h.brk) {
-                    None => Reply::Error(err::BP),
-                    Some(_) if parsed.is_err() => Reply::Error(err::QUERY),
-                    Some(hook) => {
-                        hook.cond = parsed.ok();
-                        Reply::Ok
-                    }
+                if !self.core.machine.has_breakpoint(addr) {
+                    return Reply::Error(err::BP);
                 }
+                let Ok(e) = Expr::parse(&expr) else {
+                    return Reply::Error(err::QUERY);
+                };
+                self.core.machine.set_breakpoint(addr, Some(e));
+                Reply::Ok
             }
             Command::SetWatchCondition { addr, expr } => {
                 let Ok(e) = Expr::parse(&expr) else {
@@ -669,13 +665,11 @@ impl LvmmPlatform {
                 Reply::Ok
             }
             Command::ClearLogpoint { addr } => {
-                let m = &mut self.core.machine;
-                let Some(hook) = m.hooks.get_mut(&addr).filter(|h| !h.logpoints.is_empty()) else {
-                    return Reply::Error(err::BP);
-                };
-                hook.logpoints.clear();
-                m.hooks.retain(|_, h| h.brk || !h.logpoints.is_empty());
-                Reply::Ok
+                if self.core.machine.clear_logpoints(addr) {
+                    Reply::Ok
+                } else {
+                    Reply::Error(err::BP)
+                }
             }
             Command::QueryFirst { expr } => {
                 if !self.stub.stopped {
@@ -698,7 +692,7 @@ impl LvmmPlatform {
                     return Reply::Error(err::NOT_STOPPED);
                 }
                 // Step off a breakpoint we are parked on, then run.
-                let on_bp = self.has_breakpoint(self.core.machine.cpu.pc());
+                let on_bp = self.core.machine.has_breakpoint(self.core.machine.cpu.pc());
                 self.arm_resume(on_bp.then_some(StepIntent::Resume));
                 Reply::Ok
             }
@@ -847,16 +841,11 @@ impl LvmmPlatform {
         }
     }
 
-    /// Is a breakpoint armed at `addr`?
-    fn has_breakpoint(&self, addr: u32) -> bool {
-        self.core.machine.hooks.get(&addr).is_some_and(|h| h.brk)
-    }
-
     /// Does the condition attached to the breakpoint at `pc` hold?
     /// Unconditional breakpoints and unevaluable conditions stop — fail
     /// safe.
     fn bp_condition_holds(&mut self, pc: u32) -> bool {
-        let hook = self.core.machine.hooks.get(&pc);
+        let hook = self.core.machine.hook(pc);
         let Some(cond) = hook.and_then(|h| h.cond.clone()) else {
             return true;
         };
@@ -913,14 +902,10 @@ impl LvmmPlatform {
     }
 
     /// Resumes the guest, arming a single step first for `intent`. The
-    /// parked core's first fetch passes a breakpoint under its PC; every
-    /// other core still stops there.
+    /// parked core passes a breakpoint under its PC until it leaves it;
+    /// every other core still stops there.
     fn arm_resume(&mut self, intent: Option<StepIntent>) {
-        let pc = self.core.machine.cpu.pc();
-        if self.has_breakpoint(pc) {
-            let core = self.core.machine.active_core();
-            self.core.machine.hook_skips.insert(core, pc);
-        }
+        self.core.machine.step_off_breakpoint();
         self.stub.step_intent = intent;
         self.stub.stopped = false;
         self.core.state = RunState::Running;

@@ -4,7 +4,7 @@
 //! The stub's *state* lives here, in monitor memory (plain Rust fields —
 //! unreachable from the guest by construction of the shadow tables).
 //! Breakpoints, their conditions and logpoints live beside it in the
-//! machine's monitor-side hook table ([`hx_machine::Machine::hooks`]),
+//! machine's monitor-side hook table ([`hx_machine::Machine::hook`]),
 //! checked at fetch: guest RAM is never patched. The stub's *behaviour* — executing
 //! commands against the guest — is implemented on [`crate::LvmmPlatform`],
 //! which owns both the machine and this state.

@@ -16,8 +16,8 @@
 //! disabled by [`Platform::step_precise`](crate::Platform::step_precise)
 //! callers (journal replay) and by platforms whose recorder hooks need
 //! per-instruction boundaries (the flight recorder and the profiler).
-//! Breakpoints and logpoints do not: a batch ends before a slot in
-//! [`Machine::hooks`] and the engine steps that slot precisely.
+//! Breakpoints and logpoints do not: a batch ends before a hooked slot
+//! ([`Machine::hook`]) and the engine steps that slot precisely.
 
 use crate::machine::{Machine, MachineStep};
 use crate::platform::{track_of, PlatformStep, TimeBucket, TimeStats};
@@ -123,7 +123,7 @@ pub trait ExitPolicy {
     /// and dispatch whatever ended them to the policy.
     fn guest_step(&mut self, batch: bool) -> PlatformStep {
         let m = self.mach();
-        if !batch || m.hooks.contains_key(&m.cpu.pc()) {
+        if !batch || m.hook(m.cpu.pc()).is_some() {
             let at = self.mach().now();
             // The PC *before* the step is the executed instruction's
             // address — the profiler's attribution anchor.

@@ -137,7 +137,8 @@ pub struct Batch {
 }
 
 /// Everything a debugger hooks on one instruction, in
-/// [`Machine::hooks`]: a breakpoint and its condition, and logpoints.
+/// the machine's hook table ([`Machine::hook`]): a breakpoint and its
+/// condition, and logpoints.
 #[derive(Debug, Clone, Default)]
 pub struct Hook {
     /// A breakpoint is armed here.
@@ -207,12 +208,11 @@ pub struct Machine {
     fault_paused: bool,
     /// Breakpoints, their conditions and logpoints by guest virtual
     /// address, checked as the active core fetches ([`Machine::step`]):
-    /// guest RAM is never patched. Empty entries would only slow batches.
-    pub hooks: BTreeMap<u32, Hook>,
-    /// Per core, the breakpoint its next fetch passes once: a debugger
-    /// steps a parked core off a breakpoint that every other core still
-    /// stops on. Any fetch of that core ends it.
-    pub hook_skips: BTreeMap<usize, u32>,
+    /// guest RAM is never patched. Only the hook operations below edit it.
+    hooks: BTreeMap<u32, Hook>,
+    /// Per core, the breakpoint it is stepping off, which every other core
+    /// still stops on ([`Machine::step_off_breakpoint`]).
+    hook_skips: BTreeMap<usize, u32>,
 }
 
 impl Machine {
@@ -610,11 +610,66 @@ impl Machine {
         self.fault_paused = paused;
     }
 
+    /// The hook armed at `addr`, if any. Batches end before such a slot.
+    pub fn hook(&self, addr: u32) -> Option<&Hook> {
+        self.hooks.get(&addr)
+    }
+
+    /// Is a breakpoint armed at `addr`?
+    pub fn has_breakpoint(&self, addr: u32) -> bool {
+        self.hooks.get(&addr).is_some_and(|h| h.brk)
+    }
+
+    /// Arms a breakpoint at `addr` that stops when `cond` holds (`None`:
+    /// always), replacing the condition of one already armed there.
+    pub fn set_breakpoint(&mut self, addr: u32, cond: Option<hx_query::Expr>) {
+        let hook = self.hooks.entry(addr).or_default();
+        (hook.brk, hook.cond) = (true, cond);
+    }
+
+    /// Disarms the breakpoint at `addr` with its condition and any core's
+    /// pending step-off; false if none is armed there.
+    pub fn clear_breakpoint(&mut self, addr: u32) -> bool {
+        let Some(hook) = self.hooks.get_mut(&addr).filter(|h| h.brk) else {
+            return false;
+        };
+        (hook.brk, hook.cond) = (false, None);
+        self.hook_skips.retain(|_, at| *at != addr);
+        self.prune_hooks();
+        true
+    }
+
     /// Arms a logpoint at `addr` in the hook table. Multiple logpoints may
     /// share an address; each fires independently.
     pub fn add_logpoint(&mut self, addr: u32, label: &str, cond: Option<hx_query::Expr>) {
         let (hook, label) = (self.hooks.entry(addr).or_default(), label.into());
         hook.logpoints.push(Logpoint { label, cond });
+    }
+
+    /// Disarms every logpoint at `addr`; false if none is armed there.
+    pub fn clear_logpoints(&mut self, addr: u32) -> bool {
+        let hook = self.hooks.get_mut(&addr);
+        let Some(hook) = hook.filter(|h| !h.logpoints.is_empty()) else {
+            return false;
+        };
+        hook.logpoints.clear();
+        self.prune_hooks();
+        true
+    }
+
+    /// Drops entries with nothing hooked: they would only slow batches.
+    fn prune_hooks(&mut self) {
+        self.hooks.retain(|_, h| h.brk || !h.logpoints.is_empty());
+    }
+
+    /// Lets the active core pass the breakpoint under its PC, if any, until
+    /// it retires an instruction or fetches another PC: an instruction that
+    /// faults and is retried in place (a shadow fill) has not left yet.
+    pub fn step_off_breakpoint(&mut self) {
+        let pc = self.cpu.pc();
+        if self.has_breakpoint(pc) {
+            self.hook_skips.insert(self.active, pc);
+        }
     }
 
     /// Evaluates armed logpoints against the instruction at `pc` that just
@@ -791,16 +846,20 @@ impl Machine {
 
     /// Executes one machine step. See [`MachineStep`] for the contract.
     ///
-    /// A breakpoint in [`Machine::hooks`] at the PC raises its trap
-    /// ([`hx_cpu::Cpu::hook_trap`]) unless [`Machine::hook_skips`] lets
-    /// this core pass it once.
+    /// A breakpoint armed at the PC raises its trap
+    /// ([`hx_cpu::Cpu::hook_trap`]) unless this core is stepping off it
+    /// ([`Machine::step_off_breakpoint`]).
     pub fn step(&mut self) -> MachineStep {
         if let Some(decided) = self.schedule_point() {
             return decided;
         }
         let pc = self.cpu.pc();
-        let skipped = self.hook_skips.remove(&self.active) == Some(pc);
-        let hook = !skipped && self.hooks.get(&pc).is_some_and(|h| h.brk);
+        let skipped = self.hook_skips.get(&self.active) == Some(&pc);
+        if !skipped {
+            self.hook_skips.remove(&self.active);
+        }
+        let hook = !skipped && self.has_breakpoint(pc);
+        let instret = self.cpu.instret();
 
         let mut bus = MachineBus {
             mem: &mut self.mem,
@@ -826,6 +885,9 @@ impl Machine {
         let extra = bus.mmio_extra;
         if extra > 0 {
             self.cpu.add_cycles(extra);
+        }
+        if skipped && self.cpu.instret() != instret {
+            self.hook_skips.remove(&self.active);
         }
         match outcome {
             StepOutcome::Executed { cycles } => {
@@ -873,7 +935,7 @@ impl Machine {
     /// interrupt and event state). While the PIC's INTR line is latched,
     /// batching is disabled entirely — a single instruction can turn
     /// interrupts on and make the request deliverable. It also ends before
-    /// fetching any slot in [`Machine::hooks`], for [`Machine::step`].
+    /// fetching any hooked slot ([`Machine::hook`]), for [`Machine::step`].
     pub fn run_batch(&mut self) -> Batch {
         if let Some(decided) = self.schedule_point() {
             return Batch {
@@ -925,6 +987,7 @@ impl Machine {
                 if self.hooks.contains_key(&self.cpu.pc()) {
                     break;
                 }
+                // An unhooked PC is not a step-off's address: the core left.
                 self.hook_skips.remove(&self.active);
             }
             bus.now = self.now;
@@ -1357,7 +1420,7 @@ mod tests {
         for batch in [false, true] {
             let mut hooked = build();
             let image = hooked.mem.as_bytes().to_vec();
-            hooked.hooks.entry(target).or_default().brk = true;
+            hooked.set_breakpoint(target, None);
             if batch {
                 // Batches end before the hooked slot, never fetching it.
                 while hooked.cpu.pc() != target {

@@ -438,3 +438,40 @@ fn oversized_memory_reads_are_refused() {
     assert!(matches!(dbg.query_stop(), Ok(StopReason::Halted { .. })));
     assert_eq!(dbg.read_memory(0x1000, 300).unwrap().len(), 300);
 }
+
+/// Stepping off a breakpoint lasts until the instruction really retires:
+/// a `lw` right after a `tlbflush` first takes a shadow fault, the monitor
+/// fills the entry and retries it in place, and the retry must not stop
+/// on the same breakpoint again.
+#[test]
+fn stepping_off_a_breakpoint_survives_a_shadow_fill() {
+    let (mut dbg, program) = asm_session(
+        "        .org 0x1000
+         start:  la   t0, data
+         loop:   tlbflush
+         ld:     lw   s1, 0(t0)
+                 addi s0, s0, 1
+                 j    loop
+                 .org 0x3000
+         data:   .word 0x600d
+        ",
+    );
+    let ld = program.symbols.get("ld").unwrap();
+    dbg.link_mut().platform.run_for(20_000);
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(ld).unwrap();
+    let count = |dbg: &mut Dbg| dbg.read_registers().unwrap().gpr(18);
+    assert_eq!(
+        dbg.continue_until_stop().unwrap(),
+        StopReason::Breakpoint { pc: ld }
+    );
+    for i in 0..3 {
+        let before = count(&mut dbg);
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: ld });
+        assert_eq!(count(&mut dbg), before + 1, "continue #{i} made one pass");
+    }
+    let stop = dbg.step().unwrap();
+    assert_eq!(stop, StopReason::Step { pc: ld + 4 });
+    assert_eq!(dbg.read_registers().unwrap().gpr(19), 0x600d);
+}
