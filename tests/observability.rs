@@ -346,3 +346,96 @@ fn stats_reply_wire_roundtrip() {
     let reply = Reply::Stats(s.clone());
     assert_eq!(Reply::parse(&reply.format()), Some(reply));
 }
+
+/// The bytes every observation sink produces, pinned: for fixed runs, the
+/// FNV-1a digest of the saved journal text and of the Chrome trace, plus
+/// the ring's offered-event count and the journal's event count. Record
+/// and replay (and reruns) change together, so only a pin catches a
+/// routing change that sends an event to one sink too many or too few.
+#[test]
+fn event_sinks_are_pinned_byte_for_byte() {
+    use lwvmm::farm::{guest_machine, GuestSpec, PlatformKind};
+    use lwvmm::obs::digest;
+
+    // Journal, tracing and causal tracking all on; 20 simulated ms.
+    fn sinks(spec: GuestSpec) -> (u64, u64, u64, usize) {
+        let spec = GuestSpec {
+            causal: true,
+            ..spec
+        };
+        let (mut machine, entry, program) = guest_machine(&spec).expect("guest boots");
+        if spec.fault.is_some() {
+            let isr = program.symbols.get("isr_timer").expect("timer ISR symbol");
+            machine.add_logpoint(isr, "tick", None);
+        }
+        // Checkpoints far apart: the pin is about the event sinks.
+        let mut platform = spec.platform.boot(machine, entry, Some(100_000_000));
+        let per_ms = platform.machine().config().clock_hz / 1_000;
+        platform.run_for(20 * per_ms);
+        let obs = &platform.machine().obs;
+        let mut journal = obs.journal().cloned().expect("journal recorded");
+        journal.seal(platform.machine().now());
+        let text = journal.save();
+        if spec.fault.is_some() {
+            assert!(text.contains(" fault ") && text.contains(" log "));
+        }
+        (
+            digest(text.as_bytes()),
+            digest(export(platform.as_ref()).as_bytes()),
+            obs.ring.total_offered(),
+            journal.events.len(),
+        )
+    }
+    let streaming = |platform, cores| GuestSpec {
+        platform,
+        cores,
+        rate_mbps: 950,
+        ..GuestSpec::default()
+    };
+    let smp_trace = lwvmm::guest::apps::smp_trace_guest();
+    // The streaming kernel leaves a second core parked, so its sinks match
+    // the one-core run exactly.
+    const LVMM: (u64, u64, u64, usize) = (0xbbff1504f89628fa, 0x93916e09a45baf14, 3594, 1062);
+    let cases = [
+        ("lvmm/1", streaming(PlatformKind::Lvmm, 1), LVMM),
+        ("lvmm/2", streaming(PlatformKind::Lvmm, 2), LVMM),
+        (
+            "hosted/1",
+            streaming(PlatformKind::Hosted, 1),
+            (0xeff4314de03e7d0e, 0xc50d0403ec09f31a, 1174, 245),
+        ),
+        (
+            "real-hw/1",
+            streaming(PlatformKind::RawHw, 1),
+            (0x0367b2aec8815977, 0x55c4bd46d142b384, 4155, 4155),
+        ),
+        (
+            "lvmm/1 fault+logpoint",
+            GuestSpec {
+                fault: Some(("all".to_string(), 42)),
+                ..streaming(PlatformKind::Lvmm, 1)
+            },
+            (0x4741ff7d25d4fdf5, 0x4db68e536bf28af6, 4069, 1214),
+        ),
+        // IPIs and tracepoints: the SMP demo guest on two cores.
+        (
+            "lvmm/2 smp-trace",
+            GuestSpec {
+                image: Some(smp_trace),
+                ..streaming(PlatformKind::Lvmm, 2)
+            },
+            (0x1c8512674d5db5b4, 0x99a1ba7b08ed0e31, 283, 121),
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (name, spec, want) in cases {
+        let got = sinks(spec);
+        if got != want {
+            failures.push(format!(
+                "{name}: got (0x{:016x}, 0x{:016x}, {}, {})",
+                got.0, got.1, got.2, got.3
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
