@@ -24,7 +24,7 @@
 use crate::costs;
 use crate::replay::{reexecute, FlightRecorder};
 use crate::shadow::ShadowStats;
-use crate::stub::{err, StepIntent, Stub, StubStats, Watchpoint};
+use crate::stub::{err, parse_condition, StepIntent, Stub, StubStats, Watchpoint};
 use crate::vcpu::VCpu;
 use crate::virt::{ExitCosts, ExitStats, RunState, VirtCore, VirtPolicy};
 use hx_cpu::csr::{Csr, Status};
@@ -35,7 +35,7 @@ use hx_cpu::MemSize;
 use hx_machine::engine::ExitPolicy;
 use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
-use hx_obs::{ExitCause, HostPhase};
+use hx_obs::{EventKind, ExitCause, HostPhase};
 use hx_query::{Expr, SliceCtx};
 use rdbg::msg::{Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason};
 use rdbg::wire::{self, WireEvent};
@@ -461,7 +461,10 @@ impl LvmmPlatform {
                     {
                         let now = self.core.machine.now();
                         let code = p.as_bytes().first().copied().unwrap_or(0);
-                        self.core.machine.obs.debug_command(now, code);
+                        self.core
+                            .machine
+                            .obs
+                            .emit(now, EventKind::DebugCommand { code });
                     }
                     let reply = match Command::parse(&p) {
                         Some(cmd) => self.exec_command(cmd),
@@ -626,20 +629,20 @@ impl LvmmPlatform {
                 if !self.core.machine.has_breakpoint(addr) {
                     return Reply::Error(err::BP);
                 }
-                let Ok(e) = Expr::parse(&expr) else {
+                let Ok(cond) = parse_condition(&expr) else {
                     return Reply::Error(err::QUERY);
                 };
-                self.core.machine.set_breakpoint(addr, Some(e));
+                self.core.machine.set_breakpoint(addr, cond);
                 Reply::Ok
             }
             Command::SetWatchCondition { addr, expr } => {
-                let Ok(e) = Expr::parse(&expr) else {
+                let Ok(cond) = parse_condition(&expr) else {
                     return Reply::Error(err::QUERY);
                 };
                 let mut any = false;
                 for w in &mut self.stub.watchpoints {
                     if w.addr == addr {
-                        w.cond = Some(e.clone());
+                        w.cond = cond.clone();
                         any = true;
                     }
                 }
@@ -653,13 +656,8 @@ impl LvmmPlatform {
                 if addr & 3 != 0 {
                     return Reply::Error(err::PARSE);
                 }
-                let cond = if expr.is_empty() {
-                    None
-                } else {
-                    match Expr::parse(&expr) {
-                        Ok(e) => Some(e),
-                        Err(_) => return Reply::Error(err::QUERY),
-                    }
+                let Ok(cond) = parse_condition(&expr) else {
+                    return Reply::Error(err::QUERY);
                 };
                 self.core.machine.add_logpoint(addr, &label, cond);
                 Reply::Ok
@@ -749,7 +747,6 @@ impl LvmmPlatform {
             Command::QueryStats => {
                 // Answered whether or not the guest is stopped — the whole
                 // point is sampling the monitor live, without a halt.
-                let decode = self.core.machine.cpu.decode_stats();
                 let faults = self
                     .core
                     .machine
@@ -764,10 +761,6 @@ impl LvmmPlatform {
                     monitor: self.core.stats.monitor,
                     host: self.core.stats.host_model,
                     idle: self.core.stats.idle,
-                    decode_hits: decode.hits,
-                    decode_misses: decode.misses,
-                    fast_fetches: decode.fast_fetches,
-                    decode_invalidations: decode.invalidations,
                     exits: self.core.machine.obs.exits.counts().to_vec(),
                     faults,
                     fault_blocked,

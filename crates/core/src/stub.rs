@@ -9,7 +9,7 @@
 //! commands against the guest — is implemented on [`crate::LvmmPlatform`],
 //! which owns both the machine and this state.
 
-use hx_query::Expr;
+use hx_query::{Expr, ParseError};
 use rdbg::msg::{StopReason, WatchKind};
 use rdbg::wire::PacketParser;
 
@@ -57,6 +57,13 @@ pub struct Watchpoint {
     /// Optional condition: the stop fires only when it evaluates nonzero
     /// (an unevaluable condition stops too — fail safe).
     pub cond: Option<Expr>,
+}
+
+/// Parses the optional condition of a `Qb`, `Qw` or `Ql` command: empty
+/// text means no condition (an unconditional stop, an always-firing
+/// logpoint).
+pub(crate) fn parse_condition(expr: &str) -> Result<Option<Expr>, ParseError> {
+    (!expr.is_empty()).then(|| Expr::parse(expr)).transpose()
 }
 
 /// What the stub armed single-step for.

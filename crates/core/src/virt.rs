@@ -433,7 +433,8 @@ pub trait VirtPolicy: ExitPolicy + Sized {
             // Virtual-PIC INTA is the guest's ISR entry under a monitor —
             // the causal dispatch flow ends here, not at the monitor's
             // earlier receipt of the real interrupt.
-            c.machine.obs.inta(now, irq as u32);
+            let irq = irq as u32;
+            c.machine.obs.emit(now, EventKind::Inta { irq });
             vector
         };
         let epc = c.machine.cpu.pc();
@@ -604,7 +605,7 @@ pub trait VirtPolicy: ExitPolicy + Sized {
         let now = c.machine.now();
         c.machine
             .obs
-            .event(now, EventKind::ShadowFault { vaddr: va });
+            .emit(now, EventKind::ShadowFault { vaddr: va });
         // Guest-physical address and guest PTE; `None` when the guest's
         // tables themselves leave guest RAM.
         let resolved = if c.vcpu.paging_enabled() {
@@ -662,7 +663,13 @@ pub trait VirtPolicy: ExitPolicy + Sized {
                 }
                 let withheld = match self.fill_watch(trap, va, gpa, access) {
                     Ok(bits) => bits,
-                    Err(cause) => return cause,
+                    // The monitor emulated the access or stopped on it: a
+                    // loop storing next to a watch repeats this fault by
+                    // design, like emulated MMIO, and is no livelock.
+                    Err(cause) => {
+                        self.core_mut().progress.reset();
+                        return cause;
+                    }
                 };
                 let mut flags = pte::V | pte::U | pte::A | pte::D;
                 flags |= gflags & (pte::R | pte::X);
@@ -758,7 +765,7 @@ pub trait VirtPolicy: ExitPolicy + Sized {
                     // of the *real* PIC goes through the device directly, so
                     // this is the only EOI the causal layer sees.
                     let now = c.machine.now();
-                    c.machine.obs.eoi(now);
+                    c.machine.obs.emit(now, EventKind::Eoi);
                 }
                 if ipi {
                     c.ipi_mmio_write(offset, val);

@@ -20,6 +20,7 @@ use crate::pic::Hpic;
 use crate::ram::Ram;
 use crate::timing::{self, SECTOR_SIZE};
 use hx_cpu::{BusFault, MemSize};
+use hx_obs::{Dev, EventKind};
 use std::collections::HashMap;
 
 /// Number of disk units on the controller.
@@ -295,15 +296,13 @@ impl Hdc {
             self.stats.errors += 1;
         } else {
             self.stats.bytes += bytes;
-            obs.dma_digest(
-                now,
-                hx_obs::Dev::Hdc,
-                bytes.min(u32::MAX as u64) as u32,
-                if hashing { digest } else { 0 },
-            );
+            let (dev, bytes) = (Dev::Hdc, bytes.min(u32::MAX as u64) as u32);
+            let digest = if hashing { digest } else { 0 };
+            obs.emit(now, EventKind::Dma { dev, bytes, digest });
         }
         pic.assert_irq(crate::map::irq::HDC0 + unit);
-        obs.irq(now, hx_obs::Dev::Hdc, (crate::map::irq::HDC0 + unit) as u32);
+        let irq = (crate::map::irq::HDC0 + unit) as u32;
+        obs.emit(now, EventKind::Irq { dev: Dev::Hdc, irq });
     }
 
     /// Forces an error completion on `unit`, as fault injection does: any
@@ -327,7 +326,8 @@ impl Hdc {
         u.error = true;
         self.stats.errors += 1;
         pic.assert_irq(crate::map::irq::HDC0 + unit);
-        obs.irq(now, hx_obs::Dev::Hdc, (crate::map::irq::HDC0 + unit) as u32);
+        let irq = (crate::map::irq::HDC0 + unit) as u32;
+        obs.emit(now, EventKind::Irq { dev: Dev::Hdc, irq });
     }
 }
 

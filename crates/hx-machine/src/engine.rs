@@ -22,7 +22,7 @@
 use crate::machine::{Machine, MachineStep};
 use crate::platform::{track_of, PlatformStep, TimeBucket, TimeStats};
 use hx_cpu::trap::Trap;
-use hx_obs::{ExitCause, HostPhase};
+use hx_obs::{EventKind, ExitCause, HostPhase};
 
 /// Livelock guard for shadow-fill paths: re-raising the identical fault
 /// after a fill means the fill is not taking effect — a monitor bug or
@@ -114,7 +114,8 @@ pub trait ExitPolicy {
     /// handler's wall-clock to `Exit(cause)`.
     fn record_exit(&mut self, cause: ExitCause, cycles: u64) {
         let now = self.mach().now();
-        self.mach_mut().obs.exit(now, cause, cycles);
+        let ev = EventKind::VmExit { cause, cycles };
+        self.mach_mut().obs.emit(now, ev);
         self.mach().obs.host_mark(HostPhase::Exit(cause));
     }
 

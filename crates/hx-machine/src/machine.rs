@@ -14,7 +14,7 @@ use hx_asm::Program;
 use hx_cpu::trap::{Cause, Trap};
 use hx_cpu::{Bus, BusFault, Cpu, MemSize, StepOutcome};
 use hx_fault::{FaultInjector, FaultOp, FaultPlan, FaultStats};
-use hx_obs::{Dev, ExitCause, Recorder, TraceOp};
+use hx_obs::{Dev, EventKind, ExitCause, Recorder, TraceOp};
 use std::collections::BTreeMap;
 
 /// Construction parameters for a [`Machine`].
@@ -150,7 +150,7 @@ pub struct Hook {
 }
 
 /// A logpoint: when its instruction retires and `cond` (absent: always)
-/// is nonzero, a [`hx_obs::EventKind::Logpoint`] event records the value.
+/// is nonzero, a [`hx_obs::EventKind::Log`] event records the value.
 #[derive(Debug, Clone)]
 pub struct Logpoint {
     /// Free-form label for reports (not journaled).
@@ -335,7 +335,11 @@ impl Machine {
         if (target as usize) >= self.seats.len() || line >= 8 {
             return false;
         }
-        self.obs.ipi_send(self.now, target, line as u32);
+        let ev = EventKind::IpiSend {
+            target,
+            line: line.into(),
+        };
+        self.obs.emit(self.now, ev);
         self.events
             .schedule(self.now + smp::LATENCY, Event::Ipi { target, line });
         true
@@ -507,12 +511,10 @@ impl Machine {
             self.ipi.pending[t] |= 1 << line;
         }
         self.seats[t].waiting = false;
-        self.obs.irq(
-            at,
-            Dev::Pic,
-            ((t as u32) << 8) | (smp::IRQ_BASE + line) as u32,
-        );
-        self.obs.ipi_deliver(at, target, line as u32);
+        let irq = ((t as u32) << 8) | (smp::IRQ_BASE + line) as u32;
+        self.obs.emit(at, EventKind::Irq { dev: Dev::Pic, irq });
+        let line = line as u32;
+        self.obs.emit(at, EventKind::IpiDeliver { target, line });
     }
 
     /// The machine's configuration.
@@ -548,8 +550,8 @@ impl Machine {
         }
         self.uart.push_rx(bytes, &mut self.pic);
         if self.uart.rx_irq_enabled() {
-            self.obs
-                .irq(self.now, Dev::Uart, crate::map::irq::UART as u32);
+            let (dev, irq) = (Dev::Uart, crate::map::irq::UART as u32);
+            self.obs.emit(self.now, EventKind::Irq { dev, irq });
         }
         self.seats[0].waiting = false; // UART IRQ is wired to core 0: wake it
     }
@@ -573,9 +575,13 @@ impl Machine {
     /// guest faults).
     pub const STORM_LINES_DEFAULT: u8 = 0b0111_1101;
 
-    /// Monitor-side cycles charged per blocked wild attempt: the cost of the
-    /// protection fault the attempt would raise under a monitor.
-    const PROTECTION_EXIT_COST: u64 = 96;
+    /// The exit recorded per blocked wild attempt: 96 monitor-side cycles,
+    /// the cost of the protection fault the attempt would raise under a
+    /// monitor.
+    const PROTECTION_EXIT: EventKind = EventKind::VmExit {
+        cause: ExitCause::Protection,
+        cycles: 96,
+    };
 
     /// Re-poll cadence for a fault campaign held by [`Machine::pause_faults`].
     const FAULT_PAUSE_RETRY: u64 = 1_024;
@@ -690,7 +696,7 @@ impl Machine {
                 },
             };
             if value != 0 {
-                self.obs.logpoint(self.now, pc, value);
+                self.obs.emit(self.now, EventKind::Log { addr: pc, value });
             }
         }
     }
@@ -714,41 +720,43 @@ impl Machine {
         let Some(pf) = planned else {
             return;
         };
+        let code = pf.kind.code();
         match pf.op {
             FaultOp::WildWrite { addr, val } => {
-                self.obs.fault(at, pf.kind.code(), addr);
+                self.obs.emit(at, EventKind::Fault { code, arg: addr });
                 if self.fault.as_mut().unwrap().check_wild(addr) {
                     let _ = self.mem.dma_write(addr, &val.to_le_bytes());
                 } else {
-                    self.obs
-                        .exit(at, ExitCause::Protection, Self::PROTECTION_EXIT_COST);
+                    self.obs.emit(at, Self::PROTECTION_EXIT);
                 }
             }
             FaultOp::IrqBurst { lines } => {
-                self.obs.fault(at, pf.kind.code(), lines as u32);
+                let arg = u32::from(lines);
+                self.obs.emit(at, EventKind::Fault { code, arg });
                 for irq in 0..8u8 {
                     if lines & (1 << irq) != 0 {
                         self.pic.assert_irq(irq);
-                        self.obs.irq(at, Dev::Pic, irq as u32);
+                        let irq = irq as u32;
+                        self.obs.emit(at, EventKind::Irq { dev: Dev::Pic, irq });
                     }
                 }
             }
             FaultOp::DmaSplat { addr, seed } => {
-                self.obs.fault(at, pf.kind.code(), addr);
+                self.obs.emit(at, EventKind::Fault { code, arg: addr });
                 if self.fault.as_mut().unwrap().check_wild(addr) {
                     let _ = self.mem.dma_write(addr, &hx_fault::splat_pattern(seed));
                 } else {
-                    self.obs
-                        .exit(at, ExitCause::Protection, Self::PROTECTION_EXIT_COST);
+                    self.obs.emit(at, Self::PROTECTION_EXIT);
                 }
             }
             FaultOp::DiskError { unit } => {
-                self.obs.fault(at, pf.kind.code(), unit as u32);
+                let arg = u32::from(unit);
+                self.obs.emit(at, EventKind::Fault { code, arg });
                 self.hdc
                     .inject_error_completion(unit, at, &mut self.pic, &mut self.obs);
             }
             FaultOp::NicError => {
-                self.obs.fault(at, pf.kind.code(), 0);
+                self.obs.emit(at, EventKind::Fault { code, arg: 0 });
                 self.nic
                     .inject_error_completion(at, &mut self.pic, &mut self.obs);
             }
@@ -757,7 +765,7 @@ impl Machine {
                 // if another core's stale read-modify-write landed after the
                 // owner's increment. Silent — no trap, no protection exit —
                 // so only replay divergence can catch it.
-                self.obs.fault(at, pf.kind.code(), addr);
+                self.obs.emit(at, EventKind::Fault { code, arg: addr });
                 let a = addr as usize;
                 let bytes = self.mem.as_bytes();
                 if a + 4 <= bytes.len() {
@@ -1219,14 +1227,11 @@ impl Bus for MachineBus<'_> {
                             if target >= self.num_cores || line >= 8 {
                                 Err(BusFault::Denied)
                             } else {
-                                self.obs.ipi_send(self.now, target as u8, line);
-                                self.events.schedule(
-                                    self.now + smp::LATENCY,
-                                    Event::Ipi {
-                                        target: target as u8,
-                                        line: line as u8,
-                                    },
-                                );
+                                let target = target as u8;
+                                self.obs.emit(self.now, EventKind::IpiSend { target, line });
+                                let line = line as u8;
+                                self.events
+                                    .schedule(self.now + smp::LATENCY, Event::Ipi { target, line });
                                 Ok(())
                             }
                         }
@@ -1255,30 +1260,34 @@ impl Bus for MachineBus<'_> {
         if res.is_ok() {
             // Doorbell writes (registers that kick a device into action) are
             // trace-worthy: they delimit guest I/O submissions.
-            match (page, off) {
+            let ev = match (page, off) {
                 (NIC_BASE, crate::nic::reg::TX_TAIL | crate::nic::reg::RX_TAIL) => {
-                    self.obs.doorbell(self.now, Dev::Nic, off);
+                    EventKind::Doorbell {
+                        dev: Dev::Nic,
+                        reg: off,
+                    }
                 }
-                (HDC_BASE, _) if off % 0x40 == crate::disk::reg::CMD => {
-                    self.obs.doorbell(self.now, Dev::Hdc, off);
-                }
-                (PIC_BASE, smp::reg::SEND) => {
-                    self.obs.doorbell(self.now, Dev::Pic, off);
-                }
+                (HDC_BASE, _) if off % 0x40 == crate::disk::reg::CMD => EventKind::Doorbell {
+                    dev: Dev::Hdc,
+                    reg: off,
+                },
+                (PIC_BASE, smp::reg::SEND) => EventKind::Doorbell {
+                    dev: Dev::Pic,
+                    reg: off,
+                },
                 // Retiring an ISR closes the INTA→EOI service flow.
-                (PIC_BASE, crate::pic::reg::EOI) => {
-                    self.obs.eoi(self.now);
-                }
+                (PIC_BASE, crate::pic::reg::EOI) => EventKind::Eoi,
                 (TRACE_BASE, _) => {
                     let op = match off {
                         trace::BEGIN => TraceOp::Begin,
                         trace::END => TraceOp::End,
                         _ => TraceOp::Instant,
                     };
-                    self.obs.tracepoint(self.now, op, val);
+                    EventKind::Trace { op, id: val }
                 }
-                _ => {}
-            }
+                _ => return res,
+            };
+            self.obs.emit(self.now, ev);
         }
         res
     }

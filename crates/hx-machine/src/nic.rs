@@ -31,7 +31,7 @@ use crate::pic::Hpic;
 use crate::ram::Ram;
 use crate::timing::{self, FRAME_WIRE_OVERHEAD, MIN_FRAME};
 use hx_cpu::{BusFault, MemSize};
-use hx_obs::{Dev, Recorder};
+use hx_obs::{Dev, EventKind, Recorder};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -236,7 +236,8 @@ impl Nic {
             crate::map::irq::NIC_TX
         };
         pic.assert_irq(irq);
-        obs.irq(now, Dev::Nic, irq as u32);
+        let (dev, irq) = (Dev::Nic, irq as u32);
+        obs.emit(now, EventKind::Irq { dev, irq });
         if bit == istatus::TX_DONE {
             self.counters.tx_irqs += 1;
         }
@@ -293,7 +294,8 @@ impl Nic {
         } else {
             0
         };
-        obs.dma_digest(now, Dev::Nic, len, digest);
+        let (dev, bytes) = (Dev::Nic, len);
+        obs.emit(now, EventKind::Dma { dev, bytes, digest });
         let wire_bytes = len.max(MIN_FRAME - 4) + FRAME_WIRE_OVERHEAD;
         let cycles = timing::cycles_for_bits(wire_bytes as u64 * 8, self.clock_hz, self.wire_bps);
         self.tx_active = true;
@@ -398,7 +400,8 @@ impl Nic {
                         } else {
                             0
                         };
-                        obs.dma_digest(now, Dev::Nic, frame.len() as u32, digest);
+                        let (dev, bytes) = (Dev::Nic, frame.len() as u32);
+                        obs.emit(now, EventKind::Dma { dev, bytes, digest });
                     }
                     self.rx_head = (self.rx_head + 1) % self.rx_len.max(1);
                     delivered = true;

@@ -84,7 +84,8 @@ impl Hpit {
         }
         self.ticks += 1;
         pic.assert_irq(crate::map::irq::PIT);
-        obs.irq(now, hx_obs::Dev::Pit, crate::map::irq::PIT as u32);
+        let (dev, irq) = (hx_obs::Dev::Pit, crate::map::irq::PIT as u32);
+        obs.emit(now, hx_obs::EventKind::Irq { dev, irq });
         if self.periodic {
             self.arm(now, events);
         } else {

@@ -319,7 +319,8 @@ impl crate::engine::ExitPolicy for RawPlatform {
         // their delivery is tracked by the machine's own IPI hook.
         if irq < crate::smp::IRQ_BASE {
             let at = self.machine.now();
-            self.machine.obs.inta(at, irq as u32);
+            let irq = irq as u32;
+            self.machine.obs.emit(at, hx_obs::EventKind::Inta { irq });
         }
         let trap = self.machine.interrupt_trap(vector);
         let c = self.machine.deliver_trap(trap);

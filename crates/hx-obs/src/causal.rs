@@ -9,7 +9,7 @@
 //! latency histogram.
 //!
 //! Everything here is a pure function of the simulated run: flow IDs are
-//! assigned in hook-call order, timestamps are simulated cycles, and no
+//! assigned in observation order, timestamps are simulated cycles, and no
 //! collection iterates in nondeterministic order — so two identical runs
 //! (or a recording and its replay) produce byte-identical flow exports.
 //! The tracker is plain data and clones with the recorder, which is what
@@ -34,7 +34,7 @@
 //! begin (an EOI with an empty service stack, a span `end` with no `begin`)
 //! are counted as orphans, never recorded as flows.
 
-use crate::event::Dev;
+use crate::event::{Dev, EventKind};
 use crate::hist::CycleHist;
 
 /// IRQ-line and register constants mirrored from the machine's memory map.
@@ -140,7 +140,7 @@ impl TraceOp {
 /// One completed flow: both endpoints of a single asynchronous handoff.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flow {
-    /// Monotonic id, assigned at the flow's *begin* in hook-call order.
+    /// Monotonic id, assigned at the flow's *begin* in observation order.
     pub id: u64,
     pub class: FlowClass,
     /// Class-specific key: IRQ line, `target<<8|line` for IPIs, tracepoint
@@ -173,7 +173,7 @@ struct Pending {
 
 /// The causal tracker: pending begin endpoints, completed flows, and
 /// per-class latency histograms. One per [`crate::Recorder`], enabled
-/// explicitly; every hook is a no-op branch when disabled.
+/// explicitly and fed through [`CausalTracker::observe`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CausalTracker {
     next_id: u64,
@@ -255,10 +255,26 @@ impl CausalTracker {
         vec.push((key, p));
     }
 
+    /// Observes one event on `core` at cycle `at`. Only the kinds that
+    /// open or close a handoff do anything; the rest (exits, DMA, stub
+    /// commands, faults, logpoints) carry none and are ignored.
+    pub fn observe(&mut self, at: u64, core: u8, ev: &EventKind) {
+        match *ev {
+            EventKind::Irq { dev, irq } => self.device_irq(at, core, dev, irq),
+            EventKind::Doorbell { dev, reg } => self.doorbell(at, core, dev, reg),
+            EventKind::Inta { irq } => self.inta(at, core, irq),
+            EventKind::Eoi => self.eoi(at, core),
+            EventKind::IpiSend { target, line } => self.ipi_send(at, core, target, line),
+            EventKind::IpiDeliver { target, line } => self.ipi_deliver(at, target, line),
+            EventKind::Trace { op, id } => self.tracepoint(at, core, op, id),
+            _ => {}
+        }
+    }
+
     /// A device asserted IRQ line `irq`: ends any disk/NIC command flow the
     /// assertion completes, then opens an `irq-dispatch` flow for the line
     /// (unless one is already pending — the earliest raise wins).
-    pub fn device_irq(&mut self, at: u64, core: u8, dev: Dev, irq: u32) {
+    fn device_irq(&mut self, at: u64, core: u8, dev: Dev, irq: u32) {
         match dev {
             // PIC "raises" are IPI deliveries or injected bursts; IPIs are
             // tracked by their own hooks and bursts have no device cause.
@@ -287,7 +303,7 @@ impl CausalTracker {
     /// The guest rang a device doorbell: disk `CMD` writes open a `disk`
     /// flow keyed by the unit's completion line, NIC `TX_TAIL` writes open
     /// a `nic-tx` flow. Other doorbells carry no tracked handoff.
-    pub fn doorbell(&mut self, at: u64, core: u8, dev: Dev, reg: u32) {
+    fn doorbell(&mut self, at: u64, core: u8, dev: Dev, reg: u32) {
         match dev {
             Dev::Hdc => {
                 let key = contract::HDC0_LINE + reg / contract::HDC_UNIT_STRIDE;
@@ -309,7 +325,7 @@ impl CausalTracker {
     /// The guest entered the ISR for line `irq` (architectural INTA on raw
     /// hardware, virtual-PIC INTA at injection under a monitor): completes
     /// the line's `irq-dispatch` flow and opens its `irq-service` flow.
-    pub fn inta(&mut self, at: u64, core: u8, irq: u32) {
+    fn inta(&mut self, at: u64, core: u8, irq: u32) {
         if let Some(i) = self.irq_pending.iter().position(|(k, _)| *k == irq) {
             let (key, p) = self.irq_pending.remove(i);
             self.finish(FlowClass::IrqDispatch, key, p, at, core);
@@ -320,7 +336,7 @@ impl CausalTracker {
 
     /// The guest wrote the PIC EOI register: completes the most recent
     /// `irq-service` flow (ISRs nest LIFO).
-    pub fn eoi(&mut self, at: u64, core: u8) {
+    fn eoi(&mut self, at: u64, core: u8) {
         match self.service.pop() {
             Some((key, p)) => self.finish(FlowClass::IrqService, key, p, at, core),
             None => self.orphan_ends += 1,
@@ -344,7 +360,7 @@ impl CausalTracker {
     /// An IPI send was issued toward `target`, line `line`. A line that
     /// cannot be packed into the key is counted as a dropped begin rather
     /// than aliased onto another `(target, line)` pair.
-    pub fn ipi_send(&mut self, at: u64, core: u8, target: u8, line: u32) {
+    fn ipi_send(&mut self, at: u64, core: u8, target: u8, line: u32) {
         let Some(key) = Self::ipi_key(target, line) else {
             self.dropped_pending += 1;
             return;
@@ -356,7 +372,7 @@ impl CausalTracker {
     /// An IPI was delivered to `target` (startup or pending-mask latch):
     /// completes the oldest in-flight send with the same target and line.
     /// An unpackable line is counted as an orphan end.
-    pub fn ipi_deliver(&mut self, at: u64, target: u8, line: u32) {
+    fn ipi_deliver(&mut self, at: u64, target: u8, line: u32) {
         let Some(key) = Self::ipi_key(target, line) else {
             self.orphan_ends += 1;
             return;
@@ -373,7 +389,7 @@ impl CausalTracker {
     /// The guest wrote a `TRACE`-page register: `begin` opens a span for
     /// `id`, `end` closes the most recent open span with that id, and
     /// `instant` is counted but never opens a flow.
-    pub fn tracepoint(&mut self, at: u64, core: u8, op: TraceOp, id: u32) {
+    fn tracepoint(&mut self, at: u64, core: u8, op: TraceOp, id: u32) {
         match op {
             TraceOp::Begin => {
                 let p = self.begin(at, core);
@@ -670,30 +686,18 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// One hook call, with a cycle delta so timestamps never decrease.
-        #[derive(Clone, Debug)]
-        enum Call {
-            Irq { dev: Dev, irq: u32 },
-            Bell { dev: Dev, reg: u32 },
-            Inta { irq: u32 },
-            Eoi,
-            IpiSend { target: u8, line: u32 },
-            IpiDeliver { target: u8, line: u32 },
-            Trace { op: TraceOp, id: u32 },
-        }
-
-        fn arb_call() -> impl Strategy<Value = Call> {
+        fn arb_event() -> impl Strategy<Value = EventKind> {
             let dev =
                 || proptest::sample::select(&[Dev::Nic, Dev::Hdc, Dev::Pit, Dev::Uart, Dev::Pic]);
             let op = proptest::sample::select(&[TraceOp::Begin, TraceOp::End, TraceOp::Instant]);
             prop_oneof![
-                (dev(), 0u32..8).prop_map(|(dev, irq)| Call::Irq { dev, irq }),
-                (dev(), 0u32..0x100).prop_map(|(dev, reg)| Call::Bell { dev, reg }),
-                (0u32..8).prop_map(|irq| Call::Inta { irq }),
-                Just(Call::Eoi),
-                (0u8..4, 0u32..8).prop_map(|(target, line)| Call::IpiSend { target, line }),
-                (0u8..4, 0u32..8).prop_map(|(target, line)| Call::IpiDeliver { target, line }),
-                (op, 0u32..16).prop_map(|(op, id)| Call::Trace { op, id }),
+                (dev(), 0u32..8).prop_map(|(dev, irq)| EventKind::Irq { dev, irq }),
+                (dev(), 0u32..0x100).prop_map(|(dev, reg)| EventKind::Doorbell { dev, reg }),
+                (0u32..8).prop_map(|irq| EventKind::Inta { irq }),
+                Just(EventKind::Eoi),
+                (0u8..4, 0u32..8).prop_map(|(target, line)| EventKind::IpiSend { target, line }),
+                (0u8..4, 0u32..8).prop_map(|(target, line)| EventKind::IpiDeliver { target, line }),
+                (op, 0u32..16).prop_map(|(op, id)| EventKind::Trace { op, id }),
             ]
         }
 
@@ -702,21 +706,13 @@ mod tests {
             // and the histogram counts reconcile with the flow records.
             #[test]
             fn flows_are_well_formed(
-                calls in proptest::collection::vec((arb_call(), 0u64..100, 0u8..4), 0..200),
+                events in proptest::collection::vec((arb_event(), 0u64..100, 0u8..4), 0..200),
             ) {
                 let mut c = CausalTracker::new();
                 let mut now = 0u64;
-                for (call, dt, core) in calls {
+                for (ev, dt, core) in events {
                     now += dt;
-                    match call {
-                        Call::Irq { dev, irq } => c.device_irq(now, core, dev, irq),
-                        Call::Bell { dev, reg } => c.doorbell(now, core, dev, reg),
-                        Call::Inta { irq } => c.inta(now, core, irq),
-                        Call::Eoi => c.eoi(now, core),
-                        Call::IpiSend { target, line } => c.ipi_send(now, core, target, line),
-                        Call::IpiDeliver { target, line } => c.ipi_deliver(now, target, line),
-                        Call::Trace { op, id } => c.tracepoint(now, core, op, id),
-                    }
+                    c.observe(now, core, &ev);
                 }
                 let mut seen = std::collections::HashSet::new();
                 for f in c.flows() {

@@ -3,8 +3,10 @@
 //! Produces the "JSON array format" understood by `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev). Each platform becomes one
 //! process (`pid`); its four time buckets become threads carrying `ph:"X"`
-//! duration spans, and a fifth thread carries `ph:"i"` instant events
-//! (IRQs, DMA, doorbells, debug commands, VM exits).
+//! duration spans, a fifth thread carries `ph:"i"` instant events (VM
+//! exits, debug commands, faults, logpoints, ISR entry/exit, tracepoints),
+//! and one labeled thread per device carries that device's IRQs, DMA and
+//! doorbells.
 //!
 //! Timestamps: the `ts`/`dur` fields are **simulated cycles** written as
 //! integer microseconds (1 cycle ≙ 1 µs of display time). Since the
@@ -95,12 +97,10 @@ impl ChromeTrace {
         for ev in rec.ring.iter() {
             // Device events land on their device's labeled track; everything
             // else stays on the shared events track.
-            let tid = match ev.kind {
-                EventKind::DeviceIrq { dev, .. }
-                | EventKind::DeviceDma { dev, .. }
-                | EventKind::Doorbell { dev, .. } => DEV_TID_BASE + dev.index() as u32,
-                _ => EVENTS_TID,
-            };
+            let tid = ev
+                .kind
+                .dev()
+                .map_or(EVENTS_TID, |dev| DEV_TID_BASE + dev.index() as u32);
             let args = match ev.kind {
                 EventKind::VmExit { cause, cycles } => {
                     format!(
@@ -109,10 +109,11 @@ impl ChromeTrace {
                     )
                 }
                 EventKind::ShadowFault { vaddr } => format!("\"vaddr\":{vaddr}"),
-                EventKind::DeviceIrq { dev, irq } => {
+                EventKind::Irq { dev, irq } => {
                     format!("\"dev\":\"{}\",\"irq\":{}", escape(dev.label()), irq)
                 }
-                EventKind::DeviceDma { dev, bytes } => {
+                // The journal audits the digest; the trace shows the size.
+                EventKind::Dma { dev, bytes, .. } => {
                     format!("\"dev\":\"{}\",\"bytes\":{}", escape(dev.label()), bytes)
                 }
                 EventKind::Doorbell { dev, reg } => {
@@ -121,16 +122,19 @@ impl ChromeTrace {
                 EventKind::DebugCommand { code } => {
                     format!("\"code\":{}", code)
                 }
-                EventKind::FaultInjected { code, arg } => {
+                EventKind::Fault { code, arg } => {
                     format!("\"code\":{code},\"arg\":{arg}")
                 }
-                EventKind::Logpoint { addr, value } => {
+                EventKind::Log { addr, value } => {
                     format!("\"addr\":{addr},\"value\":{value}")
                 }
-                EventKind::IrqEntry { irq } => format!("\"irq\":{irq}"),
-                EventKind::IrqEoi => String::new(),
-                EventKind::Tracepoint { op, id } => {
+                EventKind::Inta { irq } => format!("\"irq\":{irq}"),
+                EventKind::Trace { op, id } => {
                     format!("\"op\":\"{}\",\"id\":{}", escape(op.label()), id)
+                }
+                // The IPI pair never reaches the ring.
+                EventKind::Eoi | EventKind::IpiSend { .. } | EventKind::IpiDeliver { .. } => {
+                    String::new()
                 }
             };
             self.lines.push(format!(
@@ -213,9 +217,21 @@ mod tests {
         let mut r = Recorder::new();
         r.enable_tracing();
         r.charge(Track::Guest, 100);
-        r.exit(100, ExitCause::Mmio, 990);
+        r.emit(
+            100,
+            EventKind::VmExit {
+                cause: ExitCause::Mmio,
+                cycles: 990,
+            },
+        );
         r.charge(Track::Monitor, 990);
-        r.irq(1090, Dev::Nic, 5);
+        r.emit(
+            1090,
+            EventKind::Irq {
+                dev: Dev::Nic,
+                irq: 5,
+            },
+        );
         r.charge(Track::Idle, 10);
         r
     }
@@ -241,12 +257,30 @@ mod tests {
         let mut r = Recorder::new();
         r.enable_tracing();
         r.enable_causal();
-        r.irq(100, Dev::Pit, 0);
-        r.inta(150, 0);
-        r.eoi(200);
+        r.emit(
+            100,
+            EventKind::Irq {
+                dev: Dev::Pit,
+                irq: 0,
+            },
+        );
+        r.emit(150, EventKind::Inta { irq: 0 });
+        r.emit(200, EventKind::Eoi);
         r.set_active_core(1);
-        r.tracepoint(300, TraceOp::Begin, 7);
-        r.tracepoint(400, TraceOp::End, 7);
+        r.emit(
+            300,
+            EventKind::Trace {
+                op: TraceOp::Begin,
+                id: 7,
+            },
+        );
+        r.emit(
+            400,
+            EventKind::Trace {
+                op: TraceOp::End,
+                id: 7,
+            },
+        );
         let mut t = ChromeTrace::new();
         t.add_platform(1, "lvmm", &r);
         let json = t.finish();

@@ -89,8 +89,11 @@ impl Dev {
     }
 }
 
-/// One trace event. Payloads are small and fixed-size; anything bulky
-/// belongs in a histogram or the span track instead.
+/// One observed event: the only event type. The trace ring, the journal
+/// and the causal tracker all hold it, and [`crate::Recorder::emit`]
+/// decides which of them sees each kind (see the crate-level table).
+/// Payloads are small and fixed-size; anything bulky belongs in a
+/// histogram or the span track instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Guest → monitor exit; `cycles` is the monitor time spent servicing it.
@@ -98,9 +101,11 @@ pub enum EventKind {
     /// A shadow page-table miss at this guest virtual address.
     ShadowFault { vaddr: u32 },
     /// A device raised (asserted) an interrupt line.
-    DeviceIrq { dev: Dev, irq: u32 },
-    /// A device moved payload bytes by DMA (NIC ring, disk transfer).
-    DeviceDma { dev: Dev, bytes: u32 },
+    Irq { dev: Dev, irq: u32 },
+    /// A device moved payload bytes by DMA (NIC ring, disk transfer);
+    /// `digest` is the FNV-1a of those bytes, computed only while
+    /// journaling (0 otherwise).
+    Dma { dev: Dev, bytes: u32, digest: u64 },
     /// The guest rang a device doorbell register (MMIO store that kicks
     /// the device), e.g. the NIC TX/RX tail pointers.
     Doorbell { dev: Dev, reg: u32 },
@@ -109,21 +114,26 @@ pub enum EventKind {
     DebugCommand { code: u8 },
     /// A deterministic fault was injected (`code` is the fault-class code
     /// from `hx-fault`, `arg` a class-specific detail such as the target
-    /// address or IRQ mask).
-    FaultInjected { code: u8, arg: u32 },
+    /// address or IRQ mask). Faults are machine state, not inputs: they are
+    /// journaled so a replay is audited fault-for-fault, never replayed.
+    Fault { code: u8, arg: u32 },
     /// A logpoint fired: the instruction at `addr` retired and the
     /// logpoint's condition evaluated to the nonzero `value`. Emitted from
     /// the instruction-boundary path without stopping the guest.
-    Logpoint { addr: u32, value: u64 },
+    Log { addr: u32, value: u64 },
     /// The guest entered the ISR for `irq` (architectural INTA on raw
     /// hardware, virtual-PIC INTA under a monitor). Recorded only while
-    /// causal tracing is enabled.
-    IrqEntry { irq: u32 },
+    /// causal tracking is enabled.
+    Inta { irq: u32 },
     /// The guest wrote the PIC EOI register, retiring the most recently
-    /// entered ISR. Recorded only while causal tracing is enabled.
-    IrqEoi,
+    /// entered ISR. Recorded only while causal tracking is enabled.
+    Eoi,
     /// The guest wrote a `TRACE`-page tracepoint register.
-    Tracepoint { op: crate::causal::TraceOp, id: u32 },
+    Trace { op: crate::causal::TraceOp, id: u32 },
+    /// An IPI was sent toward core `target` on `line`.
+    IpiSend { target: u8, line: u32 },
+    /// An IPI was delivered to core `target` on `line`.
+    IpiDeliver { target: u8, line: u32 },
 }
 
 impl EventKind {
@@ -132,15 +142,43 @@ impl EventKind {
         match self {
             EventKind::VmExit { .. } => "vm-exit",
             EventKind::ShadowFault { .. } => "shadow-fault",
-            EventKind::DeviceIrq { .. } => "irq",
-            EventKind::DeviceDma { .. } => "dma",
+            EventKind::Irq { .. } => "irq",
+            EventKind::Dma { .. } => "dma",
             EventKind::Doorbell { .. } => "doorbell",
             EventKind::DebugCommand { .. } => "debug-cmd",
-            EventKind::FaultInjected { .. } => "fault-inject",
-            EventKind::Logpoint { .. } => "logpoint",
-            EventKind::IrqEntry { .. } => "inta",
-            EventKind::IrqEoi => "eoi",
-            EventKind::Tracepoint { .. } => "tracepoint",
+            EventKind::Fault { .. } => "fault-inject",
+            EventKind::Log { .. } => "logpoint",
+            EventKind::Inta { .. } => "inta",
+            EventKind::Eoi => "eoi",
+            EventKind::Trace { .. } => "tracepoint",
+            EventKind::IpiSend { .. } => "ipi-send",
+            EventKind::IpiDeliver { .. } => "ipi-deliver",
+        }
+    }
+
+    /// The device this event belongs to: its Chrome track and its
+    /// [`crate::audit`] stream. `None` for everything but IRQs, DMA and
+    /// doorbells.
+    pub fn dev(&self) -> Option<Dev> {
+        match *self {
+            EventKind::Irq { dev, .. }
+            | EventKind::Dma { dev, .. }
+            | EventKind::Doorbell { dev, .. } => Some(dev),
+            _ => None,
+        }
+    }
+
+    /// The [`crate::audit`] stream this event belongs to: its device's
+    /// label, or `stub`, `fault`, `log`, `isr` or `trace`. `None` for the
+    /// kinds the recorder never journals.
+    pub fn stream(&self) -> Option<&'static str> {
+        match self {
+            EventKind::DebugCommand { .. } => Some("stub"),
+            EventKind::Fault { .. } => Some("fault"),
+            EventKind::Log { .. } => Some("log"),
+            EventKind::Inta { .. } | EventKind::Eoi => Some("isr"),
+            EventKind::Trace { .. } => Some("trace"),
+            _ => self.dev().map(Dev::label),
         }
     }
 }

@@ -7,18 +7,20 @@
 //!   commands) and injected NIC receive frames. The simulation itself is
 //!   deterministic, so re-applying these inputs at their recorded cycles
 //!   reproduces the run exactly (see `lvmm::ReplayDriver`).
-//! - **Events** — observed device activity: IRQ assertion cycles, DMA
-//!   completions with an FNV-1a digest of the payload moved, doorbell
-//!   writes and debug-stub commands. Events are not needed to replay; they
-//!   exist so two runs (or the same journal replayed on two platforms) can
-//!   be *audited* against each other and the first divergence located.
+//! - **Events** — the [`EventKind`]s the recorder journals: IRQ
+//!   assertions, DMA completions with an FNV-1a digest of the payload
+//!   moved, doorbell writes, debug-stub commands, injected faults,
+//!   logpoint hits, tracepoints and (with causal tracking on) ISR entry and
+//!   EOI. Events are not needed to replay; they exist so two runs (or the
+//!   same journal replayed on two platforms) can be *audited* against each
+//!   other and the first divergence located.
 //!
 //! The wire format is a line-based text document (`save`/`parse` round-trip
 //! exactly): a header with the platform name, a free-form note and the end
 //! cycle, then one line per record in recording order. All numbers are
 //! decimal except payload bytes and digests, which are lowercase hex.
 
-use crate::event::Dev;
+use crate::event::{Dev, EventKind};
 
 /// FNV-1a initial state.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -57,67 +59,13 @@ pub struct InputRecord {
     pub input: JournalInput,
 }
 
-/// An observed (deterministic) event, journaled for divergence auditing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalEvent {
-    /// A device asserted an interrupt line.
-    Irq { dev: Dev, irq: u32 },
-    /// A device completed a DMA transfer; `digest` is the FNV-1a of the
-    /// payload bytes moved (0 when the recording site did not digest).
-    Dma { dev: Dev, bytes: u32, digest: u64 },
-    /// The guest rang a device doorbell register.
-    Doorbell { dev: Dev, reg: u32 },
-    /// The debug stub executed one wire command.
-    DebugCommand { code: u8 },
-    /// A deterministic fault was injected (`code` is the fault-class code
-    /// from `hx-fault`, `arg` a class-specific detail). Faults are
-    /// deterministic machine state, not inputs — they are journaled so a
-    /// replay can be audited against the live run fault-for-fault.
-    Fault { code: u8, arg: u32 },
-    /// A logpoint fired at guest address `addr` with condition value
-    /// `value`. Logpoints are pure observation (they never stop the
-    /// guest), so journaling them lets a replay be audited hit-for-hit
-    /// against the live run — byte-identity of this stream is the
-    /// "logpoints do not perturb" invariant in executable form.
-    Log { addr: u32, value: u64 },
-    /// The guest entered the ISR for line `irq`. Journaled only while
-    /// causal tracing is enabled, so journals recorded without it stay
-    /// byte-identical to the pre-causal format.
-    Inta { irq: u32 },
-    /// The guest retired the most recent ISR with an EOI write. Journaled
-    /// only while causal tracing is enabled.
-    Eoi,
-    /// The guest emitted a tracepoint on the `TRACE` page. Guest-driven
-    /// like a doorbell, so it is journaled whenever journaling is on —
-    /// pre-causal guests emit none, keeping old journals byte-identical.
-    Trace { op: crate::causal::TraceOp, id: u32 },
-}
-
-impl JournalEvent {
-    /// The device this event belongs to (`None` for stub commands and
-    /// injected faults).
-    pub fn dev(&self) -> Option<Dev> {
-        match *self {
-            JournalEvent::Irq { dev, .. }
-            | JournalEvent::Dma { dev, .. }
-            | JournalEvent::Doorbell { dev, .. } => Some(dev),
-            JournalEvent::DebugCommand { .. }
-            | JournalEvent::Fault { .. }
-            | JournalEvent::Log { .. }
-            | JournalEvent::Inta { .. }
-            | JournalEvent::Eoi
-            | JournalEvent::Trace { .. } => None,
-        }
-    }
-}
-
 /// A timestamped observed-event record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventRecord {
     /// Simulated cycle of the observation.
     pub at: u64,
-    /// The event.
-    pub ev: JournalEvent,
+    /// The event: one of the kinds [`crate::Recorder::emit`] journals.
+    pub ev: EventKind,
     /// Core that was executing when the event was observed. Serialized as a
     /// trailing `c<N>` token only when nonzero, so single-core journal text
     /// is byte-identical to the pre-SMP format.
@@ -157,14 +105,8 @@ impl core::fmt::Display for JournalParseError {
 
 impl std::error::Error for JournalParseError {}
 
-fn dev_label(dev: Dev) -> &'static str {
-    dev.label()
-}
-
 fn dev_parse(s: &str) -> Option<Dev> {
-    [Dev::Nic, Dev::Hdc, Dev::Pit, Dev::Uart, Dev::Pic]
-        .into_iter()
-        .find(|d| d.label() == s)
+    Dev::ALL.into_iter().find(|d| d.label() == s)
 }
 
 fn hex_bytes(bytes: &[u8]) -> String {
@@ -199,12 +141,12 @@ impl Journal {
     }
 
     /// Appends an observed-event record attributed to core 0.
-    pub fn event(&mut self, at: u64, ev: JournalEvent) {
+    pub fn event(&mut self, at: u64, ev: EventKind) {
         self.event_on(at, ev, 0);
     }
 
     /// Appends an observed-event record attributed to `core`.
-    pub fn event_on(&mut self, at: u64, ev: JournalEvent, core: u8) {
+    pub fn event_on(&mut self, at: u64, ev: EventKind, core: u8) {
         self.events.push(EventRecord { at, ev, core });
     }
 
@@ -267,45 +209,41 @@ impl Journal {
                 i += 1;
             } else {
                 let r = &self.events[e];
-                match r.ev {
-                    JournalEvent::Irq { dev, irq } => {
-                        out.push_str(&format!("E {} irq {} {}", r.at, dev_label(dev), irq));
+                e += 1;
+                let (at, ev) = (r.at, r.ev);
+                match ev {
+                    EventKind::Irq { dev, irq } => {
+                        out.push_str(&format!("E {at} irq {} {irq}", dev.label()));
                     }
-                    JournalEvent::Dma { dev, bytes, digest } => {
-                        out.push_str(&format!(
-                            "E {} dma {} {} {digest:016x}",
-                            r.at,
-                            dev_label(dev),
-                            bytes
-                        ));
+                    EventKind::Dma { dev, bytes, digest } => {
+                        let dev = dev.label();
+                        out.push_str(&format!("E {at} dma {dev} {bytes} {digest:016x}"));
                     }
-                    JournalEvent::Doorbell { dev, reg } => {
-                        out.push_str(&format!("E {} bell {} {}", r.at, dev_label(dev), reg));
+                    EventKind::Doorbell { dev, reg } => {
+                        out.push_str(&format!("E {at} bell {} {reg}", dev.label()));
                     }
-                    JournalEvent::DebugCommand { code } => {
-                        out.push_str(&format!("E {} cmd {}", r.at, code));
+                    EventKind::DebugCommand { code } => out.push_str(&format!("E {at} cmd {code}")),
+                    EventKind::Fault { code, arg } => {
+                        out.push_str(&format!("E {at} fault {code} {arg}"));
                     }
-                    JournalEvent::Fault { code, arg } => {
-                        out.push_str(&format!("E {} fault {} {}", r.at, code, arg));
+                    EventKind::Log { addr, value } => {
+                        out.push_str(&format!("E {at} log {addr} {value}"));
                     }
-                    JournalEvent::Log { addr, value } => {
-                        out.push_str(&format!("E {} log {} {}", r.at, addr, value));
+                    EventKind::Inta { irq } => out.push_str(&format!("E {at} inta {irq}")),
+                    EventKind::Eoi => out.push_str(&format!("E {at} eoi")),
+                    EventKind::Trace { op, id } => {
+                        out.push_str(&format!("E {at} trace {} {id}", op.code()));
                     }
-                    JournalEvent::Inta { irq } => {
-                        out.push_str(&format!("E {} inta {}", r.at, irq));
-                    }
-                    JournalEvent::Eoi => {
-                        out.push_str(&format!("E {} eoi", r.at));
-                    }
-                    JournalEvent::Trace { op, id } => {
-                        out.push_str(&format!("E {} trace {} {}", r.at, op.code(), id));
-                    }
+                    // Kinds the recorder never journals have no text form.
+                    EventKind::VmExit { .. }
+                    | EventKind::ShadowFault { .. }
+                    | EventKind::IpiSend { .. }
+                    | EventKind::IpiDeliver { .. } => continue,
                 }
                 if r.core != 0 {
                     out.push_str(&format!(" c{}", r.core));
                 }
                 out.push('\n');
-                e += 1;
             }
         }
         out
@@ -377,7 +315,7 @@ impl Journal {
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad irq"))?;
-                            JournalEvent::Irq { dev, irq }
+                            EventKind::Irq { dev, irq }
                         }
                         "dma" => {
                             let dev = w
@@ -392,7 +330,7 @@ impl Journal {
                                 .next()
                                 .and_then(|v| u64::from_str_radix(v, 16).ok())
                                 .ok_or_else(|| err(line, "bad digest"))?;
-                            JournalEvent::Dma { dev, bytes, digest }
+                            EventKind::Dma { dev, bytes, digest }
                         }
                         "bell" => {
                             let dev = w
@@ -403,14 +341,14 @@ impl Journal {
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad register"))?;
-                            JournalEvent::Doorbell { dev, reg }
+                            EventKind::Doorbell { dev, reg }
                         }
                         "cmd" => {
                             let code = w
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad command code"))?;
-                            JournalEvent::DebugCommand { code }
+                            EventKind::DebugCommand { code }
                         }
                         "fault" => {
                             let code = w
@@ -421,7 +359,7 @@ impl Journal {
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad fault arg"))?;
-                            JournalEvent::Fault { code, arg }
+                            EventKind::Fault { code, arg }
                         }
                         "log" => {
                             let addr = w
@@ -432,16 +370,16 @@ impl Journal {
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad logpoint value"))?;
-                            JournalEvent::Log { addr, value }
+                            EventKind::Log { addr, value }
                         }
                         "inta" => {
                             let irq = w
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad inta irq"))?;
-                            JournalEvent::Inta { irq }
+                            EventKind::Inta { irq }
                         }
-                        "eoi" => JournalEvent::Eoi,
+                        "eoi" => EventKind::Eoi,
                         "trace" => {
                             let op = w
                                 .next()
@@ -451,7 +389,7 @@ impl Journal {
                                 .next()
                                 .and_then(|v| v.parse().ok())
                                 .ok_or_else(|| err(line, "bad tracepoint id"))?;
-                            JournalEvent::Trace { op, id }
+                            EventKind::Trace { op, id }
                         }
                         _ => return Err(err(line, "unknown event kind")),
                     };
@@ -561,31 +499,16 @@ impl StreamAudit {
 /// order and payloads of operations are determined by the guest program
 /// and must match if the platforms are behaviourally equivalent.
 pub fn audit(a: &Journal, b: &Journal) -> Vec<StreamAudit> {
-    fn is_dev(ev: &JournalEvent, dev: Dev) -> bool {
-        ev.dev() == Some(dev)
-    }
-    type StreamFilter = fn(&JournalEvent) -> bool;
-    let streams: [(&str, StreamFilter); 10] = [
-        ("nic", |e| is_dev(e, Dev::Nic)),
-        ("hdc", |e| is_dev(e, Dev::Hdc)),
-        ("pit", |e| is_dev(e, Dev::Pit)),
-        ("uart", |e| is_dev(e, Dev::Uart)),
-        ("pic", |e| is_dev(e, Dev::Pic)),
-        ("stub", |e| matches!(e, JournalEvent::DebugCommand { .. })),
-        ("fault", |e| matches!(e, JournalEvent::Fault { .. })),
-        ("log", |e| matches!(e, JournalEvent::Log { .. })),
-        ("isr", |e| {
-            matches!(e, JournalEvent::Inta { .. } | JournalEvent::Eoi)
-        }),
-        ("trace", |e| matches!(e, JournalEvent::Trace { .. })),
+    let streams = [
+        "nic", "hdc", "pit", "uart", "pic", "stub", "fault", "log", "isr", "trace",
     ];
     streams
         .into_iter()
-        .map(|(name, belongs)| {
+        .map(|name| {
             let pick = |j: &Journal| -> Vec<EventRecord> {
                 j.events
                     .iter()
-                    .filter(|r| belongs(&r.ev))
+                    .filter(|r| r.ev.stream() == Some(name))
                     .copied()
                     .collect()
             };
@@ -610,7 +533,7 @@ mod tests {
         j.input(120, JournalInput::UartRx(b"$qStats#69".to_vec()));
         j.event(
             130,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Uart,
                 irq: 1,
             },
@@ -618,7 +541,7 @@ mod tests {
         j.input(500, JournalInput::NicRx(vec![0xde, 0xad, 0xbe, 0xef]));
         j.event(
             700,
-            JournalEvent::Dma {
+            EventKind::Dma {
                 dev: Dev::Nic,
                 bytes: 4,
                 digest: digest(&[0xde, 0xad, 0xbe, 0xef]),
@@ -626,12 +549,12 @@ mod tests {
         );
         j.event(
             720,
-            JournalEvent::Doorbell {
+            EventKind::Doorbell {
                 dev: Dev::Nic,
                 reg: 0x0c,
             },
         );
-        j.event(800, JournalEvent::DebugCommand { code: b'q' });
+        j.event(800, EventKind::DebugCommand { code: b'q' });
         j.seal(10_000);
         j
     }
@@ -642,6 +565,15 @@ mod tests {
         let text = j.save();
         assert_eq!(Journal::parse(&text).unwrap(), j);
         // Serialization is deterministic.
+        assert_eq!(j.save(), text);
+    }
+
+    #[test]
+    fn kinds_never_journaled_have_no_text_form() {
+        let mut j = sample();
+        let text = j.save();
+        j.event(900, EventKind::ShadowFault { vaddr: 0x4000 });
+        j.event(901, EventKind::IpiSend { target: 1, line: 0 });
         assert_eq!(j.save(), text);
     }
 
@@ -695,7 +627,7 @@ mod tests {
             None
         );
         // Tamper with a digest: sequence diverges at that index.
-        if let JournalEvent::Dma { digest, .. } = &mut k.events[1].ev {
+        if let EventKind::Dma { digest, .. } = &mut k.events[1].ev {
             *digest ^= 1;
         }
         let d = first_divergence(&j.events, &k.events, DivergenceMode::Sequence).unwrap();
@@ -730,26 +662,25 @@ mod tests {
             ]
         }
 
-        fn arb_event() -> impl Strategy<Value = JournalEvent> {
+        fn arb_event() -> impl Strategy<Value = EventKind> {
             let dev =
                 || proptest::sample::select(&[Dev::Nic, Dev::Hdc, Dev::Pit, Dev::Uart, Dev::Pic]);
             prop_oneof![
-                (dev(), any::<u32>()).prop_map(|(dev, irq)| JournalEvent::Irq { dev, irq }),
+                (dev(), any::<u32>()).prop_map(|(dev, irq)| EventKind::Irq { dev, irq }),
                 (dev(), any::<u32>(), any::<u64>())
-                    .prop_map(|(dev, bytes, digest)| JournalEvent::Dma { dev, bytes, digest }),
-                (dev(), any::<u32>()).prop_map(|(dev, reg)| JournalEvent::Doorbell { dev, reg }),
-                any::<u8>().prop_map(|code| JournalEvent::DebugCommand { code }),
-                (any::<u8>(), any::<u32>())
-                    .prop_map(|(code, arg)| JournalEvent::Fault { code, arg }),
+                    .prop_map(|(dev, bytes, digest)| EventKind::Dma { dev, bytes, digest }),
+                (dev(), any::<u32>()).prop_map(|(dev, reg)| EventKind::Doorbell { dev, reg }),
+                any::<u8>().prop_map(|code| EventKind::DebugCommand { code }),
+                (any::<u8>(), any::<u32>()).prop_map(|(code, arg)| EventKind::Fault { code, arg }),
                 (any::<u32>(), any::<u64>())
-                    .prop_map(|(addr, value)| JournalEvent::Log { addr, value }),
-                any::<u32>().prop_map(|irq| JournalEvent::Inta { irq }),
-                Just(JournalEvent::Eoi),
+                    .prop_map(|(addr, value)| EventKind::Log { addr, value }),
+                any::<u32>().prop_map(|irq| EventKind::Inta { irq }),
+                Just(EventKind::Eoi),
                 (
                     proptest::sample::select(&[TraceOp::Begin, TraceOp::End, TraceOp::Instant]),
                     any::<u32>()
                 )
-                    .prop_map(|(op, id)| JournalEvent::Trace { op, id }),
+                    .prop_map(|(op, id)| EventKind::Trace { op, id }),
             ]
         }
 

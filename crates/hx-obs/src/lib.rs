@@ -19,17 +19,32 @@
 //!
 //! ## Event taxonomy
 //!
-//! | event | meaning | payload |
-//! |---|---|---|
-//! | `VmExit` | guest → monitor exit | [`ExitCause`] + monitor cycles |
-//! | `ShadowFault` | shadow page-table miss | guest virtual address |
-//! | `DeviceIrq` | device asserted an IRQ line | [`Dev`] + irq number |
-//! | `DeviceDma` | device moved payload bytes | [`Dev`] + byte count |
-//! | `Doorbell` | guest rang a device kick register | [`Dev`] + register offset |
-//! | `DebugCommand` | debug stub executed a wire command | command byte |
-//! | `IrqEntry` | guest entered an ISR (INTA) | irq line (causal-gated) |
-//! | `IrqEoi` | guest retired an ISR (EOI write) | — (causal-gated) |
-//! | `Tracepoint` | guest wrote a `TRACE`-page register | [`TraceOp`] + id |
+//! [`EventKind`] is the one event type: the trace ring, the journal and the
+//! causal tracker all hold it, and [`Recorder::emit`] routes each kind with
+//! one match. The ring records while tracing is on, the journal while
+//! journaling is on; "causal only" kinds reach nothing unless causal
+//! tracking is on, so runs without it keep their trace and journal bytes.
+//!
+//! | variant | payload | ring | journal token | causal |
+//! |---|---|---|---|---|
+//! | `VmExit` | [`ExitCause`] + monitor cycles | yes | — | — |
+//! | `ShadowFault` | guest virtual address | yes | — | — |
+//! | `Irq` | [`Dev`] + irq line | yes | `irq` | ends `disk`/`nic-tx`, begins `irq-dispatch` |
+//! | `Dma` | [`Dev`] + byte count + FNV-1a payload digest | yes | `dma` | — |
+//! | `Doorbell` | [`Dev`] + register offset | yes | `bell` | begins `disk`/`nic-tx` |
+//! | `DebugCommand` | command byte | yes | `cmd` | — |
+//! | `Fault` | fault-class code + class detail | yes | `fault` | — |
+//! | `Log` | instruction address + condition value | yes | `log` | — |
+//! | `Inta` | irq line | causal only | `inta`, causal only | ends `irq-dispatch`, begins `irq-service` |
+//! | `Eoi` | — | causal only | `eoi`, causal only | ends `irq-service` |
+//! | `Trace` | [`TraceOp`] + tracepoint id | yes | `trace` | begins/ends `span` |
+//! | `IpiSend` | target core + line | — | — | begins `ipi` |
+//! | `IpiDeliver` | target core + line | — | — | ends `ipi` |
+//!
+//! A `VmExit` also feeds the exit histograms and per-core exit counts,
+//! whatever is enabled. The IPI pair stays out of the ring and the journal
+//! because the send is already a PIC `Doorbell` and the delivery a PIC
+//! `Irq`.
 //!
 //! Exit causes: `privileged`, `mmio`, `shadow`, `irq-reflect`,
 //! `irq-inject`, `protection`, `debug`, and (hosted monitor only)
@@ -67,8 +82,8 @@
 //!
 //! - [`Journal`] — the record/replay journal: every nondeterministic input
 //!   (UART bytes, NIC RX frames) with payloads, plus an unbounded stream of
-//!   device events (IRQs, DMA completions with payload digests, doorbells,
-//!   debug commands) for divergence auditing. Text-serializable.
+//!   the journaled [`EventKind`]s (see the table above) for divergence
+//!   auditing. Text-serializable.
 //! - [`audit`]/[`first_divergence`] — per-device-stream comparison of two
 //!   journals, reporting the first point where runs disagree.
 //!
@@ -98,7 +113,7 @@ pub use hist::{CycleHist, ExitHists};
 pub use hostprof::{HostAttribution, HostPhase, HostProf};
 pub use journal::{
     audit, digest, first_divergence, fnv1a, Divergence, DivergenceMode, EventRecord, InputRecord,
-    Journal, JournalEvent, JournalInput, JournalParseError, StreamAudit,
+    Journal, JournalInput, JournalParseError, StreamAudit,
 };
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prof::{Profiler, SymbolMap};

@@ -13,17 +13,24 @@
 //!   [`Journal`] that replay and divergence audits consume. Unlike the
 //!   ring, the journal never drops.
 //!
+//! Every observed event enters through one method, [`Recorder::emit`],
+//! as one [`EventKind`]; its single match decides which subscribers see
+//! it — the exit histograms, the ring, the journal and the causal
+//! tracker, each an optional field behind that match. Input payloads take
+//! the separate [`Recorder::journal_input`] path (they are not events),
+//! and cycle charges take [`Recorder::charge`].
+//!
 //! Nothing in here mutates simulation state, so a recorder can never
 //! perturb determinism — it only observes it. The opt-in host-time
 //! self-profiler ([`HostProf`]) is the one piece that reads host clocks;
 //! its readings flow only into its own accumulators (see
 //! [`crate::hostprof`]), never back into the simulation.
 
-use crate::causal::{CausalTracker, TraceOp};
-use crate::event::{Dev, EventKind, ExitCause, TraceEvent};
+use crate::causal::CausalTracker;
+use crate::event::{EventKind, TraceEvent};
 use crate::hist::ExitHists;
 use crate::hostprof::{HostAttribution, HostPhase, HostProf};
-use crate::journal::{Journal, JournalEvent, JournalInput};
+use crate::journal::{Journal, JournalInput};
 use crate::prof::Profiler;
 use crate::ring::TraceRing;
 use crate::span::{SpanTrack, Track};
@@ -223,35 +230,48 @@ impl Recorder {
         }
     }
 
-    fn journal_event(&mut self, at: u64, ev: JournalEvent) {
-        let core = self.active_core;
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.event_on(at, ev, core);
+    /// Record one observed event at simulated cycle `at`. This one match
+    /// is the whole routing table:
+    ///
+    /// - a `VmExit` always reaches the exit histograms and the per-core
+    ///   exit counts;
+    /// - every kind but the IPI pair reaches the ring while tracing;
+    /// - every kind but `VmExit`, `ShadowFault` and the IPI pair is
+    ///   journaled while journaling — tracepoints included, with or
+    ///   without causal tracking;
+    /// - `Inta` and `Eoi` reach nothing unless causal tracking is on, so
+    ///   traces and journals recorded without it keep their bytes;
+    /// - the IPI pair reaches only the causal tracker: the send is already
+    ///   journaled as a PIC doorbell and the delivery as a PIC IRQ.
+    ///
+    /// The causal tracker, when on, sees every event that gets past the
+    /// match and ignores the kinds that carry no handoff.
+    pub fn emit(&mut self, at: u64, ev: EventKind) {
+        let (ringed, journaled) = match ev {
+            EventKind::VmExit { cause, cycles } => {
+                self.exits.record(cause, cycles);
+                let core = self.active_core as usize;
+                if core >= self.core_exits.len() {
+                    self.core_exits.resize(core + 1, 0);
+                }
+                self.core_exits[core] += 1;
+                (true, false)
+            }
+            EventKind::ShadowFault { .. } => (true, false),
+            EventKind::Inta { .. } | EventKind::Eoi if self.causal.is_none() => return,
+            EventKind::IpiSend { .. } | EventKind::IpiDeliver { .. } => (false, false),
+            _ => (true, true),
+        };
+        if ringed && self.tracing {
+            self.ring.push(TraceEvent { at, kind: ev });
         }
-    }
-
-    /// Record a raw event at simulated cycle `at`.
-    pub fn event(&mut self, at: u64, kind: EventKind) {
-        if self.tracing {
-            self.ring.push(TraceEvent { at, kind });
+        if let Some(c) = self.causal.as_deref_mut() {
+            c.observe(at, self.active_core, &ev);
         }
-    }
-
-    /// Record one guest→monitor exit: `cycles` of monitor time attributed
-    /// to `cause`, finishing at cycle `at`. Feeds both the histogram
-    /// (always) and the event ring (when tracing).
-    pub fn exit(&mut self, at: u64, cause: ExitCause, cycles: u64) {
-        self.exits.record(cause, cycles);
-        let core = self.active_core as usize;
-        if core >= self.core_exits.len() {
-            self.core_exits.resize(core + 1, 0);
-        }
-        self.core_exits[core] += 1;
-        if self.tracing {
-            self.ring.push(TraceEvent {
-                at,
-                kind: EventKind::VmExit { cause, cycles },
-            });
+        if journaled {
+            if let Some(j) = self.journal.as_deref_mut() {
+                j.event_on(at, ev, self.active_core);
+            }
         }
     }
 
@@ -268,120 +288,6 @@ impl Recorder {
                 p.charge_guest(cycles);
             }
         }
-    }
-
-    pub fn irq(&mut self, at: u64, dev: Dev, irq: u32) {
-        self.event(at, EventKind::DeviceIrq { dev, irq });
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.device_irq(at, core, dev, irq);
-        }
-        self.journal_event(at, JournalEvent::Irq { dev, irq });
-    }
-
-    pub fn dma(&mut self, at: u64, dev: Dev, bytes: u32) {
-        self.dma_digest(at, dev, bytes, 0);
-    }
-
-    /// DMA with a payload digest — devices compute the FNV-1a of the moved
-    /// bytes only when journaling, so the plain [`Recorder::dma`] path stays
-    /// free of hashing cost.
-    pub fn dma_digest(&mut self, at: u64, dev: Dev, bytes: u32, digest: u64) {
-        self.event(at, EventKind::DeviceDma { dev, bytes });
-        self.journal_event(at, JournalEvent::Dma { dev, bytes, digest });
-    }
-
-    pub fn doorbell(&mut self, at: u64, dev: Dev, reg: u32) {
-        self.event(at, EventKind::Doorbell { dev, reg });
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.doorbell(at, core, dev, reg);
-        }
-        self.journal_event(at, JournalEvent::Doorbell { dev, reg });
-    }
-
-    /// The guest entered the ISR for line `irq` — architectural INTA on
-    /// raw hardware, virtual-PIC INTA at injection under a monitor. A
-    /// branch-and-return unless causal tracing is on; ring and journal
-    /// records are causal-gated too, so traces and journals recorded
-    /// without causal tracing keep their pre-causal bytes.
-    pub fn inta(&mut self, at: u64, irq: u32) {
-        if self.causal.is_none() {
-            return;
-        }
-        self.event(at, EventKind::IrqEntry { irq });
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.inta(at, core, irq);
-        }
-        self.journal_event(at, JournalEvent::Inta { irq });
-    }
-
-    /// The guest wrote the PIC EOI register, retiring the most recent ISR.
-    /// Causal-gated like [`Recorder::inta`].
-    pub fn eoi(&mut self, at: u64) {
-        if self.causal.is_none() {
-            return;
-        }
-        self.event(at, EventKind::IrqEoi);
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.eoi(at, core);
-        }
-        self.journal_event(at, JournalEvent::Eoi);
-    }
-
-    /// An IPI send was issued toward `target`, line `line`. Feeds only the
-    /// causal tracker — the send is already journaled as a PIC doorbell
-    /// and the delivery as a PIC IRQ, so no new journal stream is needed.
-    pub fn ipi_send(&mut self, at: u64, target: u8, line: u32) {
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.ipi_send(at, core, target, line);
-        }
-    }
-
-    /// An IPI was delivered to `target` (startup or pending-mask latch).
-    pub fn ipi_deliver(&mut self, at: u64, target: u8, line: u32) {
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.ipi_deliver(at, target, line);
-        }
-    }
-
-    /// The guest wrote a `TRACE`-page register: `op` at tracepoint `id`.
-    /// Guest-driven like a doorbell, so the ring (when tracing) and the
-    /// journal (when journaling) record it regardless of causal tracking —
-    /// pre-causal guests emit none, so their outputs are unchanged.
-    pub fn tracepoint(&mut self, at: u64, op: TraceOp, id: u32) {
-        self.event(at, EventKind::Tracepoint { op, id });
-        let core = self.active_core;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.tracepoint(at, core, op, id);
-        }
-        self.journal_event(at, JournalEvent::Trace { op, id });
-    }
-
-    pub fn debug_command(&mut self, at: u64, code: u8) {
-        self.event(at, EventKind::DebugCommand { code });
-        self.journal_event(at, JournalEvent::DebugCommand { code });
-    }
-
-    /// Record one injected fault: `code` is the `hx-fault` class code,
-    /// `arg` a class-specific detail (target address, IRQ mask, unit).
-    /// Faults are deterministic machine state — journaled for audits, never
-    /// replayed as inputs.
-    pub fn fault(&mut self, at: u64, code: u8, arg: u32) {
-        self.event(at, EventKind::FaultInjected { code, arg });
-        self.journal_event(at, JournalEvent::Fault { code, arg });
-    }
-
-    /// Record one logpoint hit: the instruction at `addr` retired at cycle
-    /// `at` with condition value `value`. Logpoints are pure observation,
-    /// so the hit stream is journaled and audited like a device stream —
-    /// a live run and its replay must match hit-for-hit.
-    pub fn logpoint(&mut self, at: u64, addr: u32, value: u64) {
-        self.event(at, EventKind::Logpoint { addr, value });
-        self.journal_event(at, JournalEvent::Log { addr, value });
     }
 
     /// Reset all recorded data (ring, spans, histograms, profiler counts,
@@ -405,12 +311,23 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::causal::TraceOp;
+    use crate::event::{Dev, ExitCause};
+
+    fn exit(cause: ExitCause, cycles: u64) -> EventKind {
+        EventKind::VmExit { cause, cycles }
+    }
+
+    const NIC_IRQ: EventKind = EventKind::Irq {
+        dev: Dev::Nic,
+        irq: 5,
+    };
 
     #[test]
     fn disabled_recorder_keeps_metrics_but_no_events() {
         let mut r = Recorder::new();
-        r.exit(100, ExitCause::Mmio, 990);
-        r.irq(120, Dev::Nic, 5);
+        r.emit(100, exit(ExitCause::Mmio, 990));
+        r.emit(120, NIC_IRQ);
         r.charge(Track::Guest, 50);
         assert_eq!(r.exits.get(ExitCause::Mmio).count(), 1);
         assert!(r.ring.is_empty());
@@ -420,10 +337,10 @@ mod tests {
     #[test]
     fn exits_attribute_to_the_active_core() {
         let mut r = Recorder::new();
-        r.exit(10, ExitCause::Mmio, 5);
+        r.emit(10, exit(ExitCause::Mmio, 5));
         r.set_active_core(2);
-        r.exit(20, ExitCause::Privileged, 5);
-        r.exit(30, ExitCause::Mmio, 5);
+        r.emit(20, exit(ExitCause::Privileged, 5));
+        r.emit(30, exit(ExitCause::Mmio, 5));
         assert_eq!(r.core_exit_counts(), &[1, 0, 2]);
         assert_eq!(r.core_exit_count(1), 0);
         assert_eq!(r.core_exit_count(7), 0);
@@ -435,8 +352,8 @@ mod tests {
     fn enabled_recorder_captures_everything() {
         let mut r = Recorder::new();
         r.enable_tracing();
-        r.exit(100, ExitCause::Mmio, 990);
-        r.irq(120, Dev::Nic, 5);
+        r.emit(100, exit(ExitCause::Mmio, 990));
+        r.emit(120, NIC_IRQ);
         r.charge(Track::Guest, 50);
         assert_eq!(r.ring.len(), 2);
         assert_eq!(r.spans.grand_total(), 50);
@@ -446,26 +363,33 @@ mod tests {
     fn journal_captures_events_independent_of_tracing() {
         let mut r = Recorder::new();
         assert!(!r.journaling());
-        r.irq(10, Dev::Nic, 5); // before enable: not journaled
+        r.emit(10, NIC_IRQ); // before enable: not journaled
         r.enable_journal("lvmm");
-        r.irq(120, Dev::Nic, 5);
-        r.dma_digest(130, Dev::Hdc, 512, 0xdead);
-        r.doorbell(140, Dev::Nic, 4);
-        r.debug_command(150, b'g');
+        r.emit(120, NIC_IRQ);
+        let dma = EventKind::Dma {
+            dev: Dev::Hdc,
+            bytes: 512,
+            digest: 0xdead,
+        };
+        r.emit(130, dma);
+        r.emit(
+            140,
+            EventKind::Doorbell {
+                dev: Dev::Nic,
+                reg: 4,
+            },
+        );
+        r.emit(150, EventKind::DebugCommand { code: b'g' });
+        // Exits and shadow faults are never journaled.
+        r.emit(155, exit(ExitCause::Shadow, 9));
+        r.emit(156, EventKind::ShadowFault { vaddr: 0x4000 });
         r.journal_input(160, JournalInput::UartRx(vec![0x24]));
         // Tracing stayed off: ring empty, but journal has everything.
         assert!(r.ring.is_empty());
         let j = r.journal().unwrap();
         assert_eq!(j.events.len(), 4);
         assert_eq!(j.inputs.len(), 1);
-        assert_eq!(
-            j.events[1].ev,
-            JournalEvent::Dma {
-                dev: Dev::Hdc,
-                bytes: 512,
-                digest: 0xdead
-            }
-        );
+        assert_eq!(j.events[1].ev, dma);
         // Reset keeps the journal; take detaches it.
         r.reset();
         assert!(r.journaling());
@@ -475,32 +399,40 @@ mod tests {
     }
 
     #[test]
-    fn causal_funnels_are_gated_and_feed_tracker_and_journal() {
+    fn causal_events_are_gated_and_feed_tracker_and_journal() {
         use crate::causal::FlowClass;
         let mut r = Recorder::new();
+        r.enable_tracing();
         r.enable_journal("lvmm");
-        // Causal off: inta/eoi are a branch and return — not journaled, so
-        // pre-causal journal bytes are preserved.
-        r.inta(10, 0);
-        r.eoi(20);
+        let trace = |op, id| EventKind::Trace { op, id };
+        // Causal off: inta/eoi reach nothing, so pre-causal trace and
+        // journal bytes are preserved.
+        r.emit(10, EventKind::Inta { irq: 0 });
+        r.emit(20, EventKind::Eoi);
         assert_eq!(r.journal().unwrap().events.len(), 0);
+        assert!(r.ring.is_empty());
         // Tracepoints are guest-driven: journaled even without causal.
-        r.tracepoint(30, TraceOp::Instant, 9);
+        r.emit(30, trace(TraceOp::Instant, 9));
         assert_eq!(r.journal().unwrap().events.len(), 1);
 
         r.enable_causal();
-        r.irq(100, Dev::Pit, 0);
-        r.inta(150, 0);
-        r.eoi(200);
+        let pit = EventKind::Irq {
+            dev: Dev::Pit,
+            irq: 0,
+        };
+        r.emit(100, pit);
+        r.emit(150, EventKind::Inta { irq: 0 });
+        r.emit(200, EventKind::Eoi);
         r.set_active_core(1);
-        r.tracepoint(250, TraceOp::Begin, 7);
-        r.tracepoint(300, TraceOp::End, 7);
+        r.emit(250, trace(TraceOp::Begin, 7));
+        r.emit(300, trace(TraceOp::End, 7));
         let c = r.causal().unwrap();
         assert_eq!(c.flows().len(), 3);
         assert_eq!(c.hist(FlowClass::IrqDispatch).max(), 50);
         assert_eq!(c.flows()[2].begin_core, 1);
         // irq + inta + eoi + 2 tracepoints journaled after enable.
         assert_eq!(r.journal().unwrap().events.len(), 6);
+        assert_eq!(r.ring.len(), 6);
 
         // Reset clears flows but keeps the tracker installed; take detaches.
         r.reset();
@@ -509,6 +441,22 @@ mod tests {
         let t = r.take_causal().unwrap();
         assert!(t.flows().is_empty());
         assert!(!r.causal_tracking());
+    }
+
+    #[test]
+    fn ipis_reach_only_the_causal_tracker() {
+        use crate::causal::FlowClass;
+        let mut r = Recorder::new();
+        r.enable_tracing();
+        r.enable_journal("lvmm");
+        r.enable_causal();
+        r.emit(500, EventKind::IpiSend { target: 1, line: 0 });
+        r.emit(564, EventKind::IpiDeliver { target: 1, line: 0 });
+        assert!(r.ring.is_empty());
+        assert!(r.journal().unwrap().events.is_empty());
+        let f = r.causal().unwrap().flows()[0];
+        assert_eq!(f.class, FlowClass::Ipi);
+        assert_eq!((f.begin_core, f.end_core, f.latency()), (0, 1, 64));
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod tests {
     fn ev(at: u64) -> TraceEvent {
         TraceEvent {
             at,
-            kind: EventKind::DeviceIrq {
+            kind: EventKind::Irq {
                 dev: Dev::Nic,
                 irq: 5,
             },

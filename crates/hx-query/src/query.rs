@@ -5,7 +5,7 @@
 //! results are cycles that can drive a replay seek.
 
 use hx_obs::json::JsonObj;
-use hx_obs::{audit, Journal, JournalEvent};
+use hx_obs::{audit, EventKind, Journal};
 
 /// The first event at which two recordings disagree, per the divergence
 /// auditor's stream decomposition.
@@ -47,7 +47,7 @@ pub fn irq_deliveries(j: &Journal, irq: u32, from: u64, to: u64) -> Vec<u64> {
     j.events
         .iter()
         .filter(|e| (from..=to).contains(&e.at))
-        .filter(|e| matches!(e.ev, JournalEvent::Irq { irq: i, .. } if i == irq))
+        .filter(|e| matches!(e.ev, EventKind::Irq { irq: i, .. } if i == irq))
         .map(|e| e.at)
         .collect()
 }
@@ -64,7 +64,9 @@ pub enum JournalQuery {
         /// Range end (inclusive), `u64::MAX` if unspecified.
         to: u64,
     },
-    /// `first-event <stream>` — first event of a named device stream.
+    /// `first-event <stream>` — first event of a named [`audit`] stream
+    /// (`nic`, `hdc`, `pit`, `uart`, `pic`, `stub`, `fault`, `log`, `isr`,
+    /// `trace`).
     FirstEvent {
         /// Stream name, as in the divergence auditor (`nic`, `stub`, …).
         stream: String,
@@ -226,14 +228,14 @@ impl JournalQuery {
             JournalQuery::FirstEvent { stream } => j
                 .events
                 .iter()
-                .filter(|e| event_stream(&e.ev) == stream.as_str())
+                .filter(|e| e.ev.stream() == Some(stream.as_str()))
                 .map(|e| e.at)
                 .collect(),
             JournalQuery::Logs { addr } => j
                 .events
                 .iter()
                 .filter(|e| match e.ev {
-                    JournalEvent::Log { addr: a, .. } => addr.is_none_or(|want| want == a),
+                    EventKind::Log { addr: a, .. } => addr.is_none_or(|want| want == a),
                     _ => false,
                 })
                 .map(|e| e.at)
@@ -252,7 +254,7 @@ impl JournalQuery {
                 .events
                 .iter()
                 .filter(|e| match e.ev {
-                    JournalEvent::Trace { id: i, .. } => id.is_none_or(|want| want == i),
+                    EventKind::Trace { id: i, .. } => id.is_none_or(|want| want == i),
                     _ => false,
                 })
                 .map(|e| e.at)
@@ -276,10 +278,10 @@ pub fn irq_latencies(j: &Journal, irq: u32) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     for e in &j.events {
         match e.ev {
-            JournalEvent::Irq { dev, irq: line } if line == irq && dev != hx_obs::Dev::Pic => {
+            EventKind::Irq { dev, irq: line } if line == irq && dev != hx_obs::Dev::Pic => {
                 pending.get_or_insert(e.at);
             }
-            JournalEvent::Inta { irq: line } if line == irq => {
+            EventKind::Inta { irq: line } if line == irq => {
                 if let Some(raise) = pending.take() {
                     out.push((e.at, e.at - raise));
                 }
@@ -288,16 +290,6 @@ pub fn irq_latencies(j: &Journal, irq: u32) -> Vec<(u64, u64)> {
         }
     }
     out
-}
-
-/// The auditor stream an event belongs to.
-fn event_stream(e: &JournalEvent) -> &'static str {
-    match e {
-        JournalEvent::DebugCommand { .. } => "stub",
-        JournalEvent::Fault { .. } => "fault",
-        JournalEvent::Log { .. } => "log",
-        other => other.dev().map_or("?", |d| d.label()),
-    }
 }
 
 #[cfg(test)]
@@ -309,36 +301,36 @@ mod tests {
         let mut j = Journal::new("lvmm");
         j.event(
             100,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Pit,
                 irq: 0,
             },
         );
         j.event(
             200,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Nic,
                 irq: 3,
             },
         );
         j.event(
             300,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Nic,
                 irq: 3,
             },
         );
-        j.event(250, JournalEvent::Inta { irq: 3 });
+        j.event(250, EventKind::Inta { irq: 3 });
         j.event(
             400,
-            JournalEvent::Log {
+            EventKind::Log {
                 addr: 0x1000,
                 value: 7,
             },
         );
         j.event(
             450,
-            JournalEvent::Log {
+            EventKind::Log {
                 addr: 0x2000,
                 value: 9,
             },
@@ -368,6 +360,9 @@ mod tests {
         assert_eq!(one.cycles, vec![450]);
         let pit = JournalQuery::parse("first-event pit").unwrap().run(&j);
         assert_eq!(pit.first, Some(100));
+        // Every audit stream is queryable, ISR entry/exit included.
+        let isr = JournalQuery::parse("first-event isr").unwrap().run(&j);
+        assert_eq!(isr.first, Some(250));
         assert!(one.to_json().contains("\"first\":450"));
     }
 
@@ -380,44 +375,44 @@ mod tests {
         // flow, earliest-raise-wins. A PIC raise is not a dispatch.
         j.event(
             100,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Pit,
                 irq: 0,
             },
         );
-        j.event(150, JournalEvent::Inta { irq: 0 });
+        j.event(150, EventKind::Inta { irq: 0 });
         j.event(
             200,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Pic,
                 irq: 0,
             },
         );
         j.event(
             400,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Pit,
                 irq: 0,
             },
         );
         j.event(
             500,
-            JournalEvent::Irq {
+            EventKind::Irq {
                 dev: Dev::Pit,
                 irq: 0,
             },
         );
-        j.event(700, JournalEvent::Inta { irq: 0 });
+        j.event(700, EventKind::Inta { irq: 0 });
         j.event(
             800,
-            JournalEvent::Trace {
+            EventKind::Trace {
                 op: TraceOp::Begin,
                 id: 7,
             },
         );
         j.event(
             900,
-            JournalEvent::Trace {
+            EventKind::Trace {
                 op: TraceOp::End,
                 id: 7,
             },
@@ -459,7 +454,7 @@ mod tests {
         assert_eq!(hit.at_b, None);
         // A payload change diverges at its own index.
         let mut c = sample_journal();
-        c.events[1].ev = JournalEvent::Irq {
+        c.events[1].ev = EventKind::Irq {
             dev: Dev::Nic,
             irq: 4,
         };

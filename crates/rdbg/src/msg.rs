@@ -404,14 +404,6 @@ pub struct StatsSample {
     pub host: u64,
     /// Cycles attributed to idle.
     pub idle: u64,
-    /// Decode-cache hits (instructions served predecoded).
-    pub decode_hits: u64,
-    /// Decode-cache misses (instructions decoded the slow way).
-    pub decode_misses: u64,
-    /// Fetch translations served from the fast-path line.
-    pub fast_fetches: u64,
-    /// Predecoded pages dropped after their contents changed.
-    pub decode_invalidations: u64,
     /// Per-cause guest-exit counts, in target-defined order.
     pub exits: Vec<u64>,
     /// Injected-fault counts per fault class, in target-defined order (for
@@ -438,16 +430,12 @@ impl StatsSample {
         let exits: Vec<String> = self.exits.iter().map(|c| format!("{c:x}")).collect();
         let faults: Vec<String> = self.faults.iter().map(|c| format!("{c:x}")).collect();
         let mut out = format!(
-            "S{:x};g:{:x};m:{:x};h:{:x};i:{:x};dh:{:x};dm:{:x};df:{:x};dv:{:x};x:{};f:{};fb:{:x}",
+            "S{:x};g:{:x};m:{:x};h:{:x};i:{:x};x:{};f:{};fb:{:x}",
             self.now,
             self.guest,
             self.monitor,
             self.host,
             self.idle,
-            self.decode_hits,
-            self.decode_misses,
-            self.fast_fetches,
-            self.decode_invalidations,
             exits.join(","),
             faults.join(","),
             self.fault_blocked
@@ -483,10 +471,6 @@ impl StatsSample {
                 "m" => sample.monitor = u64::from_str_radix(v, 16).ok()?,
                 "h" => sample.host = u64::from_str_radix(v, 16).ok()?,
                 "i" => sample.idle = u64::from_str_radix(v, 16).ok()?,
-                "dh" => sample.decode_hits = u64::from_str_radix(v, 16).ok()?,
-                "dm" => sample.decode_misses = u64::from_str_radix(v, 16).ok()?,
-                "df" => sample.fast_fetches = u64::from_str_radix(v, 16).ok()?,
-                "dv" => sample.decode_invalidations = u64::from_str_radix(v, 16).ok()?,
                 "x" if !v.is_empty() => {
                     for c in v.split(',') {
                         sample.exits.push(u64::from_str_radix(c, 16).ok()?);
@@ -1111,10 +1095,6 @@ mod tests {
             monitor: 2,
             host: 0,
             idle: 7,
-            decode_hits: 0x40,
-            decode_misses: 3,
-            fast_fetches: 0x3f,
-            decode_invalidations: 1,
             exits: vec![4, 0, 0x99],
             faults: vec![2, 0, 1],
             fault_blocked: 1,
@@ -1363,7 +1343,6 @@ mod tests {
                 any::<u64>(),
                 any::<u64>(),
             ),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             (
                 proptest::collection::vec(any::<u64>(), 0..12),
                 proptest::collection::vec(any::<u64>(), 0..6),
@@ -1374,7 +1353,6 @@ mod tests {
             .prop_map(
                 |(
                     (now, guest, monitor, host, idle),
-                    (dh, dm, df, dv),
                     (exits, faults, fb),
                     (cores, core_instret, core_exits),
                 )| {
@@ -1384,10 +1362,6 @@ mod tests {
                         monitor,
                         host,
                         idle,
-                        decode_hits: dh,
-                        decode_misses: dm,
-                        fast_fetches: df,
-                        decode_invalidations: dv,
                         exits,
                         faults,
                         fault_blocked: fb,

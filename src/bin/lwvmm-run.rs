@@ -496,7 +496,7 @@ fn emit_json(
             println!("{}", o.finish());
         }
         for ev in m.obs.ring.iter() {
-            if let EventKind::Logpoint { addr, value } = ev.kind {
+            if let EventKind::Log { addr, value } = ev.kind {
                 let mut o = JsonObj::new();
                 o.set("event", "logpoint")
                     .set("at", ev.at)

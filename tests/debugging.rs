@@ -106,6 +106,52 @@ fn watchpoint_fires_on_guest_store() {
     assert!(!dbg.link_ref().platform.guest_stopped());
 }
 
+/// An empty `Qb` condition clears the breakpoint's condition: after a
+/// never-true condition kept the guest running through `bump`, the next
+/// pass stops unconditionally.
+#[test]
+fn an_empty_condition_makes_a_breakpoint_unconditional() {
+    let (mut dbg, program) = counter_session();
+    let bump = program.symbols.get("bump").unwrap();
+    dbg.halt().unwrap();
+    dbg.set_breakpoint(bump).unwrap();
+    dbg.set_break_condition(bump, "0").unwrap();
+    dbg.resume().unwrap();
+    dbg.link_mut().platform.run_for(50_000);
+    assert!(
+        !dbg.link_ref().platform.guest_stopped(),
+        "condition holds off"
+    );
+    dbg.halt().unwrap();
+    dbg.set_break_condition(bump, "")
+        .expect("empty condition clears");
+    let stop = dbg.continue_until_stop().expect("hit");
+    assert_eq!(stop, StopReason::Breakpoint { pc: bump });
+}
+
+/// An empty `Qw` condition clears the watchpoint's condition the same way.
+#[test]
+fn an_empty_condition_makes_a_watchpoint_unconditional() {
+    let (mut dbg, program) = counter_session();
+    let counter = program.symbols.get("counter").unwrap();
+    dbg.halt().unwrap();
+    dbg.set_watchpoint(counter, 4).unwrap();
+    dbg.set_watch_condition(counter, "0").unwrap();
+    dbg.resume().unwrap();
+    dbg.link_mut().platform.run_for(50_000);
+    assert!(
+        !dbg.link_ref().platform.guest_stopped(),
+        "condition holds off"
+    );
+    dbg.halt().unwrap();
+    dbg.set_watch_condition(counter, "")
+        .expect("empty condition clears");
+    match dbg.continue_until_stop().expect("hit") {
+        StopReason::Watchpoint { addr, .. } => assert_eq!(addr, counter),
+        other => panic!("expected watchpoint, got {other:?}"),
+    }
+}
+
 #[test]
 fn register_and_pc_writes() {
     let (mut dbg, _program) = counter_session();

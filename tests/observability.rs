@@ -169,12 +169,18 @@ fn malformed_qstats_packets_never_kill_the_stub() {
 
 #[test]
 fn ring_overflow_is_counted_and_surfaced_in_the_export() {
-    use lwvmm::obs::{Dev, Recorder, TraceRing};
+    use lwvmm::obs::{Dev, EventKind, Recorder, TraceRing};
     let mut rec = Recorder::new();
     rec.enable_tracing();
     rec.ring = TraceRing::new(2);
     for i in 0..10 {
-        rec.irq(i, Dev::Nic, 5);
+        rec.emit(
+            i,
+            EventKind::Irq {
+                dev: Dev::Nic,
+                irq: 5,
+            },
+        );
     }
     assert_eq!(rec.ring.len(), 2);
     assert_eq!(rec.ring.dropped(), 8);
@@ -438,4 +444,30 @@ fn event_sinks_are_pinned_byte_for_byte() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Every `qStats` reply byte costs the monitor simulated cycles, so the
+/// reply must carry nothing that depends on host-side engine state: with
+/// the predecoded-instruction cache on or off, the same session samples
+/// the same cycles and halts at the same cycle.
+#[test]
+fn qstats_replies_do_not_depend_on_the_decode_cache() {
+    let session = |cache: bool| {
+        let program = lwvmm::guest::apps::counter_guest();
+        let mut machine = Machine::new(MachineConfig {
+            ram_size: 8 << 20,
+            ..Default::default()
+        });
+        machine.load_program(&program);
+        machine.cpu.set_decode_cache(cache);
+        let platform = LvmmPlatform::new(machine, program.base());
+        let mut dbg = Debugger::new(UartLink::new(platform));
+        dbg.link_mut().platform.run_for(200_000);
+        let first = dbg.query_stats().expect("first qStats").now;
+        dbg.link_mut().platform.run_for(100_000);
+        let second = dbg.query_stats().expect("second qStats").now;
+        dbg.halt().expect("halt");
+        (first, second, dbg.link_ref().platform.machine().now())
+    };
+    assert_eq!(session(true), session(false));
 }

@@ -60,7 +60,7 @@ fn logpoint_sessions_replay_byte_identically() {
         let hits = journal
             .events
             .iter()
-            .filter(|e| matches!(e.ev, lwvmm::obs::JournalEvent::Log { .. }))
+            .filter(|e| matches!(e.ev, lwvmm::obs::EventKind::Log { .. }))
             .count();
         assert!(hits > 0, "{kind}: logpoint never fired");
 
@@ -294,9 +294,7 @@ fn logpoints_fire_on_monitor_emulated_instructions() {
             journal
                 .events
                 .iter()
-                .filter(
-                    |e| matches!(e.ev, lwvmm::obs::JournalEvent::Log { addr: a, .. } if a == addr),
-                )
+                .filter(|e| matches!(e.ev, lwvmm::obs::EventKind::Log { addr: a, .. } if a == addr))
                 .count()
         };
         assert_eq!(hits(at("imr")), 10, "{kind}: device-register logpoint");
