@@ -277,7 +277,7 @@ impl CausalTracker {
     fn device_irq(&mut self, at: u64, core: u8, dev: Dev, irq: u32) {
         match dev {
             // PIC "raises" are IPI deliveries or injected bursts; IPIs are
-            // tracked by their own hooks and bursts have no device cause.
+            // tracked by their own events and bursts have no device cause.
             Dev::Pic => return,
             Dev::Hdc => {
                 if let Some(i) = self.disk_pending.iter().position(|(k, _)| *k == irq) {

@@ -58,7 +58,7 @@
 //!   tracing: flow IDs across asynchronous handoffs (IRQ raise→ISR→EOI,
 //!   IPI send→delivery, disk/NIC command→completion, guest tracepoint
 //!   spans) with per-class end-to-end latency histograms. Opt-in
-//!   (`enable_causal`); every hook is a branch-and-return when off.
+//!   (`enable_causal`), fed by [`Recorder::emit`]; one `Option` check when off.
 //! - [`TraceRing`] — bounded event buffer that wraps keeping the newest
 //!   events, with exact drop accounting.
 //! - [`CycleHist`]/[`ExitHists`] — log2-bucket histograms with

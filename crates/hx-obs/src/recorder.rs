@@ -171,7 +171,7 @@ impl Recorder {
     /// handoff (IRQ raise→ISR entry→EOI, IPI send→delivery, disk/NIC
     /// command→completion, guest tracepoint begin→end) is connected into a
     /// flow and fed to per-class latency histograms. Pure observation —
-    /// the hooks never touch simulation state.
+    /// the tracker never touches simulation state.
     pub fn enable_causal(&mut self) {
         self.causal = Some(Box::new(CausalTracker::new()));
     }
