@@ -1280,6 +1280,167 @@ mod tests {
         assert_eq!(Reply::parse("xyz"), None);
     }
 
+    /// The exact bytes of every live-sample and stop reply. A round trip
+    /// cannot catch an encoder and a decoder that change together; these
+    /// literals can, in both directions.
+    #[test]
+    fn reply_wire_bytes_are_pinned() {
+        let stats = StatsSample {
+            now: 0x1234,
+            guest: 10,
+            monitor: 2,
+            host: 0,
+            idle: 7,
+            exits: vec![4, 0, 0x99],
+            faults: vec![2, 0, 1],
+            fault_blocked: 1,
+            ..StatsSample::default()
+        };
+        let smp = StatsSample {
+            cores: 2,
+            core_instret: vec![0x100, 0x80],
+            core_exits: vec![9, 3],
+            ..stats.clone()
+        };
+        let prof = ProfSample {
+            now: 0x4000,
+            interval: 997,
+            total_cycles: 0x1234,
+            total_samples: 5,
+            top: vec![
+                ("main".into(), 0x1000, 4),
+                ("[unknown]".into(), 0x234, 1),
+                ("café".into(), 7, 0),
+            ],
+        };
+        let cases = [
+            (
+                Reply::Stats(stats),
+                "S1234;g:a;m:2;h:0;i:7;x:4,0,99;f:2,0,1;fb:1",
+            ),
+            (
+                Reply::Stats(StatsSample {
+                    now: 5,
+                    ..StatsSample::default()
+                }),
+                "S5;g:0;m:0;h:0;i:0;x:;f:;fb:0",
+            ),
+            (
+                Reply::Stats(smp),
+                "S1234;g:a;m:2;h:0;i:7;x:4,0,99;f:2,0,1;fb:1;nc:2;ci:100,80;cx:9,3",
+            ),
+            (
+                Reply::Prof(prof),
+                "P4000;v:3e5;c:1234;s:5;\
+                 t:6d61696e:1000:4,5b756e6b6e6f776e5d:234:1,636166c3a9:7:0",
+            ),
+            (
+                Reply::Prof(ProfSample {
+                    now: 9,
+                    ..ProfSample::default()
+                }),
+                "P9;v:0;c:0;s:0;t:",
+            ),
+            (
+                pinned_metrics(),
+                "M0000000000009000;w:0000000100000000;k:000000000000002a;\
+                 p:0000000012345678,0000000000000000,0000000000000000,\
+                 0000000000000000,0000000000000000,0000000000000000,\
+                 0000000000000000,0000000000000000,0000000000000000,\
+                 0000000000000000,0000000000000000,0000000000000000,\
+                 0000000000000000,0000000000000000,0000000000000000,\
+                 0000000000000000,0000000000000000,0000000000000007",
+            ),
+            (
+                pinned_flow(),
+                "F2000;n:c;d:0;o:1;t:3;h:5:40:80:9f,5:10:20:2f,0:0:0:0,2:100:100:13f,0:0:0:0,0:0:0:0",
+            ),
+            (Reply::Stopped(StopReason::Halted { pc: 8 }), "T0;pc:8"),
+            (
+                Reply::Stopped(StopReason::Breakpoint { pc: 0x104 }),
+                "T1;pc:104",
+            ),
+            (Reply::Stopped(StopReason::Step { pc: 0x108 }), "T2;pc:108"),
+            (
+                Reply::Stopped(StopReason::Watchpoint {
+                    pc: 0x104,
+                    addr: 0x8000,
+                }),
+                "T3;pc:104;addr:8000",
+            ),
+            (
+                Reply::Stopped(StopReason::Fault { pc: 0x20, cause: 13 }),
+                "T4;pc:20;cause:d",
+            ),
+            (
+                Reply::Stopped(StopReason::TimeTravel {
+                    pc: 0x15ac,
+                    cycle: 0x56ce,
+                }),
+                "T5;pc:15ac;cycle:56ce",
+            ),
+            (
+                Reply::Query {
+                    found: true,
+                    cycle: 42,
+                },
+                "Q1;c:2a",
+            ),
+            (
+                Reply::Query {
+                    found: false,
+                    cycle: 0,
+                },
+                "Q0;c:0",
+            ),
+        ];
+        for (reply, wire) in cases {
+            assert_eq!(reply.format(), wire);
+            assert_eq!(Reply::parse(wire), Some(reply), "{wire}");
+        }
+        let watch = StopReason::Watchpoint {
+            pc: 0x104,
+            addr: 0x8000,
+        };
+        assert_eq!(watch.format_on(1), "T3;pc:104;addr:8000;c:1");
+        assert_eq!(
+            StopReason::parse_with_core("T3;pc:104;addr:8000;c:1"),
+            Some((watch, 1))
+        );
+    }
+
+    /// The `M` reply of [`reply_wire_bytes_are_pinned`].
+    fn pinned_metrics() -> Reply {
+        let mut phase_ns = [0u64; METRICS_PHASES];
+        phase_ns[0] = 0x1234_5678;
+        phase_ns[METRICS_PHASES - 1] = 7;
+        Reply::Metrics(MetricsSample {
+            now: 0x9000,
+            wall_ns: 0x1_0000_0000,
+            marks: 42,
+            phase_ns,
+        })
+    }
+
+    /// The `F` reply of [`reply_wire_bytes_are_pinned`].
+    fn pinned_flow() -> Reply {
+        Reply::Flow(FlowSample {
+            now: 0x2000,
+            completed: 12,
+            dropped: 0,
+            orphan_ends: 1,
+            instants: 3,
+            classes: vec![
+                (5, 0x40, 0x80, 0x9f),
+                (5, 0x10, 0x20, 0x2f),
+                (0, 0, 0, 0),
+                (2, 0x100, 0x100, 0x13f),
+                (0, 0, 0, 0),
+                (0, 0, 0, 0),
+            ],
+        })
+    }
+
     fn arb_command() -> impl Strategy<Value = Command> {
         prop_oneof![
             Just(Command::Halt),
