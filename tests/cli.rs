@@ -149,6 +149,23 @@ fn source_guest_runs_and_profiles_by_its_labels() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// The scripted debug session prints the committed golden transcript byte
+/// for byte: stops, registers, memory, stats and the live `flow` sample
+/// all go through the wire codec and the JSON printer, so a change to
+/// either that moves one output byte fails here.
+#[test]
+fn scripted_session_matches_the_golden_transcript() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let out = run(DBGCTL, &["session", "ci/query_session.dbg"], &root);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = std::fs::read_to_string(root.join("ci/query_session.golden.jsonl")).unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
