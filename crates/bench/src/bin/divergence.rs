@@ -22,7 +22,8 @@ fn main() {
 
     let record = |kind: PlatformKind, driver: Option<&Journal>| -> Journal {
         let mut p = build_platform(kind, &workload);
-        p.machine_mut().obs.enable_journal(kind.label());
+        let cores = p.machine().num_cores();
+        p.machine_mut().obs.enable_journal(kind.label(), cores);
         let per_ms = p.machine().config().clock_hz / 1_000;
         match driver {
             None => {

@@ -278,7 +278,8 @@ pub fn replay_check(kind: PlatformKind, cfg: &SurvivalConfig) -> ReplayCheck {
     };
 
     let mut rec = boot();
-    rec.machine_mut().obs.enable_journal(kind.label());
+    let cores = rec.machine().num_cores();
+    rec.machine_mut().obs.enable_journal(kind.label(), cores);
     let per_ms = rec.machine().config().clock_hz / 1_000;
     rec.run_for((cfg.warmup_ms + cfg.campaign_ms) * per_ms);
     let end = rec.machine().now();

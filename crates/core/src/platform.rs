@@ -37,7 +37,7 @@ use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
 use hx_obs::{EventKind, ExitCause, HostPhase};
 use hx_query::{Expr, SliceCtx};
-use rdbg::msg::{Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason};
+use rdbg::msg::{Command, ProfSample, Reply, StatsSample, StopReason};
 use rdbg::wire::{self, WireEvent};
 
 /// Monitor configuration.
@@ -132,7 +132,10 @@ impl LvmmPlatform {
     /// Enable this *before* running the workload — a journal that misses
     /// early inputs cannot reproduce the run.
     pub fn enable_flight_recorder(&mut self, every: u64) {
-        self.core.machine.obs.enable_journal(self.name());
+        self.core
+            .machine
+            .obs
+            .enable_journal(self.name(), self.core.machine.num_cores());
         let now = self.core.machine.now();
         let snap = self.snapshot();
         self.flight = Some(Box::new(FlightRecorder::new(every, now, snap)));
@@ -797,39 +800,23 @@ impl LvmmPlatform {
                 let Some(c) = self.core.machine.obs.causal() else {
                     return Reply::Error(err::CAUSAL);
                 };
-                Reply::Flow(FlowSample {
+                Reply::Flow {
                     now: self.core.machine.now(),
-                    completed: c.completed(),
-                    dropped: c.dropped_flows(),
-                    orphan_ends: c.orphan_ends(),
-                    instants: c.instants(),
-                    classes: hx_obs::FlowClass::ALL
-                        .iter()
-                        .map(|&class| {
-                            let h = c.hist(class);
-                            (h.count(), h.p50(), h.p99(), h.max())
-                        })
-                        .collect(),
-                })
+                    summary: c.summary(),
+                }
             }
             Command::QueryMetrics => {
                 // Like `qStats`: answered live, without stopping the guest.
-                // The sample's wire encoding is fixed-width, so the reply's
-                // simulated byte cost never depends on the host-clock
-                // values it carries — replay stays byte-identical.
-                let Some(att) = self.core.machine.obs.host_attribution() else {
+                // The reply's wire encoding is fixed-width, so its simulated
+                // byte cost never depends on the host-clock values it
+                // carries — replay stays byte-identical.
+                let Some(attribution) = self.core.machine.obs.host_attribution() else {
                     return Reply::Error(err::METRICS);
                 };
-                let mut phase_ns = [0u64; rdbg::msg::METRICS_PHASES];
-                for (i, ns) in att.phase_ns.iter().enumerate() {
-                    phase_ns[i] = *ns;
-                }
-                Reply::Metrics(MetricsSample {
+                Reply::Metrics {
                     now: self.core.machine.now(),
-                    wall_ns: att.wall_ns,
-                    marks: att.marks,
-                    phase_ns,
-                })
+                    attribution,
+                }
             }
         }
     }
@@ -1267,13 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_phase_count_matches_host_profiler() {
-        // The fixed-width `qMetrics` reply carries exactly one field per
-        // host phase; the wire constant must track the profiler's enum.
-        assert_eq!(rdbg::msg::METRICS_PHASES, HostPhase::COUNT);
-    }
-
-    #[test]
     fn query_metrics_needs_the_host_profiler() {
         let mut vmm = boot("start: j start\n");
         assert_eq!(
@@ -1285,18 +1265,17 @@ mod tests {
 
         vmm.machine_mut().obs.enable_hostprof();
         vmm.run_for(50_000);
-        match vmm.exec_command(Command::QueryMetrics) {
-            Reply::Metrics(s) => {
-                assert!(s.wall_ns > 0, "wall clock advanced");
-                assert!(s.marks > 0, "phase boundaries were marked");
-                assert!(s.attributed_ns() <= s.wall_ns);
-                // Fixed-width: two samples taken at different host times
-                // must serialize to the same number of bytes.
-                let again = vmm.exec_command(Command::QueryMetrics);
-                assert_eq!(again.format().len(), Reply::Metrics(s).format().len());
-            }
-            other => panic!("expected a metrics sample, got {other:?}"),
-        }
+        let first = vmm.exec_command(Command::QueryMetrics);
+        let Reply::Metrics { attribution: s, .. } = &first else {
+            panic!("expected a metrics sample, got {first:?}");
+        };
+        assert!(s.wall_ns > 0, "wall clock advanced");
+        assert!(s.marks > 0, "phase boundaries were marked");
+        assert!(s.attributed_ns() <= s.wall_ns);
+        // Fixed-width: two samples taken at different host times must
+        // serialize to the same number of bytes.
+        let again = vmm.exec_command(Command::QueryMetrics);
+        assert_eq!(again.format().len(), first.format().len());
     }
 
     #[test]

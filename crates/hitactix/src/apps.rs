@@ -425,7 +425,10 @@ mod tests {
         assert!(spans
             .iter()
             .all(|f| f.key == smp_layout::TRACE_SPAN_ID && f.begin_core == 0 && f.end_core == 1));
-        assert!(c.instants() >= acks as u64, "handler marks recorded");
+        assert!(
+            c.summary().instants >= acks as u64,
+            "handler marks recorded"
+        );
         // The guest-observed round trip can never beat the monitor-observed
         // IPI delivery it contains.
         let ipi = c.hist(hx_obs::FlowClass::Ipi);

@@ -107,7 +107,11 @@ impl PlatformKind {
             PlatformKind::Hosted => Box::new(HostedPlatform::new(machine, entry)),
         };
         if record_every.is_some() && self != PlatformKind::Lvmm {
-            platform.machine_mut().obs.enable_journal(self.label());
+            let cores = platform.machine().num_cores();
+            platform
+                .machine_mut()
+                .obs
+                .enable_journal(self.label(), cores);
         }
         platform
     }

@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 use hitactix::GuestStats;
 use hx_machine::Platform;
 use hx_obs::json::{Json, JsonObj};
+use hx_obs::HostAttribution;
 use lvmm::FlightRecorder;
 
 mod args;
@@ -684,31 +685,29 @@ fn prof_json(shared: &FarmShared, which: Option<usize>) -> String {
 }
 
 /// Fleet `qMetrics`: monitor-time host attribution summed across guests
-/// with the host profiler on.
+/// with the host profiler on, phases in the canonical `HostPhase::ALL`
+/// order like every other surface.
 fn metrics_json(shared: &FarmShared, which: Option<usize>) -> String {
-    let mut wall = 0u64;
-    let mut marks = 0u64;
-    let mut phases: BTreeMap<String, u64> = BTreeMap::new();
+    let mut sum = HostAttribution::default();
     let mut profiled = 0u64;
     for_selected(shared, which, |g| {
-        let Some(att) = g.platform.machine().obs.host_attribution() else {
-            return;
-        };
-        profiled += 1;
-        wall += att.wall_ns;
-        marks += att.marks;
-        for (label, ns) in att.phases() {
-            *phases.entry(label).or_insert(0) += ns;
+        if let Some(att) = g.platform.machine().obs.host_attribution() {
+            profiled += 1;
+            sum.wall_ns += att.wall_ns;
+            sum.marks += att.marks;
+            for (total, ns) in sum.phase_ns.iter_mut().zip(att.phase_ns) {
+                *total += ns;
+            }
         }
     });
     let mut ph = JsonObj::new();
-    for (label, ns) in &phases {
-        ph.set(label, *ns);
+    for (label, ns) in sum.phases() {
+        ph.set(&label, ns);
     }
     let mut o = JsonObj::new();
     o.set("profiled_guests", profiled)
-        .set("wall_ns", wall)
-        .set("marks", marks)
+        .set("wall_ns", sum.wall_ns)
+        .set("marks", sum.marks)
         .set("phase_ns", ph);
     o.finish()
 }

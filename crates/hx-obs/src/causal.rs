@@ -163,6 +163,26 @@ impl Flow {
     }
 }
 
+/// Plain-data snapshot of a [`CausalTracker`]'s counters and per-class
+/// latencies. Every value is a pure function of the simulated run, so it
+/// can ship over a wire (the `qFlow` reply, `rdbg::Reply::Flow`, carries
+/// it as is) without leaking host nondeterminism.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FlowSummary {
+    /// Completed flows across all classes (histograms also count the flows
+    /// whose records were dropped past [`CausalTracker::MAX_FLOWS`]).
+    pub completed: u64,
+    /// Completed flows dropped after the flow buffer filled.
+    pub dropped: u64,
+    /// Ends that arrived with nothing pending to close.
+    pub orphan_ends: u64,
+    /// Guest instant tracepoints observed.
+    pub instants: u64,
+    /// Per-class `(n, p50, p99, max)` latency in cycles, in
+    /// [`FlowClass::ALL`] order.
+    pub classes: [(u64, u64, u64, u64); FlowClass::COUNT],
+}
+
 /// A begin endpoint waiting for its end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Pending {
@@ -416,28 +436,24 @@ impl CausalTracker {
         &self.hists[class.index()]
     }
 
-    /// Total completed flows across all classes (histogram counts include
-    /// flows whose records were dropped past [`CausalTracker::MAX_FLOWS`]).
-    pub fn completed(&self) -> u64 {
-        self.hists.iter().map(|h| h.count()).sum()
-    }
-
-    pub fn dropped_flows(&self) -> u64 {
-        self.dropped_flows
-    }
-
-    pub fn orphan_ends(&self) -> u64 {
-        self.orphan_ends
+    /// The counters and per-class latencies, as one plain-data snapshot.
+    pub fn summary(&self) -> FlowSummary {
+        FlowSummary {
+            completed: self.hists.iter().map(|h| h.count()).sum(),
+            dropped: self.dropped_flows,
+            orphan_ends: self.orphan_ends,
+            instants: self.instants,
+            classes: self
+                .hists
+                .each_ref()
+                .map(|h| (h.count(), h.p50(), h.p99(), h.max())),
+        }
     }
 
     /// Begins evicted by a full pending set or rejected outright (e.g. an
     /// IPI line that does not fit the key field).
     pub fn dropped_pending(&self) -> u64 {
         self.dropped_pending
-    }
-
-    pub fn instants(&self) -> u64 {
-        self.instants
     }
 
     /// The causal chain ending at `flow`: walks begin→end adjacency
@@ -517,7 +533,7 @@ mod tests {
         assert_eq!((flows[1].begin, flows[1].end), (150, 200));
         assert_eq!(c.hist(FlowClass::IrqDispatch).max(), 50);
         assert_eq!(c.hist(FlowClass::IrqService).max(), 50);
-        assert_eq!(c.orphan_ends(), 0);
+        assert_eq!(c.summary().orphan_ends, 0);
         // The chain from the service flow walks back through the dispatch.
         let chain = c.chain_to(&flows[1]);
         assert_eq!(chain.len(), 2);
@@ -539,7 +555,7 @@ mod tests {
             .map(|f| (f.key, f.latency()))
             .collect();
         assert_eq!(service, vec![(5, 100), (0, 900)]);
-        assert_eq!(c.orphan_ends(), 1);
+        assert_eq!(c.summary().orphan_ends, 1);
     }
 
     #[test]
@@ -586,7 +602,7 @@ mod tests {
         assert_eq!(f.latency(), 64);
         // Unmatched delivery is an orphan, not a flow.
         c.ipi_deliver(600, 1, 3);
-        assert_eq!(c.orphan_ends(), 1);
+        assert_eq!(c.summary().orphan_ends, 1);
     }
 
     #[test]
@@ -598,14 +614,15 @@ mod tests {
         // and kept out of the histograms entirely.
         c.inta(40, 0, 5);
         assert_eq!(c.hist(FlowClass::IrqDispatch).count(), 0);
-        assert_eq!(c.orphan_ends(), 1);
+        assert_eq!(c.summary().orphan_ends, 1);
         assert!(c.flows().is_empty());
         // The service flow the INTA opened still pairs normally.
         c.eoi(90, 0);
         assert_eq!(c.hist(FlowClass::IrqService).count(), 1);
         assert_eq!(c.hist(FlowClass::IrqService).min(), 50);
         // The reconciliation invariant survives the rejection.
-        assert_eq!(c.completed(), c.flows().len() as u64 + c.dropped_flows());
+        let s = c.summary();
+        assert_eq!(s.completed, c.flows().len() as u64 + s.dropped);
     }
 
     #[test]
@@ -627,10 +644,10 @@ mod tests {
         c.ipi_deliver(20, 3, 0);
         assert!(c.flows().is_empty());
         assert_eq!(c.hist(FlowClass::Ipi).count(), 0);
-        assert_eq!(c.orphan_ends(), 1);
+        assert_eq!(c.summary().orphan_ends, 1);
         // An out-of-range line on the deliver side is an orphan too.
         c.ipi_deliver(30, 1, 0x200);
-        assert_eq!(c.orphan_ends(), 2);
+        assert_eq!(c.summary().orphan_ends, 2);
     }
 
     #[test]
@@ -653,8 +670,8 @@ mod tests {
             (20, 30, 1)
         );
         assert_eq!((spans[1].begin, spans[1].end), (10, 40));
-        assert_eq!(c.instants(), 1);
-        assert_eq!(c.orphan_ends(), 1);
+        assert_eq!(c.summary().instants, 1);
+        assert_eq!(c.summary().orphan_ends, 1);
     }
 
     #[test]
@@ -680,6 +697,33 @@ mod tests {
         let lines = c.summary_lines();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("irq-dispatch"));
+    }
+
+    #[test]
+    fn summary_snapshots_counters_and_per_class_latency() {
+        let mut c = CausalTracker::new();
+        assert_eq!(c.summary(), FlowSummary::default());
+        c.device_irq(100, 0, Dev::Pit, 0);
+        c.inta(150, 0, 0);
+        c.eoi(400, 0);
+        c.eoi(500, 0);
+        c.tracepoint(600, 0, TraceOp::Instant, 1);
+        let s = c.summary();
+        assert_eq!(
+            (s.completed, s.dropped, s.orphan_ends, s.instants),
+            (2, 0, 1, 1)
+        );
+        for class in FlowClass::ALL {
+            let h = c.hist(class);
+            assert_eq!(
+                s.classes[class.index()],
+                (h.count(), h.p50(), h.p99(), h.max()),
+                "{}",
+                class.label()
+            );
+        }
+        assert_eq!(s.classes[FlowClass::IrqDispatch.index()].0, 1);
+        assert_eq!(s.classes[FlowClass::IrqService.index()].0, 1);
     }
 
     mod properties {
@@ -721,8 +765,8 @@ mod tests {
                     prop_assert!(f.latency() == f.end - f.begin);
                 }
                 prop_assert_eq!(
-                    c.completed(),
-                    c.flows().len() as u64 + c.dropped_flows()
+                    c.summary().completed,
+                    c.flows().len() as u64 + c.summary().dropped
                 );
                 // Determinism: rebuilding from the same calls is identical.
                 // (Cheap to assert here because the tracker is PartialEq.)

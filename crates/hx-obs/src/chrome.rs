@@ -148,7 +148,7 @@ impl ChromeTrace {
         self.add_flows(pid, rec);
 
         // Truncation is data, not a footnote: surface drop counts in-band.
-        let flows_dropped = rec.causal().map_or(0, |c| c.dropped_flows());
+        let flows_dropped = rec.causal().map_or(0, |c| c.summary().dropped);
         if rec.ring.dropped() > 0 || rec.spans.dropped() > 0 || flows_dropped > 0 {
             self.lines.push(format!(
                 "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{EVENTS_TID},\"name\":\"truncated\",\

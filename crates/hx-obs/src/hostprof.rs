@@ -118,8 +118,9 @@ impl HostPhase {
 }
 
 /// Plain-data attribution snapshot — no `Instant`s, safe to ship over a
-/// wire or into JSON. Indexed by [`HostPhase::index`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// wire or into JSON. Indexed by [`HostPhase::index`]. The `qMetrics`
+/// reply (`rdbg::Reply::Metrics`) carries it as is.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostAttribution {
     /// Wall-clock nanoseconds from profiler creation to the snapshot.
     pub wall_ns: u64,

@@ -59,6 +59,9 @@
 //!   IPI send→delivery, disk/NIC command→completion, guest tracepoint
 //!   spans) with per-class end-to-end latency histograms. Opt-in
 //!   (`enable_causal`), fed by [`Recorder::emit`]; one `Option` check when off.
+//!   [`CausalTracker::summary`] snapshots its counters and per-class
+//!   percentiles as a [`FlowSummary`], the one shape every reader (the
+//!   `qFlow` reply, `dbgctl`, `lwvmm-run --causal`) prints from.
 //! - [`TraceRing`] — bounded event buffer that wraps keeping the newest
 //!   events, with exact drop accounting.
 //! - [`CycleHist`]/[`ExitHists`] — log2-bucket histograms with
@@ -106,7 +109,7 @@ pub mod report;
 pub mod ring;
 pub mod span;
 
-pub use causal::{CausalTracker, Flow, FlowClass, TraceOp};
+pub use causal::{CausalTracker, Flow, FlowClass, FlowSummary, TraceOp};
 pub use chrome::ChromeTrace;
 pub use event::{Dev, EventKind, ExitCause, TraceEvent};
 pub use hist::{CycleHist, ExitHists};

@@ -120,9 +120,14 @@ impl Recorder {
     }
 
     /// Start flight-recorder record mode: inputs and device events are
-    /// journaled from this point on.
-    pub fn enable_journal(&mut self, platform: &str) {
-        self.journal = Some(Box::new(Journal::new(platform)));
+    /// journaled from this point on, under a header naming the platform
+    /// and the machine's core count. A one-core journal keeps the pre-SMP
+    /// form (`cores` 0, no header line), so its text parses back equal.
+    pub fn enable_journal(&mut self, platform: &str, cores: usize) {
+        self.journal = Some(Box::new(Journal {
+            cores: if cores > 1 { cores as u32 } else { 0 },
+            ..Journal::new(platform)
+        }));
     }
 
     pub fn journaling(&self) -> bool {
@@ -364,7 +369,7 @@ mod tests {
         let mut r = Recorder::new();
         assert!(!r.journaling());
         r.emit(10, NIC_IRQ); // before enable: not journaled
-        r.enable_journal("lvmm");
+        r.enable_journal("lvmm", 1);
         r.emit(120, NIC_IRQ);
         let dma = EventKind::Dma {
             dev: Dev::Hdc,
@@ -403,7 +408,7 @@ mod tests {
         use crate::causal::FlowClass;
         let mut r = Recorder::new();
         r.enable_tracing();
-        r.enable_journal("lvmm");
+        r.enable_journal("lvmm", 1);
         let trace = |op, id| EventKind::Trace { op, id };
         // Causal off: inta/eoi reach nothing, so pre-causal trace and
         // journal bytes are preserved.
@@ -448,7 +453,7 @@ mod tests {
         use crate::causal::FlowClass;
         let mut r = Recorder::new();
         r.enable_tracing();
-        r.enable_journal("lvmm");
+        r.enable_journal("lvmm", 1);
         r.enable_causal();
         r.emit(500, EventKind::IpiSend { target: 1, line: 0 });
         r.emit(564, EventKind::IpiDeliver { target: 1, line: 0 });

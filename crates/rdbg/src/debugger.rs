@@ -1,11 +1,9 @@
 //! The host-side remote debugger.
 
-use crate::msg::{
-    Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason, WatchKind,
-    MEM_CHUNK,
-};
+use crate::msg::{Command, ProfSample, Reply, StatsSample, StopReason, WatchKind, MEM_CHUNK};
 use crate::wire::{encode_packet, PacketParser, WireEvent, ACK, BREAK_BYTE, NAK};
 use core::fmt;
+use hx_obs::{FlowSummary, HostAttribution};
 use std::collections::VecDeque;
 
 /// Transport between the host debugger and the target's debug stub.
@@ -515,8 +513,8 @@ impl<L: Link> Debugger<L> {
         }
     }
 
-    /// Samples the target's host-time self-profiler: wall-clock
-    /// nanoseconds attributed to each monitor phase. Like
+    /// Samples the target's host-time self-profiler: the sample's cycle
+    /// and the wall-clock nanoseconds attributed to each monitor phase. Like
     /// [`Debugger::query_stats`] this works while the guest is running; the
     /// reply is fixed-width so its simulated cost never depends on the
     /// host-clock values it carries.
@@ -526,16 +524,17 @@ impl<L: Link> Debugger<L> {
     /// [`DbgError::Target`] with the stable `metrics unavailable` code if
     /// the target has no host profiler enabled (or is an in-kernel stub
     /// with no host clock at all); propagates protocol errors.
-    pub fn query_metrics(&mut self) -> Result<MetricsSample, DbgError> {
+    pub fn query_metrics(&mut self) -> Result<(u64, HostAttribution), DbgError> {
         match self.transact(&Command::QueryMetrics)? {
-            Reply::Metrics(s) => Ok(s),
+            Reply::Metrics { now, attribution } => Ok((now, attribution)),
             Reply::Error(code) => Err(DbgError::Target(code)),
             other => Err(DbgError::Protocol(format!("unexpected reply {other:?}"))),
         }
     }
 
-    /// Samples the target's causal-flow tracker: per-class flow counts and
-    /// end-to-end latency percentiles. Like [`Debugger::query_stats`] this
+    /// Samples the target's causal-flow tracker: the sample's cycle and
+    /// the tracker's summary (per-class flow counts and end-to-end latency
+    /// percentiles). Like [`Debugger::query_stats`] this
     /// works while the guest is running; every value in the reply is
     /// simulation-deterministic, so sampling cannot perturb the run.
     ///
@@ -544,9 +543,9 @@ impl<L: Link> Debugger<L> {
     /// [`DbgError::Target`] with the stable `causal unavailable` code if
     /// the target has no causal tracker enabled; propagates protocol
     /// errors.
-    pub fn query_flow(&mut self) -> Result<FlowSample, DbgError> {
+    pub fn query_flow(&mut self) -> Result<(u64, FlowSummary), DbgError> {
         match self.transact(&Command::QueryFlow)? {
-            Reply::Flow(s) => Ok(s),
+            Reply::Flow { now, summary } => Ok((now, summary)),
             Reply::Error(code) => Err(DbgError::Target(code)),
             other => Err(DbgError::Protocol(format!("unexpected reply {other:?}"))),
         }

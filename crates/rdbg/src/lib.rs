@@ -18,6 +18,13 @@
 //! collide with framing ([`wire`]), ASCII command payloads ([`msg`]), and an
 //! out-of-band break-in byte (`0x03`) to halt a running guest.
 //!
+//! The live-sample replies reuse the monitor's own observability types
+//! from `hx-obs`: [`Reply::Metrics`] carries an [`hx_obs::HostAttribution`]
+//! and [`Reply::Flow`] an [`hx_obs::FlowSummary`]. Every tagged reply
+//! (stats, profile, metrics, flow, stop, query) is a
+//! `<tag><head>;key:value;…` record written and read by one codec in
+//! [`msg`].
+//!
 //! The host client ([`Debugger`]) is transport-agnostic: anything that can
 //! move bytes to and from the target implements [`Link`]. In this
 //! repository the link is the simulated machine's UART; [`LossyLink`] wraps
@@ -30,10 +37,7 @@ pub mod wire;
 
 pub use debugger::{err_name, DbgError, Debugger, Link, Registers};
 pub use lossy::LossyLink;
-pub use msg::{
-    Command, FlowSample, MetricsSample, ProfSample, Reply, StatsSample, StopReason, WatchKind,
-    FLOW_CLASSES, METRICS_PHASES,
-};
+pub use msg::{Command, ProfSample, Reply, StatsSample, StopReason, WatchKind};
 pub use wire::{encode_packet, from_hex, to_hex, PacketParser, WireEvent, ACK, BREAK_BYTE, NAK};
 
 /// Compile-time proof a whole debug session can migrate to another thread:

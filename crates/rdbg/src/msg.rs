@@ -7,9 +7,15 @@
 //! are *asynchronous*: after a `c` (continue) or `s` (step) is acknowledged
 //! with `OK`, the stub sends a [`StopReason`] packet whenever the guest next
 //! stops.
+//!
+//! Tagged replies are records `<tag><head>;key:value;…`. One encoder
+//! (`Record`) writes them and one decoder (`Fields`) splits them; a value
+//! is a hex number, a hex-encoded string, a `,` list or a `:` tuple, an
+//! absent key reads as zero or empty, and an unknown key is skipped.
 
 use crate::wire::{from_hex, to_hex};
-use core::fmt;
+use core::fmt::{self, Write as _};
+use hx_obs::{FlowSummary, HostAttribution};
 
 /// Register selector used by [`Command::WriteRegister`]:
 /// `0..=31` general-purpose, `32` the PC.
@@ -183,12 +189,12 @@ pub enum Command {
         max: u8,
     },
     /// Sample the monitor's host-time self-profiler **without** stopping
-    /// the guest: the reply is a [`MetricsSample`] carrying per-phase
+    /// the guest: the reply is a [`Reply::Metrics`] carrying per-phase
     /// host-nanosecond totals. Stubs built without the metrics registry
     /// answer with the stable `metrics unavailable` error code.
     QueryMetrics,
     /// Sample the target's causal-flow tracker **without** stopping the
-    /// guest: the reply is a [`FlowSample`] with per-class flow counts and
+    /// guest: the reply is a [`Reply::Flow`] with per-class flow counts and
     /// latency percentiles. Targets without causal tracing enabled answer
     /// with the stable `causal unavailable` error code.
     QueryFlow,
@@ -424,82 +430,6 @@ pub struct StatsSample {
     pub core_exits: Vec<u64>,
 }
 
-impl StatsSample {
-    /// Formats as an `S…` payload.
-    pub fn format(&self) -> String {
-        let exits: Vec<String> = self.exits.iter().map(|c| format!("{c:x}")).collect();
-        let faults: Vec<String> = self.faults.iter().map(|c| format!("{c:x}")).collect();
-        let mut out = format!(
-            "S{:x};g:{:x};m:{:x};h:{:x};i:{:x};x:{};f:{};fb:{:x}",
-            self.now,
-            self.guest,
-            self.monitor,
-            self.host,
-            self.idle,
-            exits.join(","),
-            faults.join(","),
-            self.fault_blocked
-        );
-        // SMP extension keys: emitted only for multi-core targets so a
-        // single-core sample is byte-identical to the pre-SMP encoding.
-        if self.cores > 1 {
-            let ci: Vec<String> = self.core_instret.iter().map(|c| format!("{c:x}")).collect();
-            let cx: Vec<String> = self.core_exits.iter().map(|c| format!("{c:x}")).collect();
-            out.push_str(&format!(
-                ";nc:{:x};ci:{};cx:{}",
-                self.cores,
-                ci.join(","),
-                cx.join(",")
-            ));
-        }
-        out
-    }
-
-    /// Parses an `S…` payload.
-    pub fn parse(payload: &str) -> Option<StatsSample> {
-        let body = payload.strip_prefix('S')?;
-        let mut parts = body.split(';');
-        let now = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let mut sample = StatsSample {
-            now,
-            ..StatsSample::default()
-        };
-        for part in parts {
-            let (k, v) = part.split_once(':')?;
-            match k {
-                "g" => sample.guest = u64::from_str_radix(v, 16).ok()?,
-                "m" => sample.monitor = u64::from_str_radix(v, 16).ok()?,
-                "h" => sample.host = u64::from_str_radix(v, 16).ok()?,
-                "i" => sample.idle = u64::from_str_radix(v, 16).ok()?,
-                "x" if !v.is_empty() => {
-                    for c in v.split(',') {
-                        sample.exits.push(u64::from_str_radix(c, 16).ok()?);
-                    }
-                }
-                "f" if !v.is_empty() => {
-                    for c in v.split(',') {
-                        sample.faults.push(u64::from_str_radix(c, 16).ok()?);
-                    }
-                }
-                "fb" => sample.fault_blocked = u64::from_str_radix(v, 16).ok()?,
-                "nc" => sample.cores = u64::from_str_radix(v, 16).ok()?,
-                "ci" if !v.is_empty() => {
-                    for c in v.split(',') {
-                        sample.core_instret.push(u64::from_str_radix(c, 16).ok()?);
-                    }
-                }
-                "cx" if !v.is_empty() => {
-                    for c in v.split(',') {
-                        sample.core_exits.push(u64::from_str_radix(c, 16).ok()?);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(sample)
-    }
-}
-
 /// A live sample of the target's guest profiler, carried in the reply to
 /// [`Command::QueryProf`].
 ///
@@ -518,220 +448,6 @@ pub struct ProfSample {
     pub total_samples: u64,
     /// The hottest symbols: `(name, cycles, samples)`, hottest first.
     pub top: Vec<(String, u64, u64)>,
-}
-
-impl ProfSample {
-    /// Formats as a `P…` payload.
-    pub fn format(&self) -> String {
-        let top: Vec<String> = self
-            .top
-            .iter()
-            .map(|(name, cyc, n)| format!("{}:{cyc:x}:{n:x}", to_hex(name.as_bytes())))
-            .collect();
-        format!(
-            "P{:x};v:{:x};c:{:x};s:{:x};t:{}",
-            self.now,
-            self.interval,
-            self.total_cycles,
-            self.total_samples,
-            top.join(",")
-        )
-    }
-
-    /// Parses a `P…` payload.
-    pub fn parse(payload: &str) -> Option<ProfSample> {
-        let body = payload.strip_prefix('P')?;
-        let mut parts = body.split(';');
-        let now = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let mut sample = ProfSample {
-            now,
-            ..ProfSample::default()
-        };
-        for part in parts {
-            let (k, v) = part.split_once(':')?;
-            match k {
-                "v" => sample.interval = u64::from_str_radix(v, 16).ok()?,
-                "c" => sample.total_cycles = u64::from_str_radix(v, 16).ok()?,
-                "s" => sample.total_samples = u64::from_str_radix(v, 16).ok()?,
-                "t" if !v.is_empty() => {
-                    for entry in v.split(',') {
-                        let mut fields = entry.split(':');
-                        let name = String::from_utf8(from_hex(fields.next()?)?).ok()?;
-                        let cycles = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        let samples = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        if fields.next().is_some() {
-                            return None;
-                        }
-                        sample.top.push((name, cycles, samples));
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(sample)
-    }
-}
-
-/// Number of host-time phases in a [`MetricsSample`].
-///
-/// This must equal `hx_obs::HostPhase::COUNT`; the monitors cross-check the
-/// two constants with a test so the wire format cannot silently drift from
-/// the profiler.
-pub const METRICS_PHASES: usize = 18;
-
-/// A live sample of the target monitor's host-time self-profiler, carried
-/// in the reply to [`Command::QueryMetrics`].
-///
-/// `phase_ns` is indexed by `hx_obs::HostPhase::index()` — the canonical
-/// `HostPhase::ALL` order. The wire encoding is **fixed width** (every
-/// field is a zero-padded 16-digit hex number and the field count is
-/// constant): reply bytes cost simulated cycles in the stub's cost model,
-/// so the nondeterministic host-nanosecond values must never change the
-/// reply's length.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSample {
-    /// Simulated-cycle timestamp of the sample.
-    pub now: u64,
-    /// Host wall-clock nanoseconds since the profiler was enabled.
-    pub wall_ns: u64,
-    /// Phase-boundary marks taken so far.
-    pub marks: u64,
-    /// Host nanoseconds attributed to each phase, in `HostPhase::ALL` order.
-    pub phase_ns: [u64; METRICS_PHASES],
-}
-
-impl MetricsSample {
-    /// Host nanoseconds attributed to any phase (the sum of `phase_ns`).
-    pub fn attributed_ns(&self) -> u64 {
-        self.phase_ns.iter().sum()
-    }
-
-    /// Formats as a fixed-width `M…` payload.
-    pub fn format(&self) -> String {
-        let phases: Vec<String> = self.phase_ns.iter().map(|n| format!("{n:016x}")).collect();
-        format!(
-            "M{:016x};w:{:016x};k:{:016x};p:{}",
-            self.now,
-            self.wall_ns,
-            self.marks,
-            phases.join(",")
-        )
-    }
-
-    /// Parses an `M…` payload.
-    pub fn parse(payload: &str) -> Option<MetricsSample> {
-        let body = payload.strip_prefix('M')?;
-        let mut parts = body.split(';');
-        let now = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let mut sample = MetricsSample {
-            now,
-            ..MetricsSample::default()
-        };
-        let mut phases = Vec::new();
-        for part in parts {
-            let (k, v) = part.split_once(':')?;
-            match k {
-                "w" => sample.wall_ns = u64::from_str_radix(v, 16).ok()?,
-                "k" => sample.marks = u64::from_str_radix(v, 16).ok()?,
-                "p" => {
-                    for n in v.split(',') {
-                        phases.push(u64::from_str_radix(n, 16).ok()?);
-                    }
-                }
-                _ => {}
-            }
-        }
-        sample.phase_ns = phases.try_into().ok()?;
-        Some(sample)
-    }
-}
-
-/// Number of flow classes in a [`FlowSample`].
-///
-/// This must equal `hx_obs::FlowClass::COUNT`; the monitors cross-check
-/// the two constants with a test so the wire format cannot silently drift
-/// from the causal tracker.
-pub const FLOW_CLASSES: usize = 6;
-
-/// A live sample of the target's causal-flow tracker, carried in the reply
-/// to [`Command::QueryFlow`].
-///
-/// `classes` summarises end-to-end latency per flow class, indexed by
-/// `hx_obs::FlowClass::index()` — the canonical `FlowClass::ALL` order —
-/// as `(count, p50, p99, max)` cycle tuples. Every value is a pure
-/// function of the simulation, so the variable-width encoding cannot leak
-/// host nondeterminism into the reply's simulated byte cost.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FlowSample {
-    /// Simulated-cycle timestamp of the sample.
-    pub now: u64,
-    /// Completed flows across all classes (including any later dropped
-    /// from the buffer — histograms keep counting).
-    pub completed: u64,
-    /// Completed flows dropped after the flow buffer filled.
-    pub dropped: u64,
-    /// `end`-style hooks that arrived with nothing pending to close.
-    pub orphan_ends: u64,
-    /// Guest instant tracepoints observed.
-    pub instants: u64,
-    /// Per-class `(count, p50, p99, max)` latency summaries, in
-    /// `FlowClass::ALL` order.
-    pub classes: Vec<(u64, u64, u64, u64)>,
-}
-
-impl FlowSample {
-    /// Formats as an `F…` payload.
-    pub fn format(&self) -> String {
-        let classes: Vec<String> = self
-            .classes
-            .iter()
-            .map(|(n, p50, p99, max)| format!("{n:x}:{p50:x}:{p99:x}:{max:x}"))
-            .collect();
-        format!(
-            "F{:x};n:{:x};d:{:x};o:{:x};t:{:x};h:{}",
-            self.now,
-            self.completed,
-            self.dropped,
-            self.orphan_ends,
-            self.instants,
-            classes.join(",")
-        )
-    }
-
-    /// Parses an `F…` payload.
-    pub fn parse(payload: &str) -> Option<FlowSample> {
-        let body = payload.strip_prefix('F')?;
-        let mut parts = body.split(';');
-        let now = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let mut sample = FlowSample {
-            now,
-            ..FlowSample::default()
-        };
-        for part in parts {
-            let (k, v) = part.split_once(':')?;
-            match k {
-                "n" => sample.completed = u64::from_str_radix(v, 16).ok()?,
-                "d" => sample.dropped = u64::from_str_radix(v, 16).ok()?,
-                "o" => sample.orphan_ends = u64::from_str_radix(v, 16).ok()?,
-                "t" => sample.instants = u64::from_str_radix(v, 16).ok()?,
-                "h" if !v.is_empty() => {
-                    for entry in v.split(',') {
-                        let mut fields = entry.split(':');
-                        let n = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        let p50 = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        let p99 = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        let max = u64::from_str_radix(fields.next()?, 16).ok()?;
-                        if fields.next().is_some() {
-                            return None;
-                        }
-                        sample.classes.push((n, p50, p99, max));
-                    }
-                }
-                _ => {}
-            }
-        }
-        Some(sample)
-    }
 }
 
 /// Why the guest stopped.
@@ -792,14 +508,7 @@ impl StopReason {
 
     /// Formats as a `T…` payload.
     pub fn format(&self) -> String {
-        match *self {
-            StopReason::Halted { pc } => format!("T0;pc:{pc:x}"),
-            StopReason::Breakpoint { pc } => format!("T1;pc:{pc:x}"),
-            StopReason::Step { pc } => format!("T2;pc:{pc:x}"),
-            StopReason::Watchpoint { pc, addr } => format!("T3;pc:{pc:x};addr:{addr:x}"),
-            StopReason::Fault { pc, cause } => format!("T4;pc:{pc:x};cause:{cause:x}"),
-            StopReason::TimeTravel { pc, cycle } => format!("T5;pc:{pc:x};cycle:{cycle:x}"),
-        }
+        self.format_on(0)
     }
 
     /// Formats as a `T…` payload that also names the core the stop happened
@@ -807,54 +516,56 @@ impl StopReason {
     /// stubs stay byte-identical on the wire; parsers that predate the `c:`
     /// key skip it as an unknown field.
     pub fn format_on(&self, core: u8) -> String {
-        let mut out = self.format();
-        if core != 0 {
-            out.push_str(&format!(";c:{core:x}"));
+        let (kind, extra) = match *self {
+            StopReason::Halted { .. } => (0u8, None),
+            StopReason::Breakpoint { .. } => (1, None),
+            StopReason::Step { .. } => (2, None),
+            StopReason::Watchpoint { addr, .. } => (3, Some(("addr", addr as u64))),
+            StopReason::Fault { cause, .. } => (4, Some(("cause", cause as u64))),
+            StopReason::TimeTravel { cycle, .. } => (5, Some(("cycle", cycle))),
+        };
+        let mut r = Record::new('T', &kind).field("pc", &self.pc());
+        if let Some((key, v)) = extra {
+            r = r.field(key, &v);
         }
-        out
+        if core != 0 {
+            r = r.field("c", &core);
+        }
+        r.out
     }
 
     /// Parses a `T…` payload together with the core it stopped on (`c:`
     /// key; absent means core 0).
     pub fn parse_with_core(payload: &str) -> Option<(StopReason, u8)> {
-        let reason = StopReason::parse(payload)?;
-        let core = payload
-            .split(';')
-            .find_map(|part| part.strip_prefix("c:"))
-            .map_or(Some(0), |v| u8::from_str_radix(v, 16).ok())?;
-        Some((reason, core))
+        let d = Fields::split(payload, 'T')?;
+        Some((StopReason::decode(&d)?, d.get("c")?))
     }
 
     /// Parses a `T…` payload.
     pub fn parse(payload: &str) -> Option<StopReason> {
-        let body = payload.strip_prefix('T')?;
-        let mut parts = body.split(';');
-        let kind = parts.next()?;
-        let mut pc = None;
-        let mut addr = None;
-        let mut cause = None;
-        let mut cycle = None;
-        for part in parts {
-            let (k, v) = part.split_once(':')?;
-            // `cycle` is a 64-bit cycle count; the rest are 32-bit values.
-            match k {
-                "pc" => pc = Some(u32::from_str_radix(v, 16).ok()?),
-                "addr" => addr = Some(u32::from_str_radix(v, 16).ok()?),
-                "cause" => cause = Some(u32::from_str_radix(v, 16).ok()?),
-                "cycle" => cycle = Some(u64::from_str_radix(v, 16).ok()?),
-                _ => {}
-            }
-        }
-        let pc = pc?;
-        match kind {
-            "0" => Some(StopReason::Halted { pc }),
-            "1" => Some(StopReason::Breakpoint { pc }),
-            "2" => Some(StopReason::Step { pc }),
-            "3" => Some(StopReason::Watchpoint { pc, addr: addr? }),
-            "4" => Some(StopReason::Fault { pc, cause: cause? }),
-            "5" => Some(StopReason::TimeTravel { pc, cycle: cycle? }),
-            _ => None,
-        }
+        StopReason::decode(&Fields::split(payload, 'T')?)
+    }
+
+    fn decode(d: &Fields) -> Option<StopReason> {
+        let pc = d.req("pc")?;
+        Some(match d.head {
+            "0" => StopReason::Halted { pc },
+            "1" => StopReason::Breakpoint { pc },
+            "2" => StopReason::Step { pc },
+            "3" => StopReason::Watchpoint {
+                pc,
+                addr: d.req("addr")?,
+            },
+            "4" => StopReason::Fault {
+                pc,
+                cause: d.req("cause")?,
+            },
+            "5" => StopReason::TimeTravel {
+                pc,
+                cycle: d.req("cycle")?,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -890,11 +601,31 @@ pub enum Reply {
     Stats(StatsSample),
     /// Live profiler sample (reply to [`Command::QueryProf`]).
     Prof(ProfSample),
-    /// Live host-time attribution sample (reply to
-    /// [`Command::QueryMetrics`]).
-    Metrics(MetricsSample),
-    /// Live causal-flow sample (reply to [`Command::QueryFlow`]).
-    Flow(FlowSample),
+    /// Live host-time attribution (reply to [`Command::QueryMetrics`]):
+    /// the monitor's own [`HostAttribution`] snapshot, whose `phase_ns`
+    /// travels in the canonical `hx_obs::HostPhase::ALL` order.
+    ///
+    /// The `M` encoding is **fixed width**: every number is zero-padded to
+    /// 16 hex digits and the phase count is the type's. Reply bytes cost
+    /// simulated cycles in the stub's cost model, so the nondeterministic
+    /// host-nanosecond values must never change the reply's length.
+    Metrics {
+        /// Simulated-cycle timestamp of the sample.
+        now: u64,
+        /// Host nanoseconds per phase since the profiler was enabled.
+        attribution: HostAttribution,
+    },
+    /// Live causal-flow sample (reply to [`Command::QueryFlow`]): the
+    /// tracker's own [`FlowSummary`], one `(n, p50, p99, max)` tuple per
+    /// `hx_obs::FlowClass`. Every value is a pure function of the
+    /// simulation, so the variable-width encoding cannot leak host
+    /// nondeterminism into the reply's simulated byte cost.
+    Flow {
+        /// Simulated-cycle timestamp of the sample.
+        now: u64,
+        /// Flow counters and per-class latency percentiles.
+        summary: FlowSummary,
+    },
     /// Answer to [`Command::QueryFirst`]: whether the predicate was
     /// satisfied in the recorded window and, if so, at which cycle. A hit
     /// is followed by an asynchronous [`StopReason::TimeTravel`] stop once
@@ -913,61 +644,281 @@ pub enum Reply {
 impl Reply {
     /// Formats the reply as a packet payload.
     pub fn format(&self) -> String {
-        match self {
-            Reply::Ok => "OK".into(),
-            Reply::Error(code) => format!("E{code:02x}"),
-            Reply::Stopped(r) => r.format(),
-            Reply::Stats(s) => s.format(),
-            Reply::Prof(s) => s.format(),
-            Reply::Metrics(s) => s.format(),
-            Reply::Flow(s) => s.format(),
-            Reply::Query { found, cycle } => {
-                format!("Q{};c:{cycle:x}", if *found { 1 } else { 0 })
+        let record = match self {
+            Reply::Ok => return "OK".into(),
+            Reply::Error(code) => return format!("E{code:02x}"),
+            Reply::Hex(data) => return to_hex(data),
+            Reply::Stopped(r) => return r.format(),
+            Reply::Stats(s) => {
+                let r = Record::new('S', &s.now)
+                    .field("g", &s.guest)
+                    .field("m", &s.monitor)
+                    .field("h", &s.host)
+                    .field("i", &s.idle)
+                    .field("x", &s.exits)
+                    .field("f", &s.faults)
+                    .field("fb", &s.fault_blocked);
+                // SMP extension keys: emitted only for multi-core targets so
+                // a single-core sample is byte-identical to the pre-SMP
+                // encoding.
+                if s.cores <= 1 {
+                    r
+                } else {
+                    r.field("nc", &s.cores)
+                        .field("ci", &s.core_instret)
+                        .field("cx", &s.core_exits)
+                }
             }
-            Reply::Hex(data) => to_hex(data),
-        }
+            Reply::Prof(s) => Record::new('P', &s.now)
+                .field("v", &s.interval)
+                .field("c", &s.total_cycles)
+                .field("s", &s.total_samples)
+                .field("t", &s.top),
+            Reply::Metrics {
+                now,
+                attribution: a,
+            } => Record::fixed('M', now, 16)
+                .field("w", &a.wall_ns)
+                .field("k", &a.marks)
+                .field("p", &a.phase_ns),
+            Reply::Flow { now, summary: s } => Record::new('F', now)
+                .field("n", &s.completed)
+                .field("d", &s.dropped)
+                .field("o", &s.orphan_ends)
+                .field("t", &s.instants)
+                .field("h", &s.classes),
+            Reply::Query { found, cycle } => Record::new('Q', &(*found as u8)).field("c", cycle),
+        };
+        record.out
     }
 
-    /// Parses a packet payload into a reply.
+    /// Parses a packet payload into a reply. No tag letter collides with
+    /// hex data: `to_hex` emits lowercase only.
     pub fn parse(payload: &str) -> Option<Reply> {
-        if payload == "OK" {
-            return Some(Reply::Ok);
+        let Some(tag @ ('E' | 'T' | 'S' | 'P' | 'M' | 'F' | 'Q')) = payload.chars().next() else {
+            return Some(match payload {
+                "OK" => Reply::Ok,
+                hex => Reply::Hex(from_hex(hex)?),
+            });
+        };
+        if tag == 'E' {
+            return Some(Reply::Error(u8::from_str_radix(&payload[1..], 16).ok()?));
         }
-        if let Some(code) = payload.strip_prefix('E') {
-            return Some(Reply::Error(u8::from_str_radix(code, 16).ok()?));
+        let d = Fields::split(payload, tag)?;
+        Some(match tag {
+            'T' => Reply::Stopped(StopReason::decode(&d)?),
+            'S' => Reply::Stats(StatsSample {
+                now: d.head()?,
+                guest: d.get("g")?,
+                monitor: d.get("m")?,
+                host: d.get("h")?,
+                idle: d.get("i")?,
+                exits: d.get("x")?,
+                faults: d.get("f")?,
+                fault_blocked: d.get("fb")?,
+                cores: d.get("nc")?,
+                core_instret: d.get("ci")?,
+                core_exits: d.get("cx")?,
+            }),
+            'P' => Reply::Prof(ProfSample {
+                now: d.head()?,
+                interval: d.get("v")?,
+                total_cycles: d.get("c")?,
+                total_samples: d.get("s")?,
+                top: d.get("t")?,
+            }),
+            'M' => Reply::Metrics {
+                now: d.head()?,
+                attribution: HostAttribution {
+                    wall_ns: d.get("w")?,
+                    marks: d.get("k")?,
+                    phase_ns: d.req("p")?,
+                },
+            },
+            'F' => Reply::Flow {
+                now: d.head()?,
+                summary: FlowSummary {
+                    completed: d.get("n")?,
+                    dropped: d.get("d")?,
+                    orphan_ends: d.get("o")?,
+                    instants: d.get("t")?,
+                    classes: d.req("h")?,
+                },
+            },
+            _ => Reply::Query {
+                found: match d.head {
+                    "0" => false,
+                    "1" => true,
+                    _ => return None,
+                },
+                cycle: d.req("c")?,
+            },
+        })
+    }
+}
+
+// The one reply codec. Every tagged reply is a record
+// `<tag><head>;key:value;…`: the head and the values are hex numbers,
+// hex-encoded strings, `,`-separated lists or `:`-separated tuples of
+// those, and a decoder skips keys it does not know.
+
+/// A value one record field carries.
+trait Field: Sized {
+    /// Appends the value, each number zero-padded to `width` hex digits
+    /// (0: as few as it needs).
+    fn put(&self, out: &mut String, width: usize);
+    /// Reads the value back; `None` if it is malformed.
+    fn take(s: &str) -> Option<Self>;
+}
+
+macro_rules! hex_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut String, width: usize) {
+                let _ = write!(out, "{self:0width$x}");
+            }
+            fn take(s: &str) -> Option<Self> {
+                <$t>::from_str_radix(s, 16).ok()
+            }
         }
-        if payload.starts_with('T') {
-            return Some(Reply::Stopped(StopReason::parse(payload)?));
+    )*};
+}
+hex_field!(u8, u32, u64);
+
+impl Field for String {
+    fn put(&self, out: &mut String, _: usize) {
+        out.push_str(&to_hex(self.as_bytes()));
+    }
+    fn take(s: &str) -> Option<Self> {
+        String::from_utf8(from_hex(s)?).ok()
+    }
+}
+
+fn put_list<T: Field>(items: &[T], out: &mut String, width: usize) {
+    for (i, v) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        if payload.starts_with('S') {
-            return Some(Reply::Stats(StatsSample::parse(payload)?));
+        v.put(out, width);
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut String, width: usize) {
+        put_list(self, out, width);
+    }
+    fn take(s: &str) -> Option<Self> {
+        if s.is_empty() {
+            return Some(Vec::new());
         }
-        if payload.starts_with('P') {
-            return Some(Reply::Prof(ProfSample::parse(payload)?));
+        s.split(',').map(T::take).collect()
+    }
+}
+
+/// A fixed-length list: decoding any other length fails.
+impl<T: Field, const N: usize> Field for [T; N] {
+    fn put(&self, out: &mut String, width: usize) {
+        put_list(self, out, width);
+    }
+    fn take(s: &str) -> Option<Self> {
+        Vec::<T>::take(s)?.try_into().ok()
+    }
+}
+
+macro_rules! tuple_field {
+    ($($t:ident $i:tt),+) => {
+        impl<$($t: Field),+> Field for ($($t,)+) {
+            fn put(&self, out: &mut String, width: usize) {
+                $(
+                    if $i > 0 {
+                        out.push(':');
+                    }
+                    self.$i.put(out, width);
+                )+
+            }
+            fn take(s: &str) -> Option<Self> {
+                let mut parts = s.split(':');
+                let v = ($($t::take(parts.next()?)?,)+);
+                parts.next().is_none().then_some(v)
+            }
         }
-        if payload.starts_with('M') {
-            return Some(Reply::Metrics(MetricsSample::parse(payload)?));
-        }
-        // `F` cannot collide with hex data: `to_hex` emits lowercase only.
-        if payload.starts_with('F') {
-            return Some(Reply::Flow(FlowSample::parse(payload)?));
-        }
-        if let Some(body) = payload.strip_prefix('Q') {
-            let found = match body.chars().next()? {
-                '0' => false,
-                '1' => true,
-                _ => return None,
-            };
-            let cycle = u64::from_str_radix(body.get(1..)?.strip_prefix(";c:")?, 16).ok()?;
-            return Some(Reply::Query { found, cycle });
-        }
-        from_hex(payload).map(Reply::Hex)
+    };
+}
+tuple_field!(A 0, B 1, C 2);
+tuple_field!(A 0, B 1, C 2, D 3);
+
+/// Writes one record into a single `String`.
+struct Record {
+    out: String,
+    width: usize,
+}
+
+impl Record {
+    fn new(tag: char, head: &impl Field) -> Record {
+        Record::fixed(tag, head, 0)
+    }
+
+    /// A record whose every number is zero-padded to `width` hex digits.
+    fn fixed(tag: char, head: &impl Field, width: usize) -> Record {
+        let mut out = String::with_capacity(64);
+        out.push(tag);
+        head.put(&mut out, width);
+        Record { out, width }
+    }
+
+    fn field(mut self, key: &str, v: &impl Field) -> Record {
+        self.out.push(';');
+        self.out.push_str(key);
+        self.out.push(':');
+        v.put(&mut self.out, self.width);
+        self
+    }
+}
+
+/// One record split into its head and `key:value` fields.
+struct Fields<'a> {
+    head: &'a str,
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// The one place a reply is split into fields: `None` unless `payload`
+    /// starts with `tag` and every field after the head has a `:`.
+    fn split(payload: &'a str, tag: char) -> Option<Fields<'a>> {
+        let mut parts = payload.strip_prefix(tag)?.split(';');
+        let head = parts.next()?;
+        let fields = parts.map(|p| p.split_once(':')).collect::<Option<_>>()?;
+        Some(Fields { head, fields })
+    }
+
+    fn head<T: Field>(&self) -> Option<T> {
+        T::take(self.head)
+    }
+
+    fn value(&self, key: &str) -> Option<&'a str> {
+        self.fields
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|f| f.1)
+    }
+
+    /// A field that must be present.
+    fn req<T: Field>(&self, key: &str) -> Option<T> {
+        T::take(self.value(key)?)
+    }
+
+    /// A field that reads as `T::default()` when absent (still `None` when
+    /// malformed).
+    fn get<T: Field + Default>(&self, key: &str) -> Option<T> {
+        self.value(key).map_or(Some(T::default()), T::take)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hx_obs::{FlowClass, HostPhase};
     use proptest::prelude::*;
 
     #[test]
@@ -1102,124 +1053,97 @@ mod tests {
         };
         // A single-core sample never emits the SMP keys: the wire bytes are
         // identical to the pre-SMP encoding.
-        assert!(!s.format().contains(";nc:"));
-        assert_eq!(StatsSample::parse(&s.format()), Some(s.clone()));
-        assert_eq!(
-            Reply::parse(&Reply::Stats(s.clone()).format()),
-            Some(Reply::Stats(s.clone()))
-        );
+        let wire = Reply::Stats(s.clone()).format();
+        assert!(!wire.contains(";nc:"));
+        assert_eq!(Reply::parse(&wire), Some(Reply::Stats(s.clone())));
         // A multi-core sample carries per-core instruction and exit counts.
-        let smp = StatsSample {
+        let smp = Reply::Stats(StatsSample {
             cores: 2,
             core_instret: vec![0x100, 0x80],
             core_exits: vec![9, 3],
             ..s
-        };
+        });
         assert!(smp.format().contains(";nc:2;ci:100,80;cx:9,3"));
-        assert_eq!(StatsSample::parse(&smp.format()), Some(smp));
+        assert_eq!(Reply::parse(&smp.format()), Some(smp));
         // No exit counters at all is representable.
-        let empty = StatsSample {
+        let empty = Reply::Stats(StatsSample {
             now: 5,
             ..StatsSample::default()
-        };
-        assert_eq!(StatsSample::parse(&empty.format()), Some(empty));
+        });
+        assert_eq!(Reply::parse(&empty.format()), Some(empty));
         // Malformed samples are rejected, not panicking.
         for bad in ["S", "Szz", "S1;g", "S1;g:zz", "S1;x:1,zz", "X1"] {
-            assert_eq!(StatsSample::parse(bad), None, "{bad:?}");
+            assert_eq!(Reply::parse(bad), None, "{bad:?}");
         }
     }
 
     #[test]
     fn prof_sample_examples() {
-        let s = ProfSample {
+        let s = Reply::Prof(ProfSample {
             now: 0x4000,
             interval: 997,
             total_cycles: 0x1234,
             total_samples: 5,
             top: vec![("main".into(), 0x1000, 4), ("[unknown]".into(), 0x234, 1)],
-        };
-        assert_eq!(ProfSample::parse(&s.format()), Some(s.clone()));
-        assert_eq!(
-            Reply::parse(&Reply::Prof(s.clone()).format()),
-            Some(Reply::Prof(s))
-        );
+        });
+        assert_eq!(Reply::parse(&s.format()), Some(s));
         // An empty profile (no symbols hit yet) is representable.
-        let empty = ProfSample {
+        let empty = Reply::Prof(ProfSample {
             now: 9,
             ..ProfSample::default()
-        };
-        assert_eq!(ProfSample::parse(&empty.format()), Some(empty));
+        });
+        assert_eq!(Reply::parse(&empty.format()), Some(empty));
         // Malformed samples are rejected, not panicking.
         for bad in ["P", "Pzz", "P1;v", "P1;v:zz", "P1;t:6d:1", "P1;t:xx:1:2"] {
-            assert_eq!(ProfSample::parse(bad), None, "{bad:?}");
+            assert_eq!(Reply::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    fn metrics(now: u64, wall_ns: u64, marks: u64, phase_ns: [u64; HostPhase::COUNT]) -> Reply {
+        Reply::Metrics {
+            now,
+            attribution: HostAttribution {
+                wall_ns,
+                marks,
+                phase_ns,
+            },
         }
     }
 
     #[test]
     fn metrics_sample_examples() {
-        let mut phase_ns = [0u64; METRICS_PHASES];
+        let mut phase_ns = [0u64; HostPhase::COUNT];
         phase_ns[0] = 0x1234_5678;
-        phase_ns[METRICS_PHASES - 1] = 7;
-        let s = MetricsSample {
-            now: 0x9000,
-            wall_ns: 0x1_0000_0000,
-            marks: 42,
-            phase_ns,
-        };
-        assert_eq!(MetricsSample::parse(&s.format()), Some(s.clone()));
-        assert_eq!(
-            Reply::parse(&Reply::Metrics(s.clone()).format()),
-            Some(Reply::Metrics(s.clone()))
-        );
+        phase_ns[HostPhase::COUNT - 1] = 7;
+        let s = metrics(0x9000, 0x1_0000_0000, 42, phase_ns);
+        assert_eq!(Reply::parse(&s.format()), Some(s.clone()));
         // The encoding is fixed-width: the reply length must not depend on
         // the (nondeterministic, host-clock-derived) values, because reply
         // bytes cost simulated cycles in the stub's cost model.
-        let zero = MetricsSample::default();
+        let zero = metrics(0, 0, 0, [0; HostPhase::COUNT]);
         assert_eq!(s.format().len(), zero.format().len());
-        let max = MetricsSample {
-            now: u64::MAX,
-            wall_ns: u64::MAX,
-            marks: u64::MAX,
-            phase_ns: [u64::MAX; METRICS_PHASES],
-        };
+        let max = metrics(u64::MAX, u64::MAX, u64::MAX, [u64::MAX; HostPhase::COUNT]);
         assert_eq!(max.format().len(), zero.format().len());
-        assert_eq!(MetricsSample::parse(&max.format()), Some(max));
+        assert_eq!(Reply::parse(&max.format()), Some(max));
         // Malformed samples are rejected, not panicking: wrong phase
         // counts, bad hex, missing sections.
         for bad in ["M", "Mzz", "M1;w:1;k:1;p:1", "M1;w:1;k:1", "M1;w:zz"] {
-            assert_eq!(MetricsSample::parse(bad), None, "{bad:?}");
+            assert_eq!(Reply::parse(bad), None, "{bad:?}");
         }
     }
 
     #[test]
     fn flow_sample_examples() {
-        let s = FlowSample {
-            now: 0x2000,
-            completed: 12,
-            dropped: 0,
-            orphan_ends: 1,
-            instants: 3,
-            classes: vec![
-                (5, 0x40, 0x80, 0x9f),
-                (5, 0x10, 0x20, 0x2f),
-                (0, 0, 0, 0),
-                (2, 0x100, 0x100, 0x13f),
-                (0, 0, 0, 0),
-                (0, 0, 0, 0),
-            ],
-        };
-        assert_eq!(FlowSample::parse(&s.format()), Some(s.clone()));
-        assert_eq!(
-            Reply::parse(&Reply::Flow(s.clone()).format()),
-            Some(Reply::Flow(s))
-        );
+        let s = pinned_flow();
+        assert_eq!(Reply::parse(&s.format()), Some(s));
         // An empty sample (tracker just enabled) is representable.
-        let empty = FlowSample {
+        let empty = Reply::Flow {
             now: 9,
-            ..FlowSample::default()
+            summary: FlowSummary::default(),
         };
-        assert_eq!(FlowSample::parse(&empty.format()), Some(empty));
-        // Malformed samples are rejected, not panicking.
+        assert_eq!(Reply::parse(&empty.format()), Some(empty));
+        // Malformed samples are rejected, not panicking: a class count
+        // other than `FlowClass::COUNT` included.
         for bad in [
             "F",
             "Fzz",
@@ -1227,8 +1151,10 @@ mod tests {
             "F1;n:zz",
             "F1;h:1:2:3",
             "F1;h:1:2:3:4:5",
+            "F1;h:1:2:3:4",
+            "F1;n:0",
         ] {
-            assert_eq!(FlowSample::parse(bad), None, "{bad:?}");
+            assert_eq!(Reply::parse(bad), None, "{bad:?}");
         }
     }
 
@@ -1411,34 +1337,31 @@ mod tests {
 
     /// The `M` reply of [`reply_wire_bytes_are_pinned`].
     fn pinned_metrics() -> Reply {
-        let mut phase_ns = [0u64; METRICS_PHASES];
+        let mut phase_ns = [0u64; HostPhase::COUNT];
         phase_ns[0] = 0x1234_5678;
-        phase_ns[METRICS_PHASES - 1] = 7;
-        Reply::Metrics(MetricsSample {
-            now: 0x9000,
-            wall_ns: 0x1_0000_0000,
-            marks: 42,
-            phase_ns,
-        })
+        phase_ns[HostPhase::COUNT - 1] = 7;
+        metrics(0x9000, 0x1_0000_0000, 42, phase_ns)
     }
 
     /// The `F` reply of [`reply_wire_bytes_are_pinned`].
     fn pinned_flow() -> Reply {
-        Reply::Flow(FlowSample {
+        Reply::Flow {
             now: 0x2000,
-            completed: 12,
-            dropped: 0,
-            orphan_ends: 1,
-            instants: 3,
-            classes: vec![
-                (5, 0x40, 0x80, 0x9f),
-                (5, 0x10, 0x20, 0x2f),
-                (0, 0, 0, 0),
-                (2, 0x100, 0x100, 0x13f),
-                (0, 0, 0, 0),
-                (0, 0, 0, 0),
-            ],
-        })
+            summary: FlowSummary {
+                completed: 12,
+                dropped: 0,
+                orphan_ends: 1,
+                instants: 3,
+                classes: [
+                    (5, 0x40, 0x80, 0x9f),
+                    (5, 0x10, 0x20, 0x2f),
+                    (0, 0, 0, 0),
+                    (2, 0x100, 0x100, 0x13f),
+                    (0, 0, 0, 0),
+                    (0, 0, 0, 0),
+                ],
+            },
+        }
     }
 
     fn arb_command() -> impl Strategy<Value = Command> {
@@ -1575,42 +1498,38 @@ mod tests {
             )
     }
 
-    fn arb_flow() -> impl Strategy<Value = FlowSample> {
+    fn arb_flow() -> impl Strategy<Value = Reply> {
         (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>()),
             proptest::collection::vec(
                 (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-                0..FLOW_CLASSES + 2,
+                FlowClass::COUNT..FlowClass::COUNT + 1,
             ),
         )
             .prop_map(
-                |(now, completed, dropped, orphan_ends, instants, classes)| FlowSample {
+                |((now, completed, dropped), (orphan_ends, instants), classes)| Reply::Flow {
                     now,
-                    completed,
-                    dropped,
-                    orphan_ends,
-                    instants,
-                    classes,
+                    summary: FlowSummary {
+                        completed,
+                        dropped,
+                        orphan_ends,
+                        instants,
+                        classes: classes.try_into().unwrap(),
+                    },
                 },
             )
     }
 
-    fn arb_metrics() -> impl Strategy<Value = MetricsSample> {
+    fn arb_metrics() -> impl Strategy<Value = Reply> {
         (
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
-            proptest::collection::vec(any::<u64>(), METRICS_PHASES..METRICS_PHASES + 1),
+            proptest::collection::vec(any::<u64>(), HostPhase::COUNT..HostPhase::COUNT + 1),
         )
-            .prop_map(|(now, wall_ns, marks, phases)| MetricsSample {
-                now,
-                wall_ns,
-                marks,
-                phase_ns: phases.try_into().unwrap(),
+            .prop_map(|(now, wall_ns, marks, phases)| {
+                metrics(now, wall_ns, marks, phases.try_into().unwrap())
             })
     }
 
@@ -1621,10 +1540,9 @@ mod tests {
         }
 
         #[test]
-        fn metrics_roundtrip_and_fixed_width(sample in arb_metrics()) {
-            let wire = sample.format();
-            prop_assert_eq!(wire.len(), MetricsSample::default().format().len());
-            let r = Reply::Metrics(sample);
+        fn metrics_roundtrip_and_fixed_width(r in arb_metrics()) {
+            let wire = r.format();
+            prop_assert_eq!(wire.len(), pinned_metrics().format().len());
             prop_assert_eq!(Reply::parse(&wire), Some(r));
         }
 
@@ -1641,8 +1559,7 @@ mod tests {
         }
 
         #[test]
-        fn flow_roundtrip(sample in arb_flow()) {
-            let r = Reply::Flow(sample);
+        fn flow_roundtrip(r in arb_flow()) {
             prop_assert_eq!(Reply::parse(&r.format()), Some(r));
         }
 

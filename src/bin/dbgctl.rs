@@ -36,7 +36,7 @@ use lwvmm::guest::{apps, kernel::layout};
 use lwvmm::machine::{Machine, Platform};
 use lwvmm::monitor::{LvmmPlatform, UartLink};
 use lwvmm::obs::json::JsonObj;
-use lwvmm::obs::{audit, FlowClass, Journal};
+use lwvmm::obs::{audit, FlowClass, FlowSummary, HostAttribution, Journal};
 use lwvmm::query::{first_divergent_event, JournalQuery};
 use rdbg::{DbgError, Debugger, StopReason, WatchKind};
 use std::io::Read;
@@ -114,10 +114,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let mut platform = boot_guest(&spec, 0)?;
     if journal_path.is_some() {
+        let cores = platform.machine().num_cores();
         platform
             .machine_mut()
             .obs
-            .enable_journal(spec.platform.label());
+            .enable_journal(spec.platform.label(), cores);
     }
     let clock = platform.machine().config().clock_hz;
     let ran = platform.run_for(clock / 1_000 * ms);
@@ -372,34 +373,16 @@ fn session_line<L: rdbg::Link>(
             }
         }
         ["metrics"] => match dbg.query_metrics() {
-            Ok(s) => println!("{}", metrics_json(&s)),
+            Ok((now, att)) => println!("{}", metrics_json(now, &att)),
             Err(e) => dbg_json(cmd, &e),
         },
+        // Every value in the flow summary is simulation-derived, so the
+        // transcript stays byte-identical across reruns.
         ["flow"] => match dbg.query_flow() {
-            // Every value in the sample is simulation-derived, so the
-            // transcript stays byte-identical across reruns.
-            Ok(s) => {
+            Ok((now, summary)) => {
                 let mut o = JsonObj::new();
-                o.set("event", "flow")
-                    .set("now", s.now)
-                    .set("completed", s.completed)
-                    .set("dropped", s.dropped)
-                    .set("orphan_ends", s.orphan_ends)
-                    .set("instants", s.instants);
-                println!("{}", o.finish());
-                for (i, &(n, p50, p99, max)) in s.classes.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    let mut o = JsonObj::new();
-                    o.set("event", "flow-class")
-                        .set("class", FlowClass::ALL[i].label())
-                        .set("n", n)
-                        .set("p50", p50)
-                        .set("p99", p99)
-                        .set("max", max);
-                    println!("{}", o.finish());
-                }
+                o.set("event", "flow").set("now", now);
+                print_flow(o, &summary);
             }
             Err(e) => dbg_json(cmd, &e),
         },
@@ -499,15 +482,15 @@ fn cmd_session(args: &[String]) -> Result<(), String> {
 /// host-clock-derived and vary run to run; the *schema* — key set and key
 /// order (the canonical `HostPhase::ALL` order) — is fixed, so scripts can
 /// parse any run's output the same way.
-fn metrics_json(s: &rdbg::MetricsSample) -> String {
+fn metrics_json(now: u64, att: &HostAttribution) -> String {
     let mut o = JsonObj::new();
     o.set("event", "metrics")
-        .set("now", s.now)
-        .set("wall_ns", s.wall_ns)
-        .set("marks", s.marks)
-        .set("attributed_ns", s.attributed_ns());
-    for (i, phase) in lwvmm::obs::HostPhase::ALL.iter().enumerate() {
-        o.set(&phase.label(), s.phase_ns[i]);
+        .set("now", now)
+        .set("wall_ns", att.wall_ns)
+        .set("marks", att.marks)
+        .set("attributed_ns", att.attributed_ns());
+    for (label, ns) in att.phases() {
+        o.set(&label, ns);
     }
     o.finish()
 }
@@ -525,8 +508,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let mut dbg = debugger(boot_lvmm(&spec, false)?);
     let clock = dbg.link_ref().platform.machine().config().clock_hz;
     dbg.link_mut().platform.run_for(clock / 1_000 * ms);
-    let s = dbg.query_metrics().map_err(|e| format!("qMetrics: {e}"))?;
-    println!("{}", metrics_json(&s));
+    let (now, att) = dbg.query_metrics().map_err(|e| format!("qMetrics: {e}"))?;
+    println!("{}", metrics_json(now, &att));
     // Per-core work grouped under the host-time report, mirroring the
     // `core="N"`-labeled Prometheus series the platforms publish. The wire
     // carries the per-core vectors only for multi-core targets (single-core
@@ -545,6 +528,31 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 }
 
 // --------------------------------------------------------------- flow ----
+
+/// Prints a causal-flow summary: `head` completed with the counters, then
+/// one `flow-class` line per class that completed a flow, in
+/// `FlowClass::ALL` order. `session`'s `flow` and `dbgctl flow` both print
+/// through here.
+fn print_flow(mut head: JsonObj, s: &FlowSummary) {
+    head.set("completed", s.completed)
+        .set("dropped", s.dropped)
+        .set("orphan_ends", s.orphan_ends)
+        .set("instants", s.instants);
+    println!("{}", head.finish());
+    for (class, &(n, p50, p99, max)) in FlowClass::ALL.iter().zip(&s.classes) {
+        if n == 0 {
+            continue;
+        }
+        let mut o = JsonObj::new();
+        o.set("event", "flow-class")
+            .set("class", class.label())
+            .set("n", n)
+            .set("p50", p50)
+            .set("p99", p99)
+            .set("max", max);
+        println!("{}", o.finish());
+    }
+}
 
 /// `dbgctl flow` — boot the lightweight monitor with causal tracing and the
 /// flight recorder on, run the streaming workload, and print the causal
@@ -576,26 +584,8 @@ fn cmd_flow(args: &[String]) -> Result<(), String> {
     let mut o = JsonObj::new();
     o.set("event", "flow-summary")
         .set("now", now)
-        .set("cycle", cycle)
-        .set("completed", c.completed())
-        .set("dropped", c.dropped_flows())
-        .set("orphan_ends", c.orphan_ends())
-        .set("instants", c.instants());
-    println!("{}", o.finish());
-    for class in FlowClass::ALL {
-        let h = c.hist(class);
-        if h.count() == 0 {
-            continue;
-        }
-        let mut o = JsonObj::new();
-        o.set("event", "flow-class")
-            .set("class", class.label())
-            .set("n", h.count())
-            .set("p50", h.p50())
-            .set("p99", h.p99())
-            .set("max", h.max());
-        println!("{}", o.finish());
-    }
+        .set("cycle", cycle);
+    print_flow(o, &c.summary());
 
     let Some(head) = c.flow_ending_by(cycle) else {
         let mut o = JsonObj::new();

@@ -384,12 +384,10 @@ fn run(mut opts: Options) -> Result<(), String> {
     }
     if let Some(path) = &opts.causal {
         let c = tracker(platform.as_ref());
+        let s = c.summary();
         println!(
             "\ncausal: {} flows ({} dropped, {} orphan ends, {} instants), trace written to {path}",
-            c.completed(),
-            c.dropped_flows(),
-            c.orphan_ends(),
-            c.instants()
+            s.completed, s.dropped, s.orphan_ends, s.instants
         );
         for line in c.summary_lines() {
             println!("  {line}");
@@ -530,14 +528,14 @@ fn emit_json(
     }
 
     if let Some(path) = &opts.causal {
-        let c = tracker(platform);
+        let s = tracker(platform).summary();
         let mut o = JsonObj::new();
         o.set("event", "causal")
             .set("path", path)
-            .set("flows", c.completed())
-            .set("dropped", c.dropped_flows())
-            .set("orphan_ends", c.orphan_ends())
-            .set("instants", c.instants());
+            .set("flows", s.completed)
+            .set("dropped", s.dropped)
+            .set("orphan_ends", s.orphan_ends)
+            .set("instants", s.instants);
         println!("{}", o.finish());
     }
 }

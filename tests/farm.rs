@@ -11,6 +11,8 @@ use lwvmm::farm::{
 use lwvmm::guest::{kernel::layout, Workload};
 use lwvmm::machine::{Machine, MachineConfig, Platform};
 use lwvmm::monitor::LvmmPlatform;
+use lwvmm::obs::json::{parse, Json};
+use lwvmm::obs::HostPhase;
 use std::time::Duration;
 
 /// A short horizon keeps debug-build runtime in check: ten simulated
@@ -192,6 +194,95 @@ fn control_stats_totals_equal_sum_of_per_guest() {
     let vals = all_u64s(&one, "instret");
     assert_eq!(vals.len(), 2, "totals plus exactly one guest");
     assert_eq!(vals[0], vals[1]);
+    farm.shutdown();
+}
+
+/// A number member of a parsed control reply.
+fn num(j: &Json, key: &str) -> u64 {
+    match j.get(key) {
+        Some(Json::Num(n)) => n.parse().expect("integer"),
+        other => panic!("{key}: not a number: {other:?}"),
+    }
+}
+
+/// The `metrics` and `prof` control verbs over a settled fleet: host-time
+/// phases print in the canonical `HostPhase::ALL` order like every other
+/// surface, the fleet's counters are the sum of each guest's, and fleet
+/// profile symbols sort by cycles descending, then by name.
+#[test]
+fn control_metrics_and_prof_aggregate_the_fleet() {
+    let spec = GuestSpec {
+        hostprof: true,
+        profile: true,
+        ..GuestSpec::default()
+    };
+    let farm = Farm::launch(farm_config(vec![spec; 3], Some(HORIZON))).expect("launch");
+    assert!(farm.wait_settled(Duration::from_secs(120)), "fleet settles");
+    let port = farm.control_port();
+    let reply = |cmd: &str| {
+        let text = control_request(port, cmd).expect(cmd);
+        let doc = parse(&text).expect("control reply is JSON");
+        (text, doc)
+    };
+
+    // Settled guests take no more phase marks, so phase totals and mark
+    // counts hold still between the requests (wall time does not).
+    let (text, fleet) = reply("metrics");
+    assert_eq!(num(&fleet, "profiled_guests"), 3);
+    let labels: Vec<String> = HostPhase::ALL.iter().map(|p| p.label()).collect();
+    let at: Vec<usize> = labels
+        .iter()
+        .map(|l| text.find(&format!("\"{l}\":")).expect(l))
+        .collect();
+    assert!(
+        at.windows(2).all(|w| w[0] < w[1]),
+        "canonical order: {text}"
+    );
+    let guests: Vec<Json> = (0..3).map(|i| reply(&format!("metrics {i}")).1).collect();
+    for g in &guests {
+        assert_eq!(num(g, "profiled_guests"), 1);
+    }
+    let sum = |f: &dyn Fn(&Json) -> u64| guests.iter().map(f).sum::<u64>();
+    assert_eq!(num(&fleet, "marks"), sum(&|g| num(g, "marks")));
+    assert!(num(&fleet, "wall_ns") <= sum(&|g| num(g, "wall_ns")));
+    let phases = fleet.get("phase_ns").unwrap();
+    for l in &labels {
+        assert_eq!(
+            num(phases, l),
+            sum(&|g| num(g.get("phase_ns").unwrap(), l)),
+            "{l}"
+        );
+    }
+
+    let (_, prof) = reply("prof");
+    assert_eq!(num(&prof, "profiled_guests"), 3);
+    let Some(Json::Arr(symbols)) = prof.get("symbols") else {
+        panic!("no symbol list: {prof:?}");
+    };
+    assert!(symbols.len() > 1, "{symbols:?}");
+    let rows: Vec<(u64, String)> = symbols
+        .iter()
+        .map(|s| match s.get("symbol") {
+            Some(Json::Str(name)) => (num(s, "cycles"), name.clone()),
+            other => panic!("symbol name: {other:?}"),
+        })
+        .collect();
+    assert!(
+        rows.windows(2)
+            .all(|w| w[0].0 > w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1)),
+        "cycles descending, then name: {rows:?}"
+    );
+    // Identical guests profile identically: each symbol's fleet cycles
+    // are three times one guest's.
+    let (_, one) = reply("prof 0");
+    let Some(Json::Arr(one)) = one.get("symbols") else {
+        panic!("no symbol list");
+    };
+    assert_eq!(one.len(), symbols.len());
+    for (f, g) in symbols.iter().zip(one) {
+        assert_eq!(f.get("symbol"), g.get("symbol"));
+        assert_eq!(num(f, "cycles"), 3 * num(g, "cycles"));
+    }
     farm.shutdown();
 }
 

@@ -156,7 +156,8 @@ fn faulty_runs_replay_identically_on_all_platforms() {
         let plan = campaign_plan(99, which != "raw");
 
         let mut rec = build(plan.clone());
-        rec.machine_mut().obs.enable_journal(which);
+        let cores = rec.machine().num_cores();
+        rec.machine_mut().obs.enable_journal(which, cores);
         rec.run_for(10 * PER_MS);
         let end = rec.machine().now();
         let mut journal: Journal = rec.machine().obs.journal().cloned().unwrap();

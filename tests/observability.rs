@@ -256,7 +256,8 @@ fn profile_cycles_reconcile_exactly_with_guest_track_on_all_platforms() {
 fn recorded_and_replayed_profiles_are_byte_identical_on_all_platforms() {
     for (name, make) in profiled_platforms() {
         let mut rec = make();
-        rec.machine_mut().obs.enable_journal(name);
+        let cores = rec.machine().num_cores();
+        rec.machine_mut().obs.enable_journal(name, cores);
         let per_ms = rec.machine().config().clock_hz / 1_000;
         rec.run_for(10 * per_ms);
         let end = rec.machine().now();
@@ -400,11 +401,15 @@ fn event_sinks_are_pinned_byte_for_byte() {
     };
     let smp_trace = lwvmm::guest::apps::smp_trace_guest();
     // The streaming kernel leaves a second core parked, so its sinks match
-    // the one-core run exactly.
+    // the one-core run except for the journal's `cores 2` header line.
     const LVMM: (u64, u64, u64, usize) = (0xbbff1504f89628fa, 0x93916e09a45baf14, 3594, 1062);
     let cases = [
         ("lvmm/1", streaming(PlatformKind::Lvmm, 1), LVMM),
-        ("lvmm/2", streaming(PlatformKind::Lvmm, 2), LVMM),
+        (
+            "lvmm/2",
+            streaming(PlatformKind::Lvmm, 2),
+            (0x137cae49d704122a, LVMM.1, LVMM.2, LVMM.3),
+        ),
         (
             "hosted/1",
             streaming(PlatformKind::Hosted, 1),
@@ -430,7 +435,7 @@ fn event_sinks_are_pinned_byte_for_byte() {
                 image: Some(smp_trace),
                 ..streaming(PlatformKind::Lvmm, 2)
             },
-            (0x1c8512674d5db5b4, 0x99a1ba7b08ed0e31, 283, 121),
+            (0x49531fd336a98324, 0x99a1ba7b08ed0e31, 283, 121),
         ),
     ];
     let mut failures = Vec::new();

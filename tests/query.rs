@@ -52,7 +52,8 @@ fn logpoint_sessions_replay_byte_identically() {
         };
         let mut rec = streaming_platform(kind);
         rec.machine_mut().obs.enable_tracing();
-        rec.machine_mut().obs.enable_journal(kind);
+        let cores = rec.machine().num_cores();
+        rec.machine_mut().obs.enable_journal(kind, cores);
         arm(rec.as_mut());
         let per_ms = rec.machine().config().clock_hz / 1_000;
         rec.run_for(10 * per_ms);
@@ -66,7 +67,8 @@ fn logpoint_sessions_replay_byte_identically() {
 
         let mut rep = streaming_platform(kind);
         rep.machine_mut().obs.enable_tracing();
-        rep.machine_mut().obs.enable_journal(kind);
+        let cores = rep.machine().num_cores();
+        rep.machine_mut().obs.enable_journal(kind, cores);
         arm(rep.as_mut());
         let reached = ReplayDriver::new(&journal).run(rep.as_mut());
 
@@ -134,7 +136,8 @@ fn watchpoint_and_conditional_breakpoint_session_replays() {
         machine.load_program(&program);
         let mut vmm = LvmmPlatform::new(machine, layout::ENTRY);
         vmm.machine_mut().obs.enable_tracing();
-        vmm.machine_mut().obs.enable_journal("lvmm");
+        let cores = vmm.machine().num_cores();
+        vmm.machine_mut().obs.enable_journal("lvmm", cores);
         vmm
     };
 
@@ -277,7 +280,7 @@ fn logpoints_fire_on_monitor_emulated_instructions() {
             ..MachineConfig::default()
         });
         machine.load_program(&program);
-        machine.obs.enable_journal(kind);
+        machine.obs.enable_journal(kind, machine.num_cores());
         machine.add_logpoint(at("imr"), "imr", None);
         machine.add_logpoint(at("scr"), "scr", None);
         let mut p: Box<dyn Platform> = match kind {

@@ -27,7 +27,8 @@ fn chrome(platform: &dyn Platform) -> String {
 fn replay_reproduces_trace_stats_and_ram() {
     let mut rec = streaming_platform();
     rec.machine_mut().obs.enable_tracing();
-    rec.machine_mut().obs.enable_journal("lvmm");
+    let cores = rec.machine().num_cores();
+    rec.machine_mut().obs.enable_journal("lvmm", cores);
     let per_ms = rec.machine().config().clock_hz / 1_000;
     rec.run_for(20 * per_ms);
     let end = rec.machine().now();
@@ -58,7 +59,8 @@ fn replay_reproduces_trace_stats_and_ram() {
 #[test]
 fn journal_round_trips_through_text() {
     let mut rec = streaming_platform();
-    rec.machine_mut().obs.enable_journal("lvmm");
+    let cores = rec.machine().num_cores();
+    rec.machine_mut().obs.enable_journal("lvmm", cores);
     rec.machine_mut().uart_input(b"\x03"); // journaled host input
     let per_ms = rec.machine().config().clock_hz / 1_000;
     rec.run_for(5 * per_ms);
@@ -226,7 +228,8 @@ fn divergence_audit_same_platform_clean_cross_platform_prefix() {
     let per_ms;
     let journal_a = {
         let mut rec = streaming_platform();
-        rec.machine_mut().obs.enable_journal("lvmm");
+        let cores = rec.machine().num_cores();
+        rec.machine_mut().obs.enable_journal("lvmm", cores);
         per_ms = rec.machine().config().clock_hz / 1_000;
         rec.run_for(10 * per_ms);
         let mut j = rec.machine().obs.journal().cloned().unwrap();
@@ -236,7 +239,8 @@ fn divergence_audit_same_platform_clean_cross_platform_prefix() {
 
     // Same platform: every stream must match exactly.
     let mut same = streaming_platform();
-    same.machine_mut().obs.enable_journal("lvmm");
+    let cores = same.machine().num_cores();
+    same.machine_mut().obs.enable_journal("lvmm", cores);
     ReplayDriver::new(&journal_a).run(same.as_mut());
     let mut journal_same = same.machine().obs.journal().cloned().unwrap();
     journal_same.seal(same.machine().now());
@@ -255,7 +259,8 @@ fn divergence_audit_same_platform_clean_cross_platform_prefix() {
     machine.load_program(&program);
     let mut hosted: Box<dyn Platform> =
         Box::new(lwvmm::hosted::HostedPlatform::new(machine, layout::ENTRY));
-    hosted.machine_mut().obs.enable_journal("hosted");
+    let cores = hosted.machine().num_cores();
+    hosted.machine_mut().obs.enable_journal("hosted", cores);
     ReplayDriver::new(&journal_a).run(hosted.as_mut());
     let mut journal_b = hosted.machine().obs.journal().cloned().unwrap();
     journal_b.seal(hosted.machine().now());

@@ -63,6 +63,35 @@ fn word(p: &dyn Platform, addr: u32) -> u32 {
 }
 
 // ------------------------------------------------------------------------
+/// A recording names its machine's core count: every platform's record
+/// path writes a `cores N` header into a multi-core journal (none into a
+/// one-core journal, whose text predates SMP), and parsing the saved text
+/// gives the same journal back.
+#[test]
+fn multi_core_journals_record_their_core_count() {
+    use lwvmm::farm::{guest_machine, GuestSpec, PlatformKind};
+    for kind in PlatformKind::ALL {
+        for cores in [1, 2] {
+            let spec = GuestSpec {
+                platform: kind,
+                cores,
+                ..GuestSpec::default()
+            };
+            let (machine, entry, _) = guest_machine(&spec).expect("guest boots");
+            let mut p = kind.boot(machine, entry, Some(100_000_000));
+            p.run_for(50_000);
+            let mut journal = p.machine().obs.journal().cloned().expect("recording");
+            journal.seal(p.machine().now());
+            let text = journal.save();
+            let label = format!("{} at {cores} cores", kind.label());
+            assert_eq!(text.contains("\ncores 2\n"), cores == 2, "{label}");
+            let parsed = Journal::parse(&text).expect("saved text parses");
+            assert_eq!(parsed, journal, "{label}");
+            assert_eq!(parsed.cores, if cores == 2 { 2 } else { 0 }, "{label}");
+        }
+    }
+}
+
 // Determinism: two fresh runs are byte-identical at every core count.
 
 #[test]
@@ -72,7 +101,7 @@ fn smp_runs_are_deterministic_on_every_platform() {
         for cores in [2, 4] {
             let run = || {
                 let mut p = boot(kind, &program, cores, 5_000);
-                p.machine_mut().obs.enable_journal(kind);
+                p.machine_mut().obs.enable_journal(kind, cores);
                 p.run_for(400_000);
                 let journal = p.machine().obs.journal().cloned().unwrap().save();
                 (fingerprint(p.as_ref(), cores), journal)
@@ -95,7 +124,7 @@ fn smp_record_replay_identity_on_every_platform() {
     for kind in PLATFORMS {
         for cores in [2, 4] {
             let mut rec = boot(kind, &program, cores, 5_000);
-            rec.machine_mut().obs.enable_journal(kind);
+            rec.machine_mut().obs.enable_journal(kind, cores);
             rec.run_for(400_000);
             let end = rec.machine().now();
             let mut journal: Journal = rec.machine().obs.journal().cloned().unwrap();
@@ -335,7 +364,7 @@ fn single_core_smp_config_matches_classic_machine() {
         let mut machine = Machine::new(cfg);
         let program = Workload::new(100).build(&machine).unwrap();
         machine.load_program(&program);
-        machine.obs.enable_journal("lvmm");
+        machine.obs.enable_journal("lvmm", machine.num_cores());
         let mut p = LvmmPlatform::new(machine, layout::ENTRY);
         p.run_for(2_000_000);
         let journal = p.machine().obs.journal().cloned().unwrap().save();
@@ -370,7 +399,7 @@ proptest! {
         };
         let run = || {
             let mut p = boot("lvmm", &program, cores, quantum);
-            p.machine_mut().obs.enable_journal("lvmm");
+            p.machine_mut().obs.enable_journal("lvmm", cores);
             p.run_for(300_000);
             let journal = p.machine().obs.journal().cloned().unwrap().save();
             (fingerprint(p.as_ref(), cores), journal)
