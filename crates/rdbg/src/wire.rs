@@ -227,9 +227,16 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-/// Hex-encodes bytes (lowercase).
+/// Hex-encodes bytes (lowercase), straight into one `String`: register
+/// and memory replies pass every byte through here.
 pub fn to_hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
 }
 
 /// Decodes a lowercase/uppercase hex string into bytes.
