@@ -132,10 +132,8 @@ impl LvmmPlatform {
     /// Enable this *before* running the workload — a journal that misses
     /// early inputs cannot reproduce the run.
     pub fn enable_flight_recorder(&mut self, every: u64) {
-        self.core
-            .machine
-            .obs
-            .enable_journal(self.name(), self.core.machine.num_cores());
+        let cores = self.core.machine.num_cores();
+        self.core.machine.obs.enable_journal(self.name(), cores);
         let now = self.core.machine.now();
         let snap = self.snapshot();
         self.flight = Some(Box::new(FlightRecorder::new(every, now, snap)));

@@ -108,10 +108,8 @@ impl PlatformKind {
         };
         if record_every.is_some() && self != PlatformKind::Lvmm {
             let cores = platform.machine().num_cores();
-            platform
-                .machine_mut()
-                .obs
-                .enable_journal(self.label(), cores);
+            let obs = &mut platform.machine_mut().obs;
+            obs.enable_journal(self.label(), cores);
         }
         platform
     }
