@@ -26,6 +26,13 @@ fn platform(kind: &str, metrics: bool) -> Box<dyn Platform> {
     }
 }
 
+/// One publication of `p`'s metrics, rendered as Prometheus text.
+fn exposition(p: &dyn Platform) -> String {
+    let reg = MetricsRegistry::new();
+    p.publish_metrics(&reg);
+    reg.snapshot().prometheus()
+}
+
 /// Records 10 simulated milliseconds of the streaming workload and returns
 /// the sealed journal text plus the final guest RAM image. `slices > 1`
 /// reproduces what `lwvmm-run --heartbeat` does: run in chunks, publishing
@@ -180,6 +187,45 @@ fn instructions_total_sums_every_core() {
         assert_eq!(total, per_core.iter().sum::<u64>(), "{label}");
         assert_eq!(total, p.machine().total_instret(), "{label}");
     }
+}
+
+/// The exposition bytes of fixed runs, pinned by digest and line count:
+/// the streaming workload for 10 simulated ms on every platform at one and
+/// two cores, host profiler off, so every series is a pure function of the
+/// simulated run.
+#[test]
+fn exposition_is_pinned_per_platform_and_core_count() {
+    let mut got = Vec::new();
+    for cores in [1, 2] {
+        for kind in lwvmm::farm::PlatformKind::ALL {
+            let spec = lwvmm::farm::GuestSpec {
+                platform: kind,
+                cores,
+                record: false,
+                ..Default::default()
+            };
+            let (machine, entry, _) = lwvmm::farm::guest_machine(&spec).unwrap();
+            let mut p = kind.boot(machine, entry, None);
+            let per_ms = p.machine().config().clock_hz / 1_000;
+            p.run_for(10 * per_ms);
+            let text = exposition(p.as_ref());
+            got.push((
+                kind.label(),
+                cores,
+                lwvmm::obs::digest(text.as_bytes()),
+                text.lines().count(),
+            ));
+        }
+    }
+    let want = [
+        ("real-hw", 1, 2117171031455812350, 60),
+        ("lvmm", 1, 14118688662092009612, 65),
+        ("hosted", 1, 14334343796026635382, 68),
+        ("real-hw", 2, 5622361221689258552, 62),
+        ("lvmm", 2, 2597400997394658684, 67),
+        ("hosted", 2, 14336772918326587920, 70),
+    ];
+    assert_eq!(got, want);
 }
 
 /// The `qMetrics` reply carries the profiler's own `HostAttribution`, so
