@@ -13,7 +13,7 @@
 //!   `chrome://tracing` or <https://ui.perfetto.dev>). The file is
 //!   byte-identical across runs.
 //! * `--metrics out.prom` prints the per-cause exit histograms of those
-//!   runs and writes the full metrics registry (counters, exit histograms,
+//!   runs and writes the full metrics snapshot (counters, exit histograms,
 //!   host-time attribution) in Prometheus text exposition format.
 //! * `--profile out.folded` profiles those runs with the deterministic PC
 //!   sampler, writes collapsed flamegraph stacks (one `platform;guest;symbol`
@@ -35,7 +35,7 @@
 use hitactix::Workload;
 use hx_farm::{boot_guest, new_machine, GuestSpec};
 use hx_obs::json::{self, Json};
-use hx_obs::{HostPhase, MetricsRegistry};
+use hx_obs::{HostPhase, MetricsSnapshot};
 use lwvmm_bench::{
     ascii_plot, build_platform, check_sim_speed, chrome_trace, exit_report, measure, measure_point,
     profile_row, sweep_report, time_run, PlatformKind, SimSpeed,
@@ -224,7 +224,7 @@ fn main() {
         }
 
         if let Some(path) = &metrics_path {
-            let reg = MetricsRegistry::global();
+            let mut snapshot = MetricsSnapshot::default();
             for (kind, platform) in &traced {
                 let r = exit_report(
                     format!("Exit histograms — {} at 100 Mbps", kind.label()),
@@ -236,9 +236,9 @@ fn main() {
                 // Close the deferred guest-execution window so the
                 // exposition attributes the trailing guest stretch too.
                 platform.machine().obs.host_mark(HostPhase::GuestExec);
-                platform.publish_metrics(reg);
+                platform.publish_metrics(&mut snapshot);
             }
-            lwvmm_bench::write_output(path, reg.snapshot().prometheus());
+            lwvmm_bench::write_output(path, snapshot.prometheus());
             println!("wrote {path} (Prometheus text exposition)");
         }
 

@@ -139,11 +139,6 @@ impl LvmmPlatform {
         self.flight = Some(Box::new(FlightRecorder::new(every, now, snap)));
     }
 
-    /// Is the flight recorder on?
-    pub fn flight_recorder_enabled(&self) -> bool {
-        self.flight.is_some()
-    }
-
     /// Number of checkpoints currently held (diagnostics and tests).
     pub fn checkpoint_count(&self) -> usize {
         self.flight.as_ref().map_or(0, |f| f.len())
@@ -265,15 +260,6 @@ impl LvmmPlatform {
     /// Base of the monitor-reserved memory region.
     pub fn monitor_base(&self) -> u32 {
         self.core.monitor_base
-    }
-
-    /// Virtual-PIC `(IRR, ISR, IMR)` snapshot, for diagnostics.
-    pub fn chipset_vpic(&self) -> (u8, u8, u8) {
-        (
-            self.core.chipset.vpic.irr(),
-            self.core.chipset.vpic.isr(),
-            self.core.chipset.vpic.imr(),
-        )
     }
 
     fn handle_debug_step(&mut self, trap: Trap) {

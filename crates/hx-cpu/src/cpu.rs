@@ -45,7 +45,7 @@ enum Flow {
 ///
 /// Everything in this struct is private to one core. State shared between
 /// cores (physical RAM with its per-page write generations, devices, the
-/// event queue) lives behind the [`Bus`](crate::Bus) in `hx-machine`, so a
+/// event queue) lives behind the [`Bus`] in `hx-machine`, so a
 /// machine can time-multiplex any number of `Vcpu`s over one memory image
 /// without aliasing hazards. [`Cpu`] remains as an alias for the common
 /// single-core case.
@@ -110,11 +110,6 @@ impl Vcpu {
     /// way — only host-side speed changes.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.decode_cache = enabled.then(|| Box::new(DecodeCache::new()));
-    }
-
-    /// Is the predecoded-instruction cache enabled?
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.decode_cache.is_some()
     }
 
     /// Decode-cache and fetch fast-path counters (all zero when disabled).

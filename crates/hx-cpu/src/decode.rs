@@ -59,7 +59,7 @@ impl DecodeStats {
     }
 
     /// The counters as `(stable metric name, value)` pairs, so exporters
-    /// (the metrics registry, the `qStats` wire sample) stay in sync with
+    /// (the metrics snapshot, the `qStats` wire sample) stay in sync with
     /// this struct by construction instead of hand-listing fields.
     pub fn kv(&self) -> [(&'static str, u64); 4] {
         [

@@ -26,10 +26,11 @@
 //!
 //! - every slice is bounded (`slice` cycles), so a worker never dwells on
 //!   one guest;
-//! - a guest whose machine reports [`PlatformStep::Stuck`] (a fault
-//!   campaign wedged it, say) is **parked**: it stops consuming worker
-//!   time but its debug socket stays served — incoming debugger traffic
-//!   wakes it, which is exactly how a crashed OS is debugged;
+//! - a guest whose machine reports
+//!   [`PlatformStep::Stuck`](hx_machine::platform::PlatformStep::Stuck) (a
+//!   fault campaign wedged it, say) is **parked**: it stops consuming
+//!   worker time but its debug socket stays served — incoming debugger
+//!   traffic wakes it, which is exactly how a crashed OS is debugged;
 //! - a guest that repeatedly blows the per-slice host-time budget is
 //!   **evicted**: simulation stops, its socket drops, and fleet status
 //!   reports it so the operator knows. The control `evict` command does

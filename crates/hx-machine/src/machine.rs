@@ -311,11 +311,6 @@ impl Machine {
         self.seats[i].started
     }
 
-    /// Whether core `i` is parked in `wfi` (or monitor-emulated idle).
-    pub fn core_waiting(&self, i: usize) -> bool {
-        self.seats[i].waiting
-    }
-
     /// Instructions retired across every core.
     pub fn total_instret(&self) -> u64 {
         (0..self.seats.len()).map(|i| self.core(i).instret()).sum()
@@ -1107,28 +1102,6 @@ impl Machine {
             mmio_extra: 0,
             mmio_cost: self.cfg.mmio_access_cycles,
         }
-    }
-
-    /// Splits the machine into the CPU and a bus over everything else, so a
-    /// monitor can call [`Cpu::step`] itself while keeping device routing.
-    pub fn cpu_and_bus(&mut self) -> (&mut Cpu, MachineBus<'_>) {
-        let bus = MachineBus {
-            mem: &mut self.mem,
-            pic: &mut self.pic,
-            pit: &mut self.pit,
-            uart: &mut self.uart,
-            hdc: &mut self.hdc,
-            nic: &mut self.nic,
-            events: &mut self.events,
-            obs: &mut self.obs,
-            ipi: &mut self.ipi,
-            active: self.active as u32,
-            num_cores: self.seats.len() as u32,
-            now: self.now,
-            mmio_extra: 0,
-            mmio_cost: self.cfg.mmio_access_cycles,
-        };
-        (&mut self.cpu, bus)
     }
 }
 

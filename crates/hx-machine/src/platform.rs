@@ -18,7 +18,7 @@
 use crate::machine::Machine;
 use core::fmt;
 use hx_cpu::trap::Trap;
-use hx_obs::{ExitCause, MetricsRegistry, Track};
+use hx_obs::{ExitCause, MetricsSnapshot, Track};
 
 /// The span-track lane a [`TimeBucket`] maps to in the trace exporter.
 pub fn track_of(bucket: TimeBucket) -> Track {
@@ -196,72 +196,67 @@ pub trait Platform: Send {
         self.machine_mut().nic_inject_rx(frame.to_vec());
     }
 
-    /// Publishes the platform's cumulative totals into a metrics registry,
-    /// labelled by platform name. Pure read of simulation state (plus the
-    /// host-time self-profiler's accumulators when enabled) — publishing is
-    /// idempotent (`counter_set` never goes backwards) and cannot perturb
-    /// the run, so callers may publish as often as they like (the heartbeat
-    /// does so every beat).
-    fn publish_metrics(&self, reg: &MetricsRegistry) {
+    /// Publishes the platform's cumulative totals into `out`, labelled by
+    /// platform name. Pure read of simulation state (plus the host-time
+    /// self-profiler's accumulators when enabled): every series is a
+    /// cumulative total, so publishing into the same snapshot again
+    /// overwrites it with the newer totals, and it cannot perturb the run.
+    fn publish_metrics(&self, out: &mut MetricsSnapshot) {
         let name = self.name();
         let m = self.machine();
         let t = self.time_stats();
-        let set = |metric: &str, v: u64| {
-            reg.counter_set(&format!("{metric}{{platform=\"{name}\"}}"), v);
-        };
-        set("lwvmm_instructions_total", m.total_instret());
-        set("lwvmm_guest_cycles_total", t.guest);
-        set("lwvmm_monitor_cycles_total", t.monitor);
-        set("lwvmm_host_model_cycles_total", t.host_model);
-        set("lwvmm_idle_cycles_total", t.idle);
-        reg.gauge_set(
-            &format!("lwvmm_cpu_load{{platform=\"{name}\"}}"),
-            t.cpu_load(),
-        );
-        reg.gauge_set(
-            &format!("lwvmm_sim_now_cycles{{platform=\"{name}\"}}"),
-            m.now() as f64,
-        );
+        let key = |metric: &str| format!("{metric}{{platform=\"{name}\"}}");
+        let counters = &mut out.counters;
+        counters.insert(key("lwvmm_instructions_total"), m.total_instret());
+        counters.insert(key("lwvmm_guest_cycles_total"), t.guest);
+        counters.insert(key("lwvmm_monitor_cycles_total"), t.monitor);
+        counters.insert(key("lwvmm_host_model_cycles_total"), t.host_model);
+        counters.insert(key("lwvmm_idle_cycles_total"), t.idle);
+        out.gauges.insert(key("lwvmm_cpu_load"), t.cpu_load());
+        out.gauges
+            .insert(key("lwvmm_sim_now_cycles"), m.now() as f64);
         for (metric, v) in m.cpu.decode_stats().kv() {
-            set(metric, v);
+            counters.insert(key(metric), v);
         }
         for cause in ExitCause::ALL {
             let h = m.obs.exits.get(cause);
             let labels = format!("platform=\"{name}\",cause=\"{}\"", cause.label());
-            reg.counter_set(&format!("lwvmm_exits_total{{{labels}}}"), h.count());
-            reg.hist_set(&format!("lwvmm_exit_cycles{{{labels}}}"), h);
+            counters.insert(format!("lwvmm_exits_total{{{labels}}}"), h.count());
+            out.hists
+                .insert(format!("lwvmm_exit_cycles{{{labels}}}"), h.clone());
         }
         // Per-core breakdown: instructions retired and exits serviced under a
         // `core` label, so SMP dashboards can spot load imbalance. Core 0
         // alone on single-core machines keeps the schema uniform.
         for n in 0..m.num_cores() {
             let labels = format!("platform=\"{name}\",core=\"{n}\"");
-            reg.counter_set(
-                &format!("lwvmm_core_instructions_total{{{labels}}}"),
+            counters.insert(
+                format!("lwvmm_core_instructions_total{{{labels}}}"),
                 m.core(n).instret(),
             );
             let exits = m.obs.core_exit_counts().get(n).copied().unwrap_or(0);
-            reg.counter_set(&format!("lwvmm_core_exits_total{{{labels}}}"), exits);
+            counters.insert(format!("lwvmm_core_exits_total{{{labels}}}"), exits);
         }
         if let Some(c) = m.obs.causal() {
             for class in hx_obs::FlowClass::ALL {
                 let h = c.hist(class);
                 let labels = format!("platform=\"{name}\",class=\"{}\"", class.label());
-                reg.counter_set(&format!("lwvmm_flows_total{{{labels}}}"), h.count());
-                reg.hist_set(&format!("lwvmm_flow_latency_cycles{{{labels}}}"), h);
+                counters.insert(format!("lwvmm_flows_total{{{labels}}}"), h.count());
+                out.hists
+                    .insert(format!("lwvmm_flow_latency_cycles{{{labels}}}"), h.clone());
             }
         }
         if let Some(j) = m.obs.journal() {
-            set("lwvmm_journal_inputs_total", j.inputs.len() as u64);
-            set("lwvmm_journal_events_total", j.events.len() as u64);
-            set("lwvmm_journal_payload_bytes_total", j.payload_bytes());
+            counters.insert(key("lwvmm_journal_inputs_total"), j.inputs.len() as u64);
+            counters.insert(key("lwvmm_journal_events_total"), j.events.len() as u64);
+            counters.insert(key("lwvmm_journal_payload_bytes_total"), j.payload_bytes());
         }
         if let Some(att) = m.obs.host_attribution() {
-            set("lwvmm_host_wall_ns_total", att.wall_ns);
-            set("lwvmm_host_marks_total", att.marks);
+            counters.insert(key("lwvmm_host_wall_ns_total"), att.wall_ns);
+            counters.insert(key("lwvmm_host_marks_total"), att.marks);
             for (label, ns) in att.phases() {
-                reg.counter_set(
-                    &format!("lwvmm_host_phase_ns_total{{platform=\"{name}\",phase=\"{label}\"}}"),
+                counters.insert(
+                    format!("lwvmm_host_phase_ns_total{{platform=\"{name}\",phase=\"{label}\"}}"),
                     ns,
                 );
             }
@@ -286,11 +281,6 @@ impl RawPlatform {
             machine,
             stats: TimeStats::new(),
         }
-    }
-
-    /// Consumes the platform and returns the machine.
-    pub fn into_machine(self) -> Machine {
-        self.machine
     }
 }
 

@@ -85,7 +85,7 @@ impl CycleHist {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// `p` in [0,100]. Returns the upper bound of the bucket containing the
+    /// `p` in `0..=100`. Returns the upper bound of the bucket containing the
     /// given rank; exact `min`/`max` are reported at the extremes.
     pub fn percentile(&self, p: u32) -> u64 {
         if self.count == 0 {
@@ -101,7 +101,7 @@ impl CycleHist {
         self.value_at_rank((self.count * p as u64).div_ceil(100).max(1))
     }
 
-    /// Per-mille percentile, for sub-percent tails: `p` in [0,1000].
+    /// Per-mille percentile, for sub-percent tails: `p` in `0..=1000`.
     pub fn permille(&self, p: u32) -> u64 {
         if self.count == 0 {
             return 0;

@@ -7,11 +7,11 @@
 //!
 //! 1. **Simulated time only.** All timestamps in traces, journals and
 //!    histograms are simulated cycles. The one deliberate exception is the
-//!    host-time self-profiler ([`HostProf`]) and the metrics registry
-//!    ([`MetricsRegistry`]): they *do* read host clocks, but those reads
-//!    flow only into their own side buffers — never into machine state,
-//!    cycle accounting, traces or journals — so every deterministic export
-//!    stays a pure function of the run.
+//!    host-time self-profiler ([`HostProf`]), whose totals the metrics
+//!    snapshot ([`MetricsSnapshot`]) copies out: it *does* read host
+//!    clocks, but those reads flow only into its own side buffers — never
+//!    into machine state, cycle accounting, traces or journals — so every
+//!    deterministic export stays a pure function of the run.
 //! 2. **Observation never perturbs.** Recording writes only to side
 //!    buffers; enabling or disabling tracing cannot change simulation
 //!    state, so determinism is preserved — and *testable*, because two
@@ -78,8 +78,8 @@
 //!   real nanoseconds across monitor phases (guest execution, per-cause
 //!   exits, per-device emulation, journal, debug link) without ever feeding
 //!   a host-time value back into the simulation.
-//! - [`MetricsRegistry`]/[`MetricsSnapshot`] — process-wide counters,
-//!   gauges and host-ns histograms with Prometheus text exposition.
+//! - [`MetricsSnapshot`] — the counters, gauges and histograms a platform
+//!   publishes, with Prometheus text exposition.
 //!
 //! ## Flight recorder
 //!
@@ -118,25 +118,22 @@ pub use journal::{
     audit, digest, first_divergence, fnv1a, Divergence, DivergenceMode, EventRecord, InputRecord,
     Journal, JournalInput, JournalParseError, StreamAudit,
 };
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use prof::{Profiler, SymbolMap};
 pub use recorder::Recorder;
 pub use report::{Align, Report};
 pub use ring::TraceRing;
 pub use span::{Span, SpanTrack, Track};
 
-/// Compile-time proof the observability state stays [`Send`] (and the
-/// process-wide metrics registry [`Sync`]): recorders, journals and causal
-/// trackers ride inside machines that the debug farm moves across worker
-/// threads, while all threads publish into one registry.
+/// Compile-time proof the observability state stays [`Send`]: recorders,
+/// journals and causal trackers ride inside machines that the debug farm
+/// moves across worker threads.
 #[allow(dead_code)]
 fn assert_send_types() {
     fn is_send<T: Send>() {}
-    fn is_sync<T: Sync>() {}
     is_send::<Recorder>();
     is_send::<Journal>();
     is_send::<CausalTracker>();
     is_send::<Profiler>();
     is_send::<HostProf>();
-    is_sync::<MetricsRegistry>();
 }

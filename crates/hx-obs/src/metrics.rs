@@ -1,103 +1,29 @@
-//! Process-wide metrics registry with Prometheus-style text exposition.
+//! Metrics snapshot with Prometheus-style text exposition.
 //!
 //! Three instrument kinds, all keyed by a full metric name that may embed
 //! Prometheus labels (e.g. `lwvmm_exits_total{cause="mmio"}`):
 //!
-//! - **counters** — monotonic `u64` totals (`add`, or `set` for values that
-//!   are already cumulative in the simulation and merely re-published);
-//! - **gauges** — last-write-wins `f64` values;
-//! - **histograms** — host-nanosecond (or any `u64`) span timers reusing
-//!   the log2-bucket [`CycleHist`].
+//! - **counters** — `u64` totals that are already cumulative in the
+//!   simulation and merely copied out;
+//! - **gauges** — `f64` point values;
+//! - **histograms** — cycle (or any `u64`) distributions in the log2-bucket
+//!   [`CycleHist`].
 //!
-//! The registry is internally locked, so a shared reference is enough to
-//! record from anywhere; [`MetricsRegistry::global`] hands out the one
-//! process-wide instance, while tests and benches build local ones.
-//! [`MetricsSnapshot`] is the plain-data view: mergeable (counters add,
-//! gauges last-wins, histograms bucket-merge) and renderable as sorted,
-//! deterministic-ordered Prometheus text via
-//! [`MetricsSnapshot::prometheus`].
+//! [`MetricsSnapshot`] is plain data: a platform fills one with its
+//! cumulative totals (`Platform::publish_metrics`), so filling the same
+//! snapshot again overwrites every series with the newer totals, and
+//! [`MetricsSnapshot::prometheus`] renders it as sorted,
+//! deterministic-ordered Prometheus text.
 //!
-//! Like the host profiler, the registry only ever *receives* values — it is
+//! Like the host profiler, a snapshot only ever *receives* values — it is
 //! never read back into simulation state, so publishing metrics cannot
 //! perturb a run.
 
 use crate::hist::CycleHist;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, CycleHist>,
-}
-
-/// The registry. All methods take `&self`; an internal mutex serializes
-/// updates (metrics recording is far off any per-instruction path).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
-    /// Adds to a monotonic counter (creating it at zero).
-    pub fn counter_add(&self, name: &str, v: u64) {
-        let mut g = self.inner.lock().unwrap();
-        *g.counters.entry(name.to_string()).or_insert(0) += v;
-    }
-
-    /// Sets a counter to a cumulative value computed elsewhere. Monotonic
-    /// by construction at the source (simulation totals never decrease);
-    /// the registry clamps to "never goes backwards" so re-publishing is
-    /// idempotent.
-    pub fn counter_set(&self, name: &str, v: u64) {
-        let mut g = self.inner.lock().unwrap();
-        let slot = g.counters.entry(name.to_string()).or_insert(0);
-        *slot = (*slot).max(v);
-    }
-
-    /// Sets a gauge (last write wins).
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        let mut g = self.inner.lock().unwrap();
-        g.gauges.insert(name.to_string(), v);
-    }
-
-    /// Records one observation into a histogram (creating it empty).
-    pub fn observe(&self, name: &str, v: u64) {
-        let mut g = self.inner.lock().unwrap();
-        g.hists.entry(name.to_string()).or_default().record(v);
-    }
-
-    /// Replaces a histogram wholesale with an externally accumulated one
-    /// (e.g. a per-cause exit histogram re-published at report time).
-    pub fn hist_set(&self, name: &str, h: &CycleHist) {
-        let mut g = self.inner.lock().unwrap();
-        g.hists.insert(name.to_string(), h.clone());
-    }
-
-    /// Plain-data copy of everything recorded so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock().unwrap();
-        MetricsSnapshot {
-            counters: g.counters.clone(),
-            gauges: g.gauges.clone(),
-            hists: g.hists.clone(),
-        }
-    }
-}
-
-/// A point-in-time copy of a registry's contents. Maps are ordered, so
-/// iteration and exposition are deterministic given the same values.
+/// Every published series, by full name. Maps are ordered, so iteration
+/// and exposition are deterministic given the same values.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -106,21 +32,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters add, gauges take `other`'s
-    /// value, histograms bucket-merge. Merging split snapshots equals
-    /// snapshotting the whole (the proptest below pins this down).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
     /// Counter value, defaulting to zero.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -133,34 +44,19 @@ impl MetricsSnapshot {
     /// in values.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let mut last_family = String::new();
-        let mut type_line = |out: &mut String, name: &str, kind: &str| {
-            let family = family_of(name);
-            if family != last_family {
-                out.push_str(&format!("# TYPE {family} {kind}\n"));
-                last_family = family.to_string();
-            }
-        };
+        let mut last = "";
         for (name, v) in &self.counters {
-            type_line(&mut out, name, "counter");
+            type_line(&mut out, &mut last, name, "counter");
             out.push_str(&format!("{name} {v}\n"));
         }
-        let mut last_family = String::new();
+        let mut last = "";
         for (name, v) in &self.gauges {
-            let family = family_of(name);
-            if family != last_family {
-                out.push_str(&format!("# TYPE {family} gauge\n"));
-                last_family = family.to_string();
-            }
+            type_line(&mut out, &mut last, name, "gauge");
             out.push_str(&format!("{name} {v}\n"));
         }
-        let mut last_family = String::new();
+        let mut last = "";
         for (name, h) in &self.hists {
-            let family = family_of(name);
-            if family != last_family {
-                out.push_str(&format!("# TYPE {family} histogram\n"));
-                last_family = family.to_string();
-            }
+            type_line(&mut out, &mut last, name, "histogram");
             let mut cumulative = 0u64;
             for (i, &n) in h.buckets().iter().enumerate() {
                 if n == 0 {
@@ -185,6 +81,16 @@ impl MetricsSnapshot {
             out.push_str(&format!("{} {}\n", series(name, "_count", ""), h.count()));
         }
         out
+    }
+}
+
+/// Writes the `# TYPE` line for `name`'s family unless the previous series
+/// (`last`) was of the same family.
+fn type_line<'a>(out: &mut String, last: &mut &'a str, name: &'a str, kind: &str) {
+    let family = family_of(name);
+    if family != *last {
+        out.push_str(&format!("# TYPE {family} {kind}\n"));
+        *last = family;
     }
 }
 
@@ -221,32 +127,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_hists_roundtrip() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("c_total", 2);
-        reg.counter_add("c_total", 3);
-        reg.counter_set("s_total", 10);
-        reg.counter_set("s_total", 7); // never goes backwards
-        reg.gauge_set("g", 1.5);
-        reg.gauge_set("g", 2.5);
-        reg.observe("h_ns", 100);
-        reg.observe("h_ns", 100_000);
-        let s = reg.snapshot();
-        assert_eq!(s.counter("c_total"), 5);
-        assert_eq!(s.counter("s_total"), 10);
-        assert_eq!(s.gauges["g"], 2.5);
-        assert_eq!(s.hists["h_ns"].count(), 2);
-        assert_eq!(s.hists["h_ns"].sum(), 100_100);
-    }
-
-    #[test]
     fn exposition_is_sorted_and_typed() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("lwvmm_exits_total{cause=\"mmio\"}", 4);
-        reg.counter_add("lwvmm_exits_total{cause=\"debug\"}", 1);
-        reg.gauge_set("lwvmm_cpu_load", 0.5);
-        reg.observe("lwvmm_exit_ns{cause=\"mmio\"}", 900);
-        let text = reg.snapshot().prometheus();
+        let mut s = MetricsSnapshot::default();
+        s.counters
+            .insert("lwvmm_exits_total{cause=\"mmio\"}".into(), 4);
+        s.counters
+            .insert("lwvmm_exits_total{cause=\"debug\"}".into(), 1);
+        s.gauges.insert("lwvmm_cpu_load".into(), 0.5);
+        let mut h = CycleHist::default();
+        h.record(900);
+        s.hists.insert("lwvmm_exit_ns{cause=\"mmio\"}".into(), h);
+        let text = s.prometheus();
         let lines: Vec<&str> = text.lines().collect();
         // One TYPE line for the counter family, series sorted after it.
         assert_eq!(lines[0], "# TYPE lwvmm_exits_total counter");
@@ -259,73 +150,5 @@ mod tests {
         assert!(text.contains("lwvmm_exit_ns_bucket{cause=\"mmio\",le=\"+Inf\"} 1\n"));
         assert!(text.contains("lwvmm_exit_ns_sum{cause=\"mmio\"} 900\n"));
         assert!(text.contains("lwvmm_exit_ns_count{cause=\"mmio\"} 1\n"));
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        MetricsRegistry::global().counter_add("global_smoke_total", 1);
-        assert!(
-            MetricsRegistry::global()
-                .snapshot()
-                .counter("global_smoke_total")
-                >= 1
-        );
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        #[derive(Debug, Clone)]
-        enum Op {
-            Add(u8, u64),
-            Observe(u8, u64),
-        }
-
-        fn arb_op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                (any::<u8>(), 0u64..1_000_000).prop_map(|(k, v)| Op::Add(k % 4, v)),
-                (any::<u8>(), any::<u64>()).prop_map(|(k, v)| Op::Observe(k % 4, v)),
-            ]
-        }
-
-        fn apply(reg: &MetricsRegistry, ops: &[Op]) {
-            for op in ops {
-                match *op {
-                    Op::Add(k, v) => reg.counter_add(&format!("c{k}_total"), v),
-                    Op::Observe(k, v) => reg.observe(&format!("h{k}_ns"), v),
-                }
-            }
-        }
-
-        proptest! {
-            // Merging the snapshots of a split op stream equals the
-            // snapshot of the whole stream — counters stay monotonic sums,
-            // histograms merge bucket-exactly (inheriting the CycleHist
-            // merge-of-splits property).
-            #[test]
-            fn snapshot_merge_of_splits_equals_whole(
-                ops in proptest::collection::vec(arb_op(), 0..48),
-                split in 0usize..48,
-            ) {
-                let split = split.min(ops.len());
-                let whole = MetricsRegistry::new();
-                apply(&whole, &ops);
-
-                let a = MetricsRegistry::new();
-                let b = MetricsRegistry::new();
-                apply(&a, &ops[..split]);
-                apply(&b, &ops[split..]);
-                let mut merged = a.snapshot();
-                merged.merge(&b.snapshot());
-
-                prop_assert_eq!(merged.clone(), whole.snapshot());
-                // Counter monotonicity: every counter in the first half is
-                // <= its merged total.
-                for (k, v) in &a.snapshot().counters {
-                    prop_assert!(merged.counter(k) >= *v);
-                }
-            }
-        }
     }
 }

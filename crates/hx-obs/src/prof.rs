@@ -37,7 +37,7 @@ pub struct SymbolMap {
 
 impl SymbolMap {
     /// Builds a map from `(name, start, end)` half-open ranges (e.g. from
-    /// [`hx_asm::Program::code_symbols`], spelled out so hx-obs stays
+    /// `hx_asm::Program::code_symbols`, spelled out so hx-obs stays
     /// dependency-free). Ranges are sorted by start address; empty ranges
     /// are dropped.
     pub fn from_ranges(ranges: impl IntoIterator<Item = (String, u32, u32)>) -> SymbolMap {

@@ -115,10 +115,6 @@ impl Recorder {
         self.tracing = true;
     }
 
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     /// Start flight-recorder record mode: inputs and device events are
     /// journaled from this point on, under a header naming the platform
     /// and the machine's core count. A one-core journal keeps the pre-SMP
@@ -163,15 +159,6 @@ impl Recorder {
         self.prof.as_deref()
     }
 
-    pub fn prof_mut(&mut self) -> Option<&mut Profiler> {
-        self.prof.as_deref_mut()
-    }
-
-    /// Detach the profiler, ending profiling.
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.prof.take().map(|b| *b)
-    }
-
     /// Turn on causal flow tracking: from this point every asynchronous
     /// handoff (IRQ raise→ISR entry→EOI, IPI send→delivery, disk/NIC
     /// command→completion, guest tracepoint begin→end) is connected into a
@@ -187,11 +174,6 @@ impl Recorder {
 
     pub fn causal(&self) -> Option<&CausalTracker> {
         self.causal.as_deref()
-    }
-
-    /// Detach the causal tracker, ending flow tracking.
-    pub fn take_causal(&mut self) -> Option<CausalTracker> {
-        self.causal.take().map(|b| *b)
     }
 
     /// Turn on the host-time self-profiler: from this point,
@@ -439,13 +421,10 @@ mod tests {
         assert_eq!(r.journal().unwrap().events.len(), 6);
         assert_eq!(r.ring.len(), 6);
 
-        // Reset clears flows but keeps the tracker installed; take detaches.
+        // Reset clears flows but keeps the tracker installed.
         r.reset();
         assert!(r.causal_tracking());
         assert!(r.causal().unwrap().flows().is_empty());
-        let t = r.take_causal().unwrap();
-        assert!(t.flows().is_empty());
-        assert!(!r.causal_tracking());
     }
 
     #[test]
@@ -502,8 +481,6 @@ mod tests {
         r.reset();
         assert!(r.profiling());
         assert_eq!(r.prof().unwrap().total_cycles(), 0);
-        let p = r.take_profiler().unwrap();
-        assert!(!r.profiling());
-        assert_eq!(p.interval(), 1000);
+        assert_eq!(r.prof().unwrap().interval(), 1000);
     }
 }

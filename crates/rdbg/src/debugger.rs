@@ -600,27 +600,6 @@ impl<L: Link> Debugger<L> {
         Err(DbgError::Timeout)
     }
 
-    /// Polls for a stop without blocking: pumps once and returns any stop
-    /// received so far.
-    pub fn poll_stop(&mut self) -> Option<StopReason> {
-        if let Some((r, core)) = self.stops.pop_front() {
-            self.last_core = core;
-            return Some(r);
-        }
-        let bytes = self.link.pump();
-        self.parser.push(&bytes);
-        while let Some(ev) = self.parser.next_event() {
-            if let WireEvent::Packet(p) = ev {
-                self.link.send(&[ACK]);
-                if let Some((r, core)) = StopReason::parse_with_core(&p) {
-                    self.last_core = core;
-                    return Some(r);
-                }
-            }
-        }
-        None
-    }
-
     fn expect_ok(&mut self, cmd: &Command) -> Result<(), DbgError> {
         match self.transact(cmd)? {
             Reply::Ok => Ok(()),

@@ -42,21 +42,6 @@ impl<L: Link> LossyLink<L> {
         }
     }
 
-    /// The wrapped link.
-    pub fn inner_ref(&self) -> &L {
-        &self.inner
-    }
-
-    /// The wrapped link, mutably.
-    pub fn inner_mut(&mut self) -> &mut L {
-        &mut self.inner
-    }
-
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-
     /// Fault counters for the host→target direction.
     pub fn to_target_stats(&self) -> LinkStats {
         self.to_target.stats

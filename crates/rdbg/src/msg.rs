@@ -190,7 +190,7 @@ pub enum Command {
     },
     /// Sample the monitor's host-time self-profiler **without** stopping
     /// the guest: the reply is a [`Reply::Metrics`] carrying per-phase
-    /// host-nanosecond totals. Stubs built without the metrics registry
+    /// host-nanosecond totals. Stubs built without the host profiler
     /// answer with the stable `metrics unavailable` error code.
     QueryMetrics,
     /// Sample the target's causal-flow tracker **without** stopping the

@@ -42,7 +42,7 @@ use lwvmm::fault::FaultKind;
 use lwvmm::guest::GuestStats;
 use lwvmm::machine::Platform;
 use lwvmm::obs::json::JsonObj;
-use lwvmm::obs::{CausalTracker, ChromeTrace, EventKind, MetricsRegistry, Profiler};
+use lwvmm::obs::{CausalTracker, ChromeTrace, EventKind, MetricsSnapshot, Profiler};
 use lwvmm::query::Expr;
 use std::process::ExitCode;
 
@@ -124,9 +124,9 @@ fn parse_args() -> Result<Options, String> {
         record: false,
         profile: profile.is_some(),
         // Host-time attribution is simulation-invisible: wall-clock reads
-        // never feed guest state, so enabling it (and the heartbeat's
-        // sliced run loop) keeps record/replay byte-identical.
-        hostprof: metrics.is_some() || heartbeat.is_some(),
+        // never feed guest state, so enabling it keeps record/replay
+        // byte-identical.
+        hostprof: metrics.is_some(),
         // Observation-only: the simulated run is bit-identical with or
         // without the tracker.
         causal: causal.is_some(),
@@ -224,8 +224,6 @@ fn run(mut opts: Options) -> Result<(), String> {
             // not on call boundaries), and the report goes to stderr so
             // stdout stays deterministic across reruns.
             let slice = (clock / 1_000 * hb).max(1);
-            let reg = MetricsRegistry::global();
-            let name = platform.name().to_string();
             let mut ran = 0u64;
             let mut prev_instr = 0u64;
             let mut prev_exits = 0u64;
@@ -235,22 +233,10 @@ fn run(mut opts: Options) -> Result<(), String> {
                 let step = platform.run_for(chunk);
                 let host_s = t0.elapsed().as_secs_f64().max(1e-9);
                 ran += step;
-                platform.publish_metrics(reg);
-                let snap = reg.snapshot();
-                let instr =
-                    snap.counter(&format!("lwvmm_instructions_total{{platform=\"{name}\"}}"));
-                let exit_prefix = format!("lwvmm_exits_total{{platform=\"{name}\"");
-                let exits: u64 = snap
-                    .counters
-                    .iter()
-                    .filter(|(k, _)| k.starts_with(&exit_prefix))
-                    .map(|(_, v)| *v)
-                    .sum();
-                let journal = snap.counter(&format!(
-                    "lwvmm_journal_payload_bytes_total{{platform=\"{name}\"}}"
-                ));
+                let m = platform.machine();
+                let (instr, exits) = (m.total_instret(), m.obs.exits.total_count());
                 eprintln!(
-                    "heartbeat: sim {:.1}/{} ms  {:.2} Minstr/s  {:.0} exits/s  journal {journal} B",
+                    "heartbeat: sim {:.1}/{} ms  {:.2} Minstr/s  {:.0} exits/s",
                     ran as f64 * 1e3 / clock as f64,
                     opts.ms,
                     (instr - prev_instr) as f64 / host_s / 1e6,
@@ -269,8 +255,9 @@ fn run(mut opts: Options) -> Result<(), String> {
     // Every artifact is on disk before either report prints.
     let mut files = Vec::new();
     if let Some(path) = &opts.metrics {
-        platform.publish_metrics(MetricsRegistry::global());
-        files.push((path, MetricsRegistry::global().snapshot().prometheus()));
+        let mut snapshot = MetricsSnapshot::default();
+        platform.publish_metrics(&mut snapshot);
+        files.push((path, snapshot.prometheus()));
     }
     if let Some(path) = &opts.causal {
         let mut trace = ChromeTrace::new();

@@ -1,12 +1,12 @@
 //! Shared command-line helpers for the `lwvmm-*` binaries.
 //!
-//! The flag parser ([`Flags`]) and the strict number and address grammars
+//! The flag parser ([`Flags`](crate::cli::Flags)) and the strict number and address grammars
 //! live in `hx_farm`, next to the boot recipe and its shared guest flags
 //! (`GuestSpec::from_flags`), so the benches parse through the same code;
 //! this module re-exports them for the binaries and adds the `--dump`
 //! grammar that `lwvmm-run` and `lwvmm-farm` share.
 //!
-//! Addresses parse through [`parse_hex32`] everywhere, so malformed input
+//! Addresses parse through [`parse_hex32`](crate::cli::parse_hex32) everywhere, so malformed input
 //! fails loudly and identically. The historical bug it guards against:
 //! parsing via `trim_start_matches("0x")` strips *repeated* prefixes, so
 //! `0x0xff` silently parsed as `0xff`, while the equally-valid uppercase

@@ -149,6 +149,29 @@ fn source_guest_runs_and_profiles_by_its_labels() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// `--heartbeat` reports on stderr once per slice and leaves stdout alone:
+/// 20 simulated ms in 5 ms slices is four beats, and the report is
+/// byte-identical to the same run without a heartbeat.
+#[test]
+fn heartbeat_beats_per_slice_on_stderr_only() {
+    let dir = scratch_dir("heartbeat");
+    let args = ["--workload", "100", "--ms", "20"];
+    let plain = run(RUN, &args, &dir);
+    let beat = run(RUN, &[&args[..], &["--heartbeat", "5"]].concat(), &dir);
+    let stderr = String::from_utf8_lossy(&beat.stderr);
+    assert!(plain.status.success() && beat.status.success(), "{stderr}");
+    let beats = stderr
+        .lines()
+        .filter(|l| l.starts_with("heartbeat: "))
+        .count();
+    assert_eq!(beats, 4, "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&beat.stdout),
+        String::from_utf8_lossy(&plain.stdout)
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// The scripted debug session prints the committed golden transcript byte
 /// for byte: stops, registers, memory, stats and the live `flow` sample
 /// all go through the wire codec and the JSON printer, so a change to

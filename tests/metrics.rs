@@ -1,13 +1,14 @@
-//! Host-side self-observability end-to-end tests: the metrics registry and
-//! host-time profiler are **simulation-invisible by construction** — wall
-//! clock readings flow out of the simulation, never back in — so enabling
-//! them (or the heartbeat that reads them) cannot change a single journal
-//! byte on any platform.
+//! Host-side self-observability end-to-end tests: metrics publication and
+//! the host-time profiler are **simulation-invisible by construction** —
+//! wall clock readings flow out of the simulation, never back in — so
+//! enabling them (or publishing after every heartbeat-style slice) cannot
+//! change a single journal byte on any platform. The exposition bytes of
+//! fixed profiler-off runs are pinned too.
 
 use lwvmm::guest::{kernel::layout, GuestStats, Workload};
 use lwvmm::machine::{Machine, MachineConfig, Platform, RawPlatform};
 use lwvmm::monitor::{LvmmPlatform, ReplayDriver};
-use lwvmm::obs::{HostPhase, MetricsRegistry};
+use lwvmm::obs::{HostPhase, MetricsSnapshot};
 
 const KINDS: [&str; 3] = ["real-hw", "lvmm", "hosted"];
 
@@ -28,15 +29,14 @@ fn platform(kind: &str, metrics: bool) -> Box<dyn Platform> {
 
 /// One publication of `p`'s metrics, rendered as Prometheus text.
 fn exposition(p: &dyn Platform) -> String {
-    let reg = MetricsRegistry::new();
-    p.publish_metrics(&reg);
-    reg.snapshot().prometheus()
+    let mut s = MetricsSnapshot::default();
+    p.publish_metrics(&mut s);
+    s.prometheus()
 }
 
 /// Records 10 simulated milliseconds of the streaming workload and returns
 /// the sealed journal text plus the final guest RAM image. `slices > 1`
-/// reproduces what `lwvmm-run --heartbeat` does: run in chunks, publishing
-/// registry metrics after each one.
+/// runs in chunks, publishing metrics into one snapshot after each one.
 fn record(kind: &str, metrics: bool, slices: u64) -> (String, Vec<u8>) {
     let mut p = platform(kind, metrics);
     let cores = p.machine().num_cores();
@@ -44,16 +44,16 @@ fn record(kind: &str, metrics: bool, slices: u64) -> (String, Vec<u8>) {
     let per_ms = p.machine().config().clock_hz / 1_000;
     let total = 10 * per_ms;
     if slices > 1 {
-        let reg = MetricsRegistry::new();
+        let mut s = MetricsSnapshot::default();
         let slice = (total / slices).max(1);
         let mut done = 0;
         while done < total {
             let chunk = slice.min(total - done);
             let ran = p.run_for(chunk);
-            p.publish_metrics(&reg);
+            p.publish_metrics(&mut s);
             done += ran;
             if ran < chunk {
-                break; // stuck — mirrors the binary's heartbeat loop
+                break; // stuck — mirrors `lwvmm-run`'s heartbeat loop
             }
         }
     } else {
@@ -112,7 +112,7 @@ fn metrics_on_recording_replays_on_metrics_off_platform() {
     assert_eq!(rep.machine().mem.as_bytes(), rec.machine().mem.as_bytes());
 }
 
-/// The registry view of a run: `publish_metrics` exports instruction and
+/// The published view of a run: `publish_metrics` exports instruction and
 /// cycle totals, per-cause exit counters and — with the profiler on — the
 /// host-time phases, all under the platform label, and the attribution
 /// accounts for (nearly) the whole wall clock.
@@ -123,9 +123,8 @@ fn published_registry_covers_counters_and_host_phases() {
         let per_ms = p.machine().config().clock_hz / 1_000;
         p.run_for(10 * per_ms);
         p.machine().obs.host_mark(HostPhase::GuestExec); // close deferred window
-        let reg = MetricsRegistry::new();
-        p.publish_metrics(&reg);
-        let s = reg.snapshot();
+        let mut s = MetricsSnapshot::default();
+        p.publish_metrics(&mut s);
 
         let name = |metric: &str| format!("{metric}{{platform=\"{kind}\"}}");
         assert!(s.counter(&name("lwvmm_instructions_total")) > 0, "{kind}");
@@ -171,9 +170,8 @@ fn instructions_total_sums_every_core() {
         let mut p = kind.boot(machine, entry, None);
         // Two scheduler quanta: both cores have run, core 1 is active.
         p.run_for(2 * 37_123);
-        let reg = MetricsRegistry::new();
-        p.publish_metrics(&reg);
-        let s = reg.snapshot();
+        let mut s = MetricsSnapshot::default();
+        p.publish_metrics(&mut s);
         let label = kind.label();
         let total = s.counter(&format!("lwvmm_instructions_total{{platform=\"{label}\"}}"));
         let per_core: Vec<u64> = (0..2)
@@ -240,29 +238,28 @@ fn wire_phase_width_matches_profiler_phase_count() {
     assert_eq!(HostPhase::ALL[HostPhase::COUNT - 1].label(), "other");
 }
 
-/// Merging per-slice registry snapshots equals one whole-run snapshot —
-/// the property that makes sharded or periodic publication safe.
+/// Publishing after each of five slices into one snapshot equals one
+/// publication of the whole run: every series is a cumulative total, so a
+/// later publication overwrites an earlier one — what makes periodic
+/// publication safe.
 #[test]
 fn sliced_publication_merges_to_the_whole() {
     let mut p = platform("lvmm", true);
     let per_ms = p.machine().config().clock_hz / 1_000;
 
-    let sliced = MetricsRegistry::new();
+    let mut sliced = MetricsSnapshot::default();
     for _ in 0..5 {
         p.run_for(2 * per_ms);
-        p.publish_metrics(&sliced);
+        p.publish_metrics(&mut sliced);
     }
-    let whole = MetricsRegistry::new();
-    p.publish_metrics(&whole);
+    let mut whole = MetricsSnapshot::default();
+    p.publish_metrics(&mut whole);
 
-    // Counters are published with `counter_set` (cumulative at the
-    // source), so re-publication is idempotent: the final sliced state
-    // equals the single whole-run publication. The wall clock keeps
-    // ticking between the two publish calls, so it alone may differ.
+    // The wall clock keeps ticking between the two publish calls, so it
+    // alone may differ.
     let wall = "lwvmm_host_wall_ns_total{platform=\"lvmm\"}";
-    let mut sliced = sliced.snapshot().counters;
-    let mut whole = whole.snapshot().counters;
-    let (w_sliced, w_whole) = (sliced.remove(wall).unwrap(), whole.remove(wall).unwrap());
+    let w_sliced = sliced.counters.remove(wall).unwrap();
+    let w_whole = whole.counters.remove(wall).unwrap();
     assert!(
         w_sliced <= w_whole,
         "wall clock is monotonic across publishes"
