@@ -9,12 +9,15 @@
 //! 1. **Is the guest still alive?** (Did it keep making progress through the
 //!    probe window without taking an unrecovered fault?) On real hardware a
 //!    wild kernel write usually kills it — that is the point.
-//! 2. **Is the stub still alive?** (LVMM only.) We attach the host debugger
-//!    over the simulated UART and require well-formed answers to `?`
-//!    (query stop), `g` (read registers) and `m` (read memory). A *target
-//!    error* reply still counts as alive — a guest with shredded page tables
-//!    may legitimately refuse a virtual-address read — but a timeout or
-//!    protocol violation means the stub is gone.
+//! 2. **Is the stub still alive?** On LVMM that is the monitor-resident
+//!    stub; on real hardware it is the conventional baseline, a stub
+//!    embedded in the guest OS (`hitactix::embedded`). We attach the host
+//!    debugger over the simulated UART and require well-formed answers to
+//!    `?` (query stop), `g` (read registers) and `m` (read memory). A
+//!    *target error* reply still counts as alive — a guest with shredded
+//!    page tables may legitimately refuse a virtual-address read — but a
+//!    timeout or protocol violation means the stub is gone. The hosted
+//!    platform carries no stub.
 //!
 //! A separate pass records one all-classes campaign per platform through the
 //! flight recorder and replays it on a fresh boot, asserting the faulty run
@@ -22,7 +25,7 @@
 //! must be.
 
 use crate::{build_platform, PlatformKind};
-use hitactix::{kernel::layout, GuestStats, Workload};
+use hitactix::{embedded::EmbeddedStubPlatform, kernel::layout, GuestStats, Workload};
 use hx_fault::{FaultKind, FaultPlan};
 use hx_machine::{Machine, Platform};
 use hx_obs::json::{Json, JsonObj};
@@ -93,8 +96,9 @@ pub struct SurvivalCell {
     /// Guest-reported fault cause (0 = none; `u32::MAX` = stats block
     /// unreadable, i.e. the guest corrupted itself beyond recognition).
     pub guest_fault_cause: u32,
-    /// Stub answered `?`/`g`/`m` after the campaign (`None` off-LVMM: the
-    /// raw and hosted platforms carry no stub — nothing to probe).
+    /// Stub answered `?`/`g`/`m` after the campaign: the monitor's stub on
+    /// LVMM, the OS-embedded one on raw hardware (`None` on hosted, which
+    /// carries no stub — nothing to probe).
     pub stub_alive: Option<bool>,
     /// Fraction of total cycles spent outside the guest (monitor plus
     /// host-OS model) — the hosted platform's emulation-overhead contrast.
@@ -128,13 +132,6 @@ pub struct SurvivalMatrix {
 }
 
 impl SurvivalMatrix {
-    /// The cell for a `(platform, fault)` pair.
-    pub fn cell(&self, platform: PlatformKind, fault: FaultKind) -> Option<&SurvivalCell> {
-        self.cells
-            .iter()
-            .find(|c| c.platform == platform && c.fault == fault)
-    }
-
     /// The headline claim: the LVMM stub answered after every fault class.
     pub fn lvmm_stub_all_alive(&self) -> bool {
         let lvmm: Vec<_> = self
@@ -224,9 +221,9 @@ fn answered<T>(r: &Result<T, DbgError>) -> bool {
     !matches!(r, Err(DbgError::Timeout) | Err(DbgError::Protocol(_)))
 }
 
-/// Attaches the host debugger to a post-campaign LVMM platform and probes
+/// Attaches the host debugger to a post-campaign platform and probes
 /// `?`/`g`/`m`. Consumes the platform (the UART link owns it).
-pub fn probe_stub(platform: LvmmPlatform) -> bool {
+pub fn probe_stub<P: Platform>(platform: P) -> bool {
     let mut dbg = Debugger::new(UartLink {
         platform,
         slice: 2_000,
@@ -241,22 +238,37 @@ pub fn probe_stub(platform: LvmmPlatform) -> bool {
     answered(&halted) && answered(&q) && answered(&g) && answered(&m)
 }
 
-/// Runs one `(platform, fault)` campaign cell.
+/// [`run_campaign`] on a platform that carries a debug stub, then
+/// [`probe_stub`] (concrete, so the probe can wrap it in a UART link).
+fn run_probed<P: Platform>(
+    mut platform: P,
+    kind: PlatformKind,
+    fault: FaultKind,
+    cfg: &SurvivalConfig,
+) -> SurvivalCell {
+    let mut cell = run_campaign(&mut platform, kind, fault, cfg);
+    cell.stub_alive = Some(probe_stub(platform));
+    cell
+}
+
+/// Runs one `(platform, fault)` campaign cell: the stub probed is the
+/// OS-embedded one on raw hardware and the monitor's on LVMM.
 pub fn run_cell(kind: PlatformKind, fault: FaultKind, cfg: &SurvivalConfig) -> SurvivalCell {
     let (mut machine, _) =
         hx_farm::load_workload(&Workload::new(cfg.rate_mbps), 1).expect("kernel assembles");
     let ram_size = machine.config().ram_size as u32;
     let warmup = cfg.warmup_ms * machine.config().clock_hz / 1_000;
     machine.enable_fault_injection(cell_plan(kind, fault, cfg, ram_size, warmup));
-    if kind != PlatformKind::Lvmm {
-        let mut platform = kind.boot(machine, layout::ENTRY, None);
-        return run_campaign(platform.as_mut(), kind, fault, cfg);
+    match kind {
+        PlatformKind::RawHw => run_probed(EmbeddedStubPlatform::new(machine), kind, fault, cfg),
+        PlatformKind::Lvmm => {
+            run_probed(LvmmPlatform::new(machine, layout::ENTRY), kind, fault, cfg)
+        }
+        PlatformKind::Hosted => {
+            let mut platform = kind.boot(machine, layout::ENTRY, None);
+            run_campaign(platform.as_mut(), kind, fault, cfg)
+        }
     }
-    // Concrete platform so the stub probe can wrap it in a UART link.
-    let mut platform = LvmmPlatform::new(machine, layout::ENTRY);
-    let mut cell = run_campaign(&mut platform, kind, fault, cfg);
-    cell.stub_alive = Some(probe_stub(platform));
-    cell
 }
 
 /// Records one all-classes campaign through the flight recorder and replays

@@ -5,8 +5,10 @@
 //! The monitor sits between the guest OS under debug and the hardware, and
 //! does exactly — and *only* — what the paper's Fig. 2.1 shows:
 //!
-//! * **Remote debugging functions** ([`stub`]): a debug stub living in
-//!   monitor memory, speaking the `rdbg` protocol over the UART it owns.
+//! * **Remote debugging functions**: the `rdbg` debug stub living in
+//!   monitor memory ([`LvmmPlatform`] is its monitor-resident
+//!   `rdbg::stub::Target`, [`stub`] its watchpoints), speaking the `rdbg`
+//!   protocol over the UART it owns.
 //!   Because the stub and its state are unreachable by the guest, debugging
 //!   keeps working no matter how badly the guest misbehaves.
 //! * **Partial hardware emulation** ([`chipset`] and the trap-and-emulate
@@ -69,7 +71,7 @@ pub mod virt;
 pub use platform::{LvmmConfig, LvmmPlatform, LvmmStats, UartLink};
 pub use replay::{FlightRecorder, ReplayDriver};
 pub use shadow::ShadowPager;
-pub use stub::{Stub, Watchpoint};
+pub use stub::{Watchpoint, Watchpoints};
 pub use vcpu::VCpu;
 
 /// Compile-time proof the lightweight monitor (with its flight recorder,

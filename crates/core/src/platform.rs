@@ -13,7 +13,7 @@
 //!   NIC straight through;
 //! * reflects real device interrupts into the virtual PIC and injects them
 //!   when the guest's virtual interrupt window opens;
-//! * runs the debug stub ([`crate::Stub`]) whenever UART traffic arrives —
+//! * runs the debug stub ([`rdbg::stub`]) whenever UART traffic arrives —
 //!   including while the guest streams I/O at full rate, and including when
 //!   the guest has destroyed its own memory.
 //!
@@ -24,10 +24,10 @@
 use crate::costs;
 use crate::replay::{reexecute, FlightRecorder};
 use crate::shadow::ShadowStats;
-use crate::stub::{err, parse_condition, StepIntent, Stub, StubStats, Watchpoint};
+use crate::stub::{parse_condition, Watchpoint, Watchpoints};
 use crate::vcpu::VCpu;
 use crate::virt::{ExitCosts, ExitStats, RunState, VirtCore, VirtPolicy};
-use hx_cpu::csr::{Csr, Status};
+use hx_cpu::csr::Status;
 use hx_cpu::isa::{Instr, LoadKind, StoreKind};
 use hx_cpu::mmu::{pte, Access, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
@@ -37,8 +37,9 @@ use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
 use hx_obs::{EventKind, ExitCause, HostPhase};
 use hx_query::{Expr, SliceCtx};
-use rdbg::msg::{Command, ProfSample, Reply, StatsSample, StopReason};
-use rdbg::wire::{self, WireEvent};
+use rdbg::err;
+use rdbg::msg::{Reply, StatsSample, StopReason, WatchKind};
+use rdbg::stub::{resume, service, stop, StepIntent, Stub, StubStats, Target};
 
 /// Monitor configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +67,7 @@ pub type LvmmStats = ExitStats;
 pub(crate) struct LvmmSnapshot {
     core: VirtCore,
     stub: Stub,
+    watches: Watchpoints,
 }
 
 /// The lightweight-VMM platform (see the [module docs](self)).
@@ -79,6 +81,7 @@ pub(crate) struct LvmmSnapshot {
 pub struct LvmmPlatform {
     core: VirtCore,
     stub: Stub,
+    watches: Watchpoints,
     entry: u32,
     pub(crate) flight: Option<Box<FlightRecorder>>,
 }
@@ -117,7 +120,8 @@ impl LvmmPlatform {
             .expect("UART present");
         LvmmPlatform {
             core,
-            stub: Stub::new(),
+            stub: Stub::default(),
+            watches: Watchpoints::default(),
             entry,
             flight: None,
         }
@@ -148,6 +152,7 @@ impl LvmmPlatform {
         LvmmSnapshot {
             core: self.core.clone(),
             stub: self.stub.clone(),
+            watches: self.watches.clone(),
         }
     }
 
@@ -168,22 +173,6 @@ impl LvmmPlatform {
             f.record(now, snap);
         }
         self.core.machine.obs.host_mark(HostPhase::Journal);
-    }
-
-    /// Moves the platform to `target` on the recorded timeline.
-    ///
-    /// Backward: restores the nearest checkpoint at or before `target` and
-    /// re-executes history up to it (see [`Self::replay`]). Forward:
-    /// free-runs to `target`. Either way the guest parks there with a
-    /// [`StopReason::TimeTravel`] stop, and subsequent execution rewrites
-    /// the future (new-branch semantics: the journal, checkpoints and stop
-    /// history beyond the restore point are truncated and rebuilt).
-    fn seek_to(&mut self, target: u64) -> Reply {
-        let restore = (target < self.core.machine.now()).then_some(target);
-        match self.replay(restore, |p| p.core.machine.now() >= target) {
-            Some(_) => Reply::Ok,
-            None => Reply::Error(err::RECORDER),
-        }
     }
 
     /// Restores the nearest checkpoint at or before `restore` (if given),
@@ -208,6 +197,7 @@ impl LvmmPlatform {
             script = self.core.machine.obs.take_journal();
             self.core = snap.core;
             self.stub = snap.stub;
+            self.watches = snap.watches;
         }
         // Inputs already baked into the restored state are exactly the ones
         // its own journal holds — skip by count, not by cycle, so records
@@ -228,7 +218,7 @@ impl LvmmPlatform {
         self.flight.as_mut()?.replaying = false;
         let pc = self.core.machine.cpu.pc();
         let cycle = self.core.machine.now();
-        self.stub_stop(StopReason::TimeTravel { pc, cycle });
+        stop(self, StopReason::TimeTravel { pc, cycle });
         Some(cycle)
     }
 
@@ -265,16 +255,12 @@ impl LvmmPlatform {
     fn handle_debug_step(&mut self, trap: Trap) {
         // The intercepted DebugStep did not clear the real TF (no take_trap
         // ran); drop it before deciding what to do next.
-        let s = Status(self.core.machine.cpu.read_csr(Csr::Status));
-        self.core
-            .machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, false).0);
+        self.core.machine.cpu.set_status_bit(Status::TF, false);
 
         match self.stub.step_intent.take() {
             Some(StepIntent::Step) => {
                 self.core.exits.exits_debug += 1;
-                self.stub_stop(StopReason::Step { pc: trap.epc });
+                stop(self, StopReason::Step { pc: trap.epc });
             }
             Some(StepIntent::Resume) => {
                 self.sync_tf(); // guest's own vTF may still want stepping
@@ -344,467 +330,6 @@ impl LvmmPlatform {
         self.inject_guest_trap(Cause::LoadAccessFault, trap.epc, trap.tval);
     }
 
-    // ------------------------------------------------------------------
-    // Debug stub behaviour
-    // ------------------------------------------------------------------
-
-    fn stub_stop(&mut self, reason: StopReason) {
-        // A stop can originate outside the exit path (break-in, reset);
-        // make sure the stop report names the core actually parked.
-        self.core.sync_core();
-        // Organic stops become reverse-continue targets; time-travel
-        // landings do not (they are already the result of one).
-        if !matches!(reason, StopReason::TimeTravel { .. }) {
-            let now = self.core.machine.now();
-            if let Some(fr) = &mut self.flight {
-                fr.note_stop(now);
-            }
-        }
-        self.core.state = RunState::Stopped;
-        // Hold the fault campaign while parked: injections model faults of
-        // a running guest, and firing one into a halted machine would
-        // corrupt the state the debugger is inspecting.
-        self.core.machine.pause_faults(true);
-        self.stub.stopped = true;
-        self.stub.last_stop = Some(reason);
-        self.stub.step_intent = None;
-        // Disarm the hardware single-step flag while stopped.
-        let s = Status(self.core.machine.cpu.read_csr(Csr::Status));
-        self.core
-            .machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, false).0);
-        // `;c:` appears only for nonzero cores, so single-core stop packets
-        // are byte-identical to the pre-SMP wire format.
-        let core = self.core.cur_core as u8;
-        self.send_packet(&reason.format_on(core));
-    }
-
-    fn send_packet(&mut self, payload: &str) {
-        let bytes = wire::encode_packet(payload);
-        self.stub.stats.bytes_out += bytes.len() as u64;
-        self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.core.machine.uart.push_tx(&bytes);
-        // Keep the packet until the host ACKs it, so a NAK can be answered
-        // by retransmission (a lossy line must not wedge the session).
-        self.stub.last_tx = Some(bytes);
-        self.stub.resends = 0;
-    }
-
-    /// Retransmits the unacknowledged packet after a host NAK, bounded by
-    /// [`Stub::RESEND_LIMIT`].
-    fn resend_packet(&mut self) {
-        let Some(bytes) = self.stub.last_tx.clone() else {
-            return;
-        };
-        if self.stub.resends >= Stub::RESEND_LIMIT {
-            self.stub.last_tx = None;
-            return;
-        }
-        self.stub.resends += 1;
-        self.stub.stats.retransmits += 1;
-        self.stub.stats.bytes_out += bytes.len() as u64;
-        self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.core.machine.uart.push_tx(&bytes);
-    }
-
-    fn send_reply(&mut self, reply: &Reply) {
-        self.send_packet(&reply.format());
-    }
-
-    /// Drains host bytes from the UART and executes any complete commands.
-    fn service_uart(&mut self) {
-        let mut bytes = Vec::new();
-        while let Some(b) = self.core.machine.uart.pop_rx() {
-            bytes.push(b);
-        }
-        if bytes.is_empty() {
-            return;
-        }
-        // Stub servicing is host work after (possibly deferred) guest
-        // execution; close the guest window before attributing it.
-        self.core.machine.obs.host_mark(HostPhase::GuestExec);
-        self.stub.stats.bytes_in += bytes.len() as u64;
-        self.consume_monitor(costs::STUB_BYTE * bytes.len() as u64);
-        self.stub.parser.push(&bytes);
-        while let Some(event) = self.stub.parser.next_event() {
-            match event {
-                WireEvent::BreakIn => {
-                    self.stub.stats.break_ins += 1;
-                    self.core.exits.exits_debug += 1;
-                    let monitor_before = self.core.stats.monitor;
-                    let pc = self.core.machine.cpu.pc();
-                    self.stub_stop(StopReason::Halted { pc });
-                    // Saturating: a time-travel command may have rewound
-                    // `stats` to before this exit began.
-                    let delta = self.core.stats.monitor.saturating_sub(monitor_before);
-                    self.record_exit(ExitCause::Debug, delta);
-                }
-                WireEvent::Packet(p) => {
-                    self.core.machine.uart.push_tx(&[wire::ACK]);
-                    let monitor_before = self.core.stats.monitor;
-                    self.consume_monitor(costs::STUB_COMMAND);
-                    self.stub.stats.commands += 1;
-                    {
-                        let now = self.core.machine.now();
-                        let code = p.as_bytes().first().copied().unwrap_or(0);
-                        self.core
-                            .machine
-                            .obs
-                            .emit(now, EventKind::DebugCommand { code });
-                    }
-                    let reply = match Command::parse(&p) {
-                        Some(cmd) => self.exec_command(cmd),
-                        None => Reply::Error(err::PARSE),
-                    };
-                    self.send_reply(&reply);
-                    // Saturating: a time-travel command may have rewound
-                    // `stats` to before this exit began.
-                    let delta = self.core.stats.monitor.saturating_sub(monitor_before);
-                    self.record_exit(ExitCause::Debug, delta);
-                }
-                WireEvent::Corrupt => {
-                    self.core.machine.uart.push_tx(&[wire::NAK]);
-                }
-                WireEvent::Ack => {
-                    // Delivery confirmed: drop the retransmission cache.
-                    self.stub.last_tx = None;
-                    self.stub.resends = 0;
-                }
-                WireEvent::Nak => self.resend_packet(),
-            }
-        }
-        // Whatever the per-packet `record_exit(Debug)` marks did not claim
-        // (byte draining, parsing, ACK/NAK handling) is debug-link I/O.
-        self.core.machine.obs.host_mark(HostPhase::DebugLink);
-    }
-
-    fn exec_command(&mut self, cmd: Command) -> Reply {
-        match cmd {
-            Command::Halt => {
-                let pc = self.core.machine.cpu.pc();
-                self.stub_stop(StopReason::Halted { pc });
-                Reply::Ok
-            }
-            Command::QueryStop => match self.stub.last_stop {
-                Some(r) if self.stub.stopped => Reply::Stopped(r),
-                _ => Reply::Error(err::NOT_STOPPED),
-            },
-            Command::SetThread { core } => {
-                if (core as usize) < self.core.machine.num_cores() {
-                    self.stub.sel_core = core;
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::CORE)
-                }
-            }
-            Command::ThreadAlive { core } => {
-                if (core as usize) < self.core.machine.num_cores()
-                    && self.core.machine.core_started(core as usize)
-                {
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::CORE)
-                }
-            }
-            Command::ReadRegisters => {
-                let cpu = self.core.machine.core(self.stub.sel_core as usize);
-                let mut bytes = Vec::with_capacity(33 * 4);
-                for r in cpu.regs() {
-                    bytes.extend_from_slice(&r.to_le_bytes());
-                }
-                bytes.extend_from_slice(&cpu.pc().to_le_bytes());
-                Reply::Hex(bytes)
-            }
-            Command::WriteRegister { index, value } => {
-                let sel = self.stub.sel_core as usize;
-                if index < 32 {
-                    let reg = hx_cpu::Reg::new(index).unwrap();
-                    self.core.machine.core_mut(sel).set_reg(reg, value);
-                    Reply::Ok
-                } else if index as u32 == rdbg::msg::REG_PC as u32 {
-                    self.core.machine.core_mut(sel).set_pc(value);
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::REG)
-                }
-            }
-            Command::ReadMemory { addr, len } => {
-                if len > rdbg::msg::MEM_CHUNK {
-                    return Reply::Error(err::PARSE);
-                }
-                let mut out = Vec::with_capacity(len as usize);
-                for i in 0..len {
-                    let va = addr.wrapping_add(i);
-                    let Some(pa) = self.sel_translate(va) else {
-                        return Reply::Error(err::MEM);
-                    };
-                    match self.core.machine.mem.read(pa, MemSize::Byte) {
-                        Ok(b) => out.push(b as u8),
-                        Err(_) => return Reply::Error(err::MEM),
-                    }
-                }
-                Reply::Hex(out)
-            }
-            Command::WriteMemory { addr, data } => {
-                for (i, &b) in data.iter().enumerate() {
-                    let va = addr.wrapping_add(i as u32);
-                    let Some(pa) = self.sel_translate(va) else {
-                        return Reply::Error(err::MEM);
-                    };
-                    if self
-                        .core
-                        .machine
-                        .mem
-                        .write(pa, b as u32, MemSize::Byte)
-                        .is_err()
-                    {
-                        return Reply::Error(err::MEM);
-                    }
-                }
-                Reply::Ok
-            }
-            Command::SetBreakpoint { addr } => {
-                // A misaligned hook could never meet a fetch.
-                if addr & 3 != 0 {
-                    return Reply::Error(err::PARSE);
-                }
-                if self.core.machine.has_breakpoint(addr) {
-                    return Reply::Error(err::BP);
-                }
-                if self.sel_translate(addr).is_none() {
-                    return Reply::Error(err::MEM);
-                }
-                self.core.machine.set_breakpoint(addr, None);
-                Reply::Ok
-            }
-            Command::ClearBreakpoint { addr } => {
-                if self.core.machine.clear_breakpoint(addr) {
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::BP)
-                }
-            }
-            Command::SetWatchpoint { addr, len, kind } => {
-                if len == 0 {
-                    return Reply::Error(err::PARSE);
-                }
-                self.stub.watchpoints.push(Watchpoint {
-                    addr,
-                    len,
-                    kind,
-                    cond: None,
-                });
-                // Drop mappings so watched pages re-fault.
-                self.core.shadow.flush_all(&mut self.core.machine.mem);
-                self.core.activate_shadow();
-                self.core.machine.cpu.tlb_flush();
-                Reply::Ok
-            }
-            Command::ClearWatchpoint { addr } => {
-                let before = self.stub.watchpoints.len();
-                self.stub.watchpoints.retain(|w| w.addr != addr);
-                if self.stub.watchpoints.len() == before {
-                    return Reply::Error(err::BP);
-                }
-                self.core.shadow.flush_all(&mut self.core.machine.mem);
-                self.core.activate_shadow();
-                self.core.machine.cpu.tlb_flush();
-                Reply::Ok
-            }
-            Command::SetBreakCondition { addr, expr } => {
-                if !self.core.machine.has_breakpoint(addr) {
-                    return Reply::Error(err::BP);
-                }
-                let Ok(cond) = parse_condition(&expr) else {
-                    return Reply::Error(err::QUERY);
-                };
-                self.core.machine.set_breakpoint(addr, cond);
-                Reply::Ok
-            }
-            Command::SetWatchCondition { addr, expr } => {
-                let Ok(cond) = parse_condition(&expr) else {
-                    return Reply::Error(err::QUERY);
-                };
-                let mut any = false;
-                for w in &mut self.stub.watchpoints {
-                    if w.addr == addr {
-                        w.cond = cond.clone();
-                        any = true;
-                    }
-                }
-                if any {
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::BP)
-                }
-            }
-            Command::SetLogpoint { addr, label, expr } => {
-                if addr & 3 != 0 {
-                    return Reply::Error(err::PARSE);
-                }
-                let Ok(cond) = parse_condition(&expr) else {
-                    return Reply::Error(err::QUERY);
-                };
-                self.core.machine.add_logpoint(addr, &label, cond);
-                Reply::Ok
-            }
-            Command::ClearLogpoint { addr } => {
-                if self.core.machine.clear_logpoints(addr) {
-                    Reply::Ok
-                } else {
-                    Reply::Error(err::BP)
-                }
-            }
-            Command::QueryFirst { expr } => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                match Expr::parse(&expr) {
-                    Ok(e) => self.query_first(&e),
-                    Err(_) => Reply::Error(err::QUERY),
-                }
-            }
-            Command::Step => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                self.arm_resume(Some(StepIntent::Step));
-                Reply::Ok
-            }
-            Command::Continue => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                // Step off a breakpoint we are parked on, then run.
-                let on_bp = self.core.machine.has_breakpoint(self.core.machine.cpu.pc());
-                self.arm_resume(on_bp.then_some(StepIntent::Resume));
-                Reply::Ok
-            }
-            Command::Reset => {
-                self.core.reset(self.entry);
-                self.stub.step_intent = None;
-                self.stub_stop(StopReason::Halted { pc: self.entry });
-                Reply::Ok
-            }
-            Command::ReverseStep => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                let Some(fr) = self.flight.as_deref() else {
-                    return Reply::Error(err::RECORDER);
-                };
-                self.seek_to(fr.last_instr_at)
-            }
-            Command::ReverseContinue => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                let Some(fr) = self.flight.as_deref() else {
-                    return Reply::Error(err::RECORDER);
-                };
-                // Anchor on the cycle of the stop we are parked at (`now`
-                // keeps advancing while stopped), then rewind to the
-                // latest stop strictly before it.
-                let anchor = match self.stub.last_stop {
-                    Some(StopReason::TimeTravel { cycle, .. }) => cycle,
-                    _ => fr
-                        .stop_history
-                        .last()
-                        .copied()
-                        .unwrap_or_else(|| self.core.machine.now()),
-                };
-                let target = fr
-                    .stop_history
-                    .iter()
-                    .copied()
-                    .filter(|&c| c < anchor)
-                    .max();
-                match target {
-                    Some(t) => self.seek_to(t),
-                    None => Reply::Error(err::RECORDER),
-                }
-            }
-            Command::Seek { cycle } => {
-                if !self.stub.stopped {
-                    return Reply::Error(err::NOT_STOPPED);
-                }
-                self.seek_to(cycle)
-            }
-            Command::QueryStats => {
-                // Answered whether or not the guest is stopped — the whole
-                // point is sampling the monitor live, without a halt.
-                let faults = self
-                    .core
-                    .machine
-                    .fault_stats()
-                    .map(|f| f.injected.to_vec())
-                    .unwrap_or_default();
-                let fault_blocked = self.core.machine.fault_stats().map_or(0, |f| f.blocked);
-                let n = self.core.machine.num_cores();
-                Reply::Stats(StatsSample {
-                    now: self.core.machine.now(),
-                    guest: self.core.stats.guest,
-                    monitor: self.core.stats.monitor,
-                    host: self.core.stats.host_model,
-                    idle: self.core.stats.idle,
-                    exits: self.core.machine.obs.exits.counts().to_vec(),
-                    faults,
-                    fault_blocked,
-                    cores: n as u64,
-                    core_instret: (0..n)
-                        .map(|i| self.core.machine.core(i).instret())
-                        .collect(),
-                    core_exits: (0..n)
-                        .map(|i| self.core.machine.obs.core_exit_count(i))
-                        .collect(),
-                })
-            }
-            Command::QueryProf { max } => {
-                // Like `qStats`: answered live, without stopping the guest.
-                let Some(prof) = self.core.machine.obs.prof() else {
-                    return Reply::Error(err::PROFILER);
-                };
-                Reply::Prof(ProfSample {
-                    now: self.core.machine.now(),
-                    interval: prof.interval(),
-                    total_cycles: prof.total_cycles(),
-                    total_samples: prof.total_samples(),
-                    top: prof
-                        .top(max as usize)
-                        .into_iter()
-                        .map(|(name, cycles, samples)| (name.to_string(), cycles, samples))
-                        .collect(),
-                })
-            }
-            Command::QueryFlow => {
-                // Like `qStats`: answered live, without stopping the guest.
-                // Every value is simulation-deterministic, so the reply's
-                // byte cost is a pure function of the run.
-                let Some(c) = self.core.machine.obs.causal() else {
-                    return Reply::Error(err::CAUSAL);
-                };
-                Reply::Flow {
-                    now: self.core.machine.now(),
-                    summary: c.summary(),
-                }
-            }
-            Command::QueryMetrics => {
-                // Like `qStats`: answered live, without stopping the guest.
-                // The reply's wire encoding is fixed-width, so its simulated
-                // byte cost never depends on the host-clock values it
-                // carries — replay stays byte-identical.
-                let Some(attribution) = self.core.machine.obs.host_attribution() else {
-                    return Reply::Error(err::METRICS);
-                };
-                Reply::Metrics {
-                    now: self.core.machine.now(),
-                    attribution,
-                }
-            }
-        }
-    }
-
     /// Does the condition attached to the breakpoint at `pc` hold?
     /// Unconditional breakpoints and unevaluable conditions stop — fail
     /// safe.
@@ -830,79 +355,28 @@ impl LvmmPlatform {
         expr.eval(&mut ctx).is_some_and(|v| v != 0)
     }
 
-    /// `Qq`: finds the earliest recorded instruction boundary at which
-    /// `expr` evaluates nonzero and parks the guest there by time travel.
-    ///
-    /// The earliest checkpoint is restored and history re-executed one
-    /// instruction at a time, evaluating the predicate at every boundary,
-    /// until it holds. A checkpoint scan cannot prune windows here: a
-    /// predicate over shared state can flicker (a cross-core counter
-    /// deficit is masked whenever a sibling core sits between two of its
-    /// own updates), so `expr` being false at both checkpoints bracketing
-    /// a window says nothing about the boundaries in between. Exact
-    /// first-hit semantics therefore costs a replay from the start of the
-    /// recording. A miss replays back to the original cycle (state
-    /// byte-identical) and reports `found = 0`.
-    fn query_first(&mut self, expr: &Expr) -> Reply {
-        let original = self.core.machine.now();
-        let first = self.flight.as_deref().and_then(|f| f.first_at());
-        let restore = first.unwrap_or(original);
-        let mut found = None;
-        let landed = self.replay(Some(restore), |p| {
-            let now = p.core.machine.now();
-            if p.eval_pred(expr) {
-                found = Some(now);
-            }
-            found.is_some() || now >= original
-        });
-        match (landed, found) {
-            (None, _) => Reply::Error(err::RECORDER),
-            (Some(_), Some(cycle)) => Reply::Query { found: true, cycle },
-            (Some(cycle), None) => Reply::Query {
-                found: false,
-                cycle,
-            },
-        }
+    /// Drops every shadow mapping so the pages of a changed watchpoint set
+    /// fault again.
+    fn refault_watched(&mut self) -> Reply {
+        self.core.shadow.flush_all(&mut self.core.machine.mem);
+        self.core.activate_shadow();
+        self.core.machine.cpu.tlb_flush();
+        Reply::Ok
     }
 
-    /// Resumes the guest, arming a single step first for `intent`. The
-    /// parked core passes a breakpoint under its PC until it leaves it;
-    /// every other core still stops there.
-    fn arm_resume(&mut self, intent: Option<StepIntent>) {
-        self.core.machine.step_off_breakpoint();
-        self.stub.step_intent = intent;
-        self.stub.stopped = false;
-        self.core.state = RunState::Running;
-        self.core.machine.pause_faults(false);
-        self.sync_tf();
-    }
-
-    /// [`Self::translate_for_debug`] through the `Hg`-selected core's
-    /// address space — what the host's register/memory commands look
-    /// through.
-    fn sel_translate(&mut self, va: u32) -> Option<u32> {
-        let v = self.sel_vcpu();
-        let root = v.paging_enabled().then(|| v.page_table_root());
-        self.translate_for_debug(root, va)
-    }
-
-    /// The `Hg`-selected core's virtual CPU.
-    fn sel_vcpu(&self) -> &VCpu {
-        let sel = self.stub.sel_core as usize;
-        if sel == self.core.cur_core {
+    /// Translates a guest virtual address for debugger access through
+    /// `core`'s address space: its guest page tables (if paging is on) are
+    /// honoured but permission bits are not (the debugger may read
+    /// execute-only pages). Only guest RAM is reachable.
+    fn translate_for_debug(&self, core: u32, va: u32) -> Option<u32> {
+        let core = core as usize;
+        let v = if core == self.core.cur_core {
             &self.core.vcpu
         } else {
-            &self.core.vcpus[sel]
-        }
-    }
-
-    /// Translates a guest virtual address for debugger access: guest page
-    /// tables (at `paging_root`, if paging is on) are honoured but
-    /// permission bits are not (the debugger may read execute-only pages).
-    /// Only guest RAM is reachable.
-    fn translate_for_debug(&mut self, paging_root: Option<u32>, va: u32) -> Option<u32> {
-        let gpa = if let Some(root) = paging_root {
-            let l1_addr = root + hx_cpu::mmu::l1_index(va) * 4;
+            &self.core.vcpus[core]
+        };
+        let gpa = if v.paging_enabled() {
+            let l1_addr = v.page_table_root() + hx_cpu::mmu::l1_index(va) * 4;
             if l1_addr + 4 > self.core.monitor_base {
                 return None;
             }
@@ -952,15 +426,337 @@ impl hx_query::EvalCtx for LvmmPlatform {
 
     /// Through the *active* core's address space: the core that hit.
     fn load(&mut self, addr: u32, size: u8) -> Option<u32> {
-        let vcpu = &self.core.vcpu;
-        let root = vcpu.paging_enabled().then(|| vcpu.page_table_root());
+        let core = self.core.cur_core as u32;
         let mut v = 0u32;
         for i in 0..size as u32 {
-            let pa = self.translate_for_debug(root, addr.wrapping_add(i))?;
-            let b = self.core.machine.mem.read(pa, MemSize::Byte).ok()?;
-            v |= (b & 0xff) << (8 * i);
+            v |= u32::from(self.read_byte(core, addr.wrapping_add(i))?) << (8 * i);
         }
         Some(v)
+    }
+}
+
+/// The monitor-resident stub. Its deliberate differences from the
+/// OS-embedded one: breakpoints live in the monitor's hook table, memory is
+/// seen through the selected core's guest page tables with monitor memory
+/// refused, every core is selectable, and its work costs monitor cycles
+/// (`STUB_BYTE` per packet byte, `STUB_COMMAND` per command) recorded as
+/// `Debug` exits. It also serves every optional verb.
+impl Target for LvmmPlatform {
+    fn stub(&mut self) -> &mut Stub {
+        &mut self.stub
+    }
+
+    fn recv_byte(&mut self) -> Option<u8> {
+        self.core.machine.uart.pop_rx()
+    }
+
+    fn transmit(&mut self, bytes: &[u8]) {
+        self.core.machine.uart.push_tx(bytes);
+    }
+
+    /// Stub servicing is host work after (possibly deferred) guest
+    /// execution: close the guest window first. Whatever the per-packet
+    /// `record_exit(Debug)` marks then do not claim (byte draining,
+    /// parsing, ACK/NAK handling) is debug-link I/O.
+    fn serve(&mut self, pass: impl FnOnce(&mut Self)) {
+        self.core.machine.obs.host_mark(HostPhase::GuestExec);
+        pass(self);
+        self.core.machine.obs.host_mark(HostPhase::DebugLink);
+    }
+
+    fn charge_bytes(&mut self, n: usize) {
+        self.consume_monitor(costs::STUB_BYTE * n as u64);
+    }
+
+    fn stub_exit(&mut self, command: Option<u8>, run: impl FnOnce(&mut Self)) {
+        let monitor_before = self.core.stats.monitor;
+        match command {
+            None => self.core.exits.exits_debug += 1,
+            Some(code) => {
+                self.consume_monitor(costs::STUB_COMMAND);
+                let m = &mut self.core.machine;
+                m.obs.emit(m.now(), EventKind::DebugCommand { code });
+            }
+        }
+        run(self);
+        // Saturating: a time-travel command may have rewound `stats` to
+        // before this exit began.
+        let delta = self.core.stats.monitor.saturating_sub(monitor_before);
+        self.record_exit(ExitCause::Debug, delta);
+    }
+
+    fn cores(&self) -> u32 {
+        self.core.machine.num_cores() as u32
+    }
+
+    fn core_started(&self, core: u32) -> bool {
+        self.core.machine.core_started(core as usize)
+    }
+
+    fn pc(&self) -> u32 {
+        self.core.machine.cpu.pc()
+    }
+
+    fn register(&self, core: u32, index: u8) -> u32 {
+        let cpu = self.core.machine.core(core as usize);
+        match hx_cpu::Reg::new(index) {
+            Some(reg) => cpu.reg(reg),
+            None => cpu.pc(),
+        }
+    }
+
+    fn set_register(&mut self, core: u32, index: u8, value: u32) {
+        let cpu = self.core.machine.core_mut(core as usize);
+        match hx_cpu::Reg::new(index) {
+            Some(reg) => cpu.set_reg(reg, value),
+            None => cpu.set_pc(value),
+        }
+    }
+
+    fn read_byte(&mut self, core: u32, addr: u32) -> Option<u8> {
+        let pa = self.translate_for_debug(core, addr)?;
+        let b = self.core.machine.mem.read(pa, MemSize::Byte).ok()?;
+        Some(b as u8)
+    }
+
+    fn write_byte(&mut self, core: u32, addr: u32, byte: u8) -> bool {
+        let pa = self.translate_for_debug(core, addr);
+        let mem = &mut self.core.machine.mem;
+        pa.is_some_and(|pa| mem.write(pa, byte as u32, MemSize::Byte).is_ok())
+    }
+
+    fn has_breakpoint(&self, addr: u32) -> bool {
+        self.core.machine.has_breakpoint(addr)
+    }
+
+    fn set_breakpoint(&mut self, core: u32, addr: u32) -> Result<(), u8> {
+        self.translate_for_debug(core, addr).ok_or(err::MEM)?;
+        self.core.machine.set_breakpoint(addr, None);
+        Ok(())
+    }
+
+    fn clear_breakpoint(&mut self, addr: u32) -> bool {
+        self.core.machine.clear_breakpoint(addr)
+    }
+
+    fn park(&mut self, reason: &StopReason) -> u8 {
+        // A stop can originate outside the exit path (break-in, reset);
+        // make sure the stop report names the core actually parked.
+        self.core.sync_core();
+        // Organic stops become reverse-continue targets; time-travel
+        // landings do not (they are already the result of one).
+        if !matches!(reason, StopReason::TimeTravel { .. }) {
+            let now = self.core.machine.now();
+            if let Some(fr) = &mut self.flight {
+                fr.note_stop(now);
+            }
+        }
+        self.core.state = RunState::Stopped;
+        // Hold the fault campaign while parked: injections model faults of
+        // a running guest, and firing one into a halted machine would
+        // corrupt the state the debugger is inspecting.
+        self.core.machine.pause_faults(true);
+        // Disarm the hardware single-step flag while stopped.
+        self.core.machine.cpu.set_status_bit(Status::TF, false);
+        self.core.cur_core as u8
+    }
+
+    /// The parked core passes a breakpoint under its PC until it leaves
+    /// it; every other core still stops there.
+    fn unpark(&mut self, _intent: Option<StepIntent>) {
+        self.core.machine.step_off_breakpoint();
+        self.core.state = RunState::Running;
+        self.core.machine.pause_faults(false);
+        self.sync_tf();
+    }
+
+    fn set_watchpoint(&mut self, addr: u32, len: u32, kind: WatchKind) -> Reply {
+        if len == 0 {
+            return Reply::Error(err::PARSE);
+        }
+        self.watches.0.push(Watchpoint {
+            addr,
+            len,
+            kind,
+            cond: None,
+        });
+        self.refault_watched()
+    }
+
+    fn clear_watchpoint(&mut self, addr: u32) -> Reply {
+        let before = self.watches.0.len();
+        self.watches.0.retain(|w| w.addr != addr);
+        if self.watches.0.len() == before {
+            return Reply::Error(err::BP);
+        }
+        self.refault_watched()
+    }
+
+    fn set_break_condition(&mut self, addr: u32, expr: &str) -> Reply {
+        if !self.core.machine.has_breakpoint(addr) {
+            return Reply::Error(err::BP);
+        }
+        let Ok(cond) = parse_condition(expr) else {
+            return Reply::Error(err::QUERY);
+        };
+        self.core.machine.set_breakpoint(addr, cond);
+        Reply::Ok
+    }
+
+    fn set_watch_condition(&mut self, addr: u32, expr: &str) -> Reply {
+        let Ok(cond) = parse_condition(expr) else {
+            return Reply::Error(err::QUERY);
+        };
+        let mut any = false;
+        for w in &mut self.watches.0 {
+            if w.addr == addr {
+                w.cond = cond.clone();
+                any = true;
+            }
+        }
+        if any {
+            Reply::Ok
+        } else {
+            Reply::Error(err::BP)
+        }
+    }
+
+    fn set_logpoint(&mut self, addr: u32, label: &str, expr: &str) -> Reply {
+        if addr & 3 != 0 {
+            return Reply::Error(err::PARSE);
+        }
+        let Ok(cond) = parse_condition(expr) else {
+            return Reply::Error(err::QUERY);
+        };
+        self.core.machine.add_logpoint(addr, label, cond);
+        Reply::Ok
+    }
+
+    fn clear_logpoint(&mut self, addr: u32) -> Reply {
+        if self.core.machine.clear_logpoints(addr) {
+            Reply::Ok
+        } else {
+            Reply::Error(err::BP)
+        }
+    }
+
+    fn reset(&mut self) -> Reply {
+        self.core.reset(self.entry);
+        stop(self, StopReason::Halted { pc: self.entry });
+        Reply::Ok
+    }
+
+    fn reverse_step(&mut self) -> Reply {
+        let Some(fr) = self.flight.as_deref() else {
+            return Reply::Error(err::RECORDER);
+        };
+        self.seek(fr.last_instr_at)
+    }
+
+    fn reverse_continue(&mut self) -> Reply {
+        let Some(fr) = self.flight.as_deref() else {
+            return Reply::Error(err::RECORDER);
+        };
+        // Anchor on the cycle of the stop we are parked at (`now` keeps
+        // advancing while stopped), then rewind to the latest stop strictly
+        // before it.
+        let anchor = match self.stub.last_stop {
+            Some(StopReason::TimeTravel { cycle, .. }) => cycle,
+            _ => fr
+                .stop_history
+                .last()
+                .copied()
+                .unwrap_or_else(|| self.core.machine.now()),
+        };
+        let target = fr
+            .stop_history
+            .iter()
+            .copied()
+            .filter(|&c| c < anchor)
+            .max();
+        match target {
+            Some(t) => self.seek(t),
+            None => Reply::Error(err::RECORDER),
+        }
+    }
+
+    /// Moves the platform to `target` on the recorded timeline.
+    ///
+    /// Backward: restores the nearest checkpoint at or before `target` and
+    /// re-executes history up to it (see `replay`). Forward:
+    /// free-runs to `target`. Either way the guest parks there with a
+    /// [`StopReason::TimeTravel`] stop, and subsequent execution rewrites
+    /// the future (new-branch semantics: the journal, checkpoints and stop
+    /// history beyond the restore point are truncated and rebuilt).
+    fn seek(&mut self, target: u64) -> Reply {
+        let restore = (target < self.core.machine.now()).then_some(target);
+        match self.replay(restore, |p| p.core.machine.now() >= target) {
+            Some(_) => Reply::Ok,
+            None => Reply::Error(err::RECORDER),
+        }
+    }
+
+    /// `Qq`: finds the earliest recorded instruction boundary at which
+    /// `expr` evaluates nonzero and parks the guest there by time travel.
+    ///
+    /// The earliest checkpoint is restored and history re-executed one
+    /// instruction at a time, evaluating the predicate at every boundary,
+    /// until it holds. A checkpoint scan cannot prune windows here: a
+    /// predicate over shared state can flicker (a cross-core counter
+    /// deficit is masked whenever a sibling core sits between two of its
+    /// own updates), so `expr` being false at both checkpoints bracketing
+    /// a window says nothing about the boundaries in between. Exact
+    /// first-hit semantics therefore costs a replay from the start of the
+    /// recording. A miss replays back to the original cycle (state
+    /// byte-identical) and reports `found = 0`.
+    fn query_first(&mut self, expr: &str) -> Reply {
+        let Ok(expr) = Expr::parse(expr) else {
+            return Reply::Error(err::QUERY);
+        };
+        let original = self.core.machine.now();
+        let first = self.flight.as_deref().and_then(|f| f.first_at());
+        let restore = first.unwrap_or(original);
+        let mut found = None;
+        let landed = self.replay(Some(restore), |p| {
+            let now = p.core.machine.now();
+            if p.eval_pred(&expr) {
+                found = Some(now);
+            }
+            found.is_some() || now >= original
+        });
+        match (landed, found) {
+            (None, _) => Reply::Error(err::RECORDER),
+            (Some(_), Some(cycle)) => Reply::Query { found: true, cycle },
+            (Some(cycle), None) => Reply::Query {
+                found: false,
+                cycle,
+            },
+        }
+    }
+
+    /// Answered whether or not the guest is stopped — the whole point is
+    /// sampling the monitor live, without a halt.
+    fn query_stats(&mut self) -> Reply {
+        let (m, t) = (&self.core.machine, &self.core.stats);
+        let faults = m.fault_stats();
+        let n = m.num_cores();
+        Reply::Stats(StatsSample {
+            now: m.now(),
+            guest: t.guest,
+            monitor: t.monitor,
+            host: t.host_model,
+            idle: t.idle,
+            exits: m.obs.exits.counts().to_vec(),
+            faults: faults.map(|f| f.injected.to_vec()).unwrap_or_default(),
+            fault_blocked: faults.map_or(0, |f| f.blocked),
+            cores: n as u64,
+            core_instret: (0..n).map(|i| m.core(i).instret()).collect(),
+            core_exits: (0..n).map(|i| m.obs.core_exit_count(i)).collect(),
+        })
+    }
+
+    fn recorder(&self) -> Option<(u64, &hx_obs::Recorder)> {
+        Some((self.core.machine.now(), &self.core.machine.obs))
     }
 }
 
@@ -983,7 +779,7 @@ impl VirtPolicy for LvmmPlatform {
     fn route_irq(&mut self, irq: u8) {
         if irq == map::irq::UART {
             // Host debugger traffic — the monitor's own business.
-            self.service_uart();
+            service(self);
         } else {
             // Timer and passthrough-device interrupts belong to the guest:
             // latch them in the virtual PIC.
@@ -1002,19 +798,25 @@ impl VirtPolicy for LvmmPlatform {
             epc == tvec && !matches!(cause, Cause::Interrupt | Cause::EcallU | Cause::EcallS);
         let park = tvec == 0 || double_fault;
         if park {
-            self.stub_stop(StopReason::Fault {
-                pc: epc,
-                cause: cause.code(),
-            });
+            stop(
+                self,
+                StopReason::Fault {
+                    pc: epc,
+                    cause: cause.code(),
+                },
+            );
         }
         park
     }
 
     fn park_on_livelock(&mut self, trap: Trap) -> bool {
-        self.stub_stop(StopReason::Fault {
-            pc: trap.epc,
-            cause: trap.cause.code(),
-        });
+        stop(
+            self,
+            StopReason::Fault {
+                pc: trap.epc,
+                cause: trap.cause.code(),
+            },
+        );
         true
     }
 
@@ -1023,11 +825,11 @@ impl VirtPolicy for LvmmPlatform {
             Cause::Breakpoint if trap.is_hook() => {
                 self.core.exits.exits_debug += 1;
                 if self.bp_condition_holds(trap.epc) {
-                    self.stub_stop(StopReason::Breakpoint { pc: trap.epc });
+                    stop(self, StopReason::Breakpoint { pc: trap.epc });
                 } else {
                     // Condition false: silently step off the breakpoint and
                     // keep running — the guest never observes the stop.
-                    self.arm_resume(Some(StepIntent::Resume));
+                    resume(self, Some(StepIntent::Resume));
                 }
             }
             // The guest's own `ebreak` (e.g. its embedded debugger).
@@ -1048,34 +850,31 @@ impl VirtPolicy for LvmmPlatform {
         gpa: u32,
         access: Access,
     ) -> Result<u32, ExitCause> {
+        let withheld = self.watches.withheld(va);
         let is_store = access == Access::Store;
-        let watched_page = if is_store {
-            self.stub.watch_overlaps_page_write(va)
-        } else {
-            access == Access::Load && self.stub.watch_overlaps_page_read(va)
+        let needed = match access {
+            Access::Store => pte::W,
+            Access::Load => pte::R,
+            Access::Fetch => 0,
         };
-        if !watched_page {
-            let mut withheld = 0;
-            if self.stub.watch_overlaps_page_read(va) {
-                withheld |= pte::R;
-            }
-            if self.stub.watch_overlaps_page_write(va) {
-                withheld |= pte::W;
-            }
+        if withheld & needed == 0 {
             return Ok(withheld);
         }
-        if let Some(w) = self.stub.watch_hit(va, 4, is_store) {
-            let stop = match w.cond.clone() {
+        if let Some(w) = self.watches.watch_hit(va, 4, is_store) {
+            let fire = match w.cond.clone() {
                 None => true,
                 // Unevaluable conditions stop too — fail safe.
                 Some(c) => c.eval(self).is_none_or(|v| v != 0),
             };
-            if stop {
+            if fire {
                 self.core.exits.exits_debug += 1;
-                self.stub_stop(StopReason::Watchpoint {
-                    pc: trap.epc,
-                    addr: va,
-                });
+                stop(
+                    self,
+                    StopReason::Watchpoint {
+                        pc: trap.epc,
+                        addr: va,
+                    },
+                );
                 return Err(ExitCause::Debug);
             }
         }
@@ -1099,11 +898,10 @@ impl VirtPolicy for LvmmPlatform {
         if self.core.machine.uart.rx_pending() == 0 {
             // Advance a polling quantum so the host's pump loop sees
             // progress.
-            self.core.machine.consume(costs::STUB_POLL);
-            self.charge(TimeBucket::Idle, costs::STUB_POLL);
+            self.consume(TimeBucket::Idle, costs::STUB_POLL);
             return PlatformStep::Running;
         }
-        self.service_uart();
+        service(self);
         PlatformStep::Running
     }
 }
@@ -1207,8 +1005,11 @@ impl<P: Platform> rdbg::Link for UartLink<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hx_cpu::csr::Csr;
     use hx_cpu::Mode;
     use hx_machine::MachineConfig;
+    use rdbg::msg::Command;
+    use rdbg::stub::dispatch;
 
     fn boot(src: &str) -> LvmmPlatform {
         let program = hx_asm::assemble(src).expect("guest assembles");
@@ -1241,7 +1042,7 @@ mod tests {
     fn query_metrics_needs_the_host_profiler() {
         let mut vmm = boot("start: j start\n");
         assert_eq!(
-            vmm.exec_command(Command::QueryMetrics),
+            dispatch(&mut vmm, Command::QueryMetrics),
             Reply::Error(err::METRICS),
             "no host profiler enabled => the stable metrics error code"
         );
@@ -1249,7 +1050,7 @@ mod tests {
 
         vmm.machine_mut().obs.enable_hostprof();
         vmm.run_for(50_000);
-        let first = vmm.exec_command(Command::QueryMetrics);
+        let first = dispatch(&mut vmm, Command::QueryMetrics);
         let Reply::Metrics { attribution: s, .. } = &first else {
             panic!("expected a metrics sample, got {first:?}");
         };
@@ -1258,7 +1059,7 @@ mod tests {
         assert!(s.attributed_ns() <= s.wall_ns);
         // Fixed-width: two samples taken at different host times must
         // serialize to the same number of bytes.
-        let again = vmm.exec_command(Command::QueryMetrics);
+        let again = dispatch(&mut vmm, Command::QueryMetrics);
         assert_eq!(again.format().len(), first.format().len());
     }
 

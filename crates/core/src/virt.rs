@@ -369,8 +369,7 @@ pub trait VirtPolicy: ExitPolicy + Sized {
     fn sync_tf(&mut self) {
         let want = self.stub_stepping() || self.core().vcpu.status.tf();
         let cpu = &mut self.core_mut().machine.cpu;
-        let s = Status(cpu.read_csr(Csr::Status));
-        cpu.write_csr(Csr::Status, s.with(Status::TF, want).0);
+        cpu.set_status_bit(Status::TF, want);
     }
 
     /// Enters the guest's virtual trap handler (the virtual side of trap

@@ -1,22 +1,37 @@
 //! The conventional baseline from the paper's introduction: a **debugger
 //! embedded in the operating system under development**.
 //!
-//! The stub's working state — a magic word and the breakpoint table — lives
-//! at a fixed address *inside guest memory* ([`STATE_BASE`]), and every stub
-//! operation goes through it, because the stub is just another part of the
-//! kernel. The consequence the paper builds on: when the OS under
-//! development scribbles over memory, it scribbles over its own debugger,
-//! and the host-side session goes dead. Contrast with the monitor-resident
-//! stub in the `lvmm` crate, which keeps answering.
+//! The stub is just another part of the kernel. Its protocol handling is
+//! the same [`rdbg::stub`] dispatcher the monitor-resident stub in the
+//! `lvmm` crate runs; this module is only the other [`Target`], and the
+//! differences are all residency:
+//!
+//! * **Breakpoints live in guest RAM.** The breakpoint table sits in a
+//!   state block at a fixed address *inside guest memory* ([`STATE_BASE`]),
+//!   guarded by a magic word, and an armed breakpoint is an `ebreak`
+//!   patched over the instruction — so `m` over it shows the `ebreak`.
+//! * **Liveness.** The stub answers only while its magic word survives and
+//!   the kernel still takes UART interrupts (the kernel's UART ISR is the
+//!   stub).
+//! * **Address view.** Memory commands address physical RAM, and only the
+//!   CPU the stub runs on can be selected.
+//! * **Costs.** Each UART interrupt costs a fixed ISR charge and each poll
+//!   while stopped a fixed poll charge, all of it guest time.
+//!
+//! The consequence the paper builds on: when the OS under development
+//! scribbles over memory, it scribbles over its own debugger, and the
+//! host-side session goes dead. The monitor-resident stub keeps answering.
 
-use hx_cpu::csr::{Csr, Status};
+use hx_cpu::csr::Status;
 use hx_cpu::isa::EBREAK_WORD;
-use hx_cpu::trap::Cause;
-use hx_cpu::MemSize;
+use hx_cpu::trap::{Cause, Trap};
+use hx_cpu::{MemSize, Reg};
+use hx_machine::engine::ExitPolicy;
 use hx_machine::platform::PlatformStep;
-use hx_machine::{map, Machine, MachineStep, Platform, TimeBucket, TimeStats};
-use rdbg::msg::{Command, Reply, StopReason};
-use rdbg::wire::{self, PacketParser, WireEvent};
+use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
+use rdbg::err;
+use rdbg::msg::StopReason;
+use rdbg::stub::{service, stop, StepIntent, Stub, Target};
 
 /// Guest-physical base of the embedded stub's state block.
 pub const STATE_BASE: u32 = 0xe000;
@@ -29,17 +44,20 @@ const OFF_MAGIC: u32 = 0;
 const OFF_COUNT: u32 = 4;
 const OFF_TABLE: u32 = 8; // MAX_BREAKPOINTS × (addr, orig)
 
+/// Guest cycles the kernel's UART ISR (the stub) costs per interrupt.
+const ISR_CYCLES: u64 = 300;
+/// Guest cycles one UART poll costs while the stub holds the guest stopped.
+const POLL_CYCLES: u64 = 200;
+
 /// The real-hardware platform with an OS-embedded debug stub.
 #[derive(Debug)]
 pub struct EmbeddedStubPlatform {
     machine: Machine,
     stats: TimeStats,
-    parser: PacketParser,
-    stopped: bool,
-    last_stop: Option<StopReason>,
+    stub: Stub,
+    /// The breakpoint whose original instruction is back in place while
+    /// the guest single-steps off it.
     lifted: Option<u32>,
-    step_then_stop: bool,
-    stepping: bool,
 }
 
 impl EmbeddedStubPlatform {
@@ -47,14 +65,10 @@ impl EmbeddedStubPlatform {
     /// the stub state block in guest memory (as the kernel's boot code
     /// would).
     pub fn new(mut machine: Machine) -> EmbeddedStubPlatform {
-        machine
-            .mem
-            .write(STATE_BASE + OFF_MAGIC, STATE_MAGIC, MemSize::Word)
-            .unwrap();
-        machine
-            .mem
-            .write(STATE_BASE + OFF_COUNT, 0, MemSize::Word)
-            .unwrap();
+        let mem = &mut machine.mem;
+        for (off, word) in [(OFF_MAGIC, STATE_MAGIC), (OFF_COUNT, 0)] {
+            mem.write(STATE_BASE + off, word, MemSize::Word).unwrap();
+        }
         // The kernel's boot code would install the stub ISR: receive
         // interrupts on, CPU interrupts enabled.
         machine
@@ -64,302 +78,214 @@ impl EmbeddedStubPlatform {
                 MemSize::Word,
             )
             .expect("UART present");
-        let s = Status(machine.cpu.read_csr(Csr::Status));
-        machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::IE, true).0);
+        machine.cpu.set_status_bit(Status::IE, true);
         EmbeddedStubPlatform {
             machine,
             stats: TimeStats::new(),
-            parser: PacketParser::new(),
-            stopped: false,
-            last_stop: None,
+            stub: Stub::default(),
             lifted: None,
-            step_then_stop: false,
-            stepping: false,
         }
-    }
-
-    /// Is the guest stopped under the stub?
-    pub fn guest_stopped(&self) -> bool {
-        self.stopped
     }
 
     /// Is the stub's guest-resident state still intact?
     pub fn stub_alive(&self) -> bool {
-        self.machine.mem.read(STATE_BASE + OFF_MAGIC, MemSize::Word) == Ok(STATE_MAGIC)
+        self.machine.mem.word(STATE_BASE + OFF_MAGIC) == STATE_MAGIC
     }
 
-    fn bp_lookup(&self, addr: u32) -> Option<(u32, u32)> {
-        let count = self
-            .machine
-            .mem
-            .read(STATE_BASE + OFF_COUNT, MemSize::Word)
-            .ok()?
-            .min(MAX_BREAKPOINTS);
-        for i in 0..count {
-            let a = self
-                .machine
-                .mem
-                .read(STATE_BASE + OFF_TABLE + i * 8, MemSize::Word)
-                .ok()?;
-            if a == addr {
-                let orig = self
-                    .machine
-                    .mem
-                    .read(STATE_BASE + OFF_TABLE + i * 8 + 4, MemSize::Word)
-                    .ok()?;
-                return Some((i, orig));
+    /// The breakpoint count, clamped to the table's size: it lives in guest
+    /// RAM, where the guest can store anything.
+    fn bp_count(&self) -> u32 {
+        let count = self.machine.mem.word(STATE_BASE + OFF_COUNT);
+        count.min(MAX_BREAKPOINTS)
+    }
+
+    /// The table slot and original instruction of the breakpoint at `addr`.
+    fn bp_slot(&self, addr: u32) -> Option<(u32, u32)> {
+        let mem = &self.machine.mem;
+        (0..self.bp_count()).find_map(|i| {
+            let entry = STATE_BASE + OFF_TABLE + i * 8;
+            (mem.word(entry) == addr).then(|| (i, mem.word(entry + 4)))
+        })
+    }
+
+    /// Puts the lifted breakpoint's `ebreak` back, if the stub still lives.
+    fn replant(&mut self) {
+        if let Some(addr) = self.lifted.take() {
+            if self.stub_alive() {
+                let _ = self.machine.mem.write(addr, EBREAK_WORD, MemSize::Word);
             }
         }
-        None
     }
 
-    fn send_packet(&mut self, payload: &str) {
-        self.machine.uart.push_tx(&wire::encode_packet(payload));
-    }
-
-    fn stop(&mut self, reason: StopReason) {
-        self.stopped = true;
-        self.last_stop = Some(reason);
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, false).0);
-        self.send_packet(&reason.format());
-    }
-
-    /// Services host bytes. If the stub state in guest memory is corrupt,
-    /// the stub is dead: bytes are consumed by the broken kernel and no
-    /// reply ever comes.
-    fn service_uart(&mut self) {
-        let mut bytes = Vec::new();
-        while let Some(b) = self.machine.uart.pop_rx() {
-            bytes.push(b);
+    fn step_state(&mut self, batch: bool) -> PlatformStep {
+        if !self.stub.stopped {
+            return self.guest_step(batch);
         }
-        if bytes.is_empty() {
+        // Guest frozen; the stub (kernel code) polls the UART.
+        self.consume(TimeBucket::Guest, POLL_CYCLES);
+        service(self);
+        PlatformStep::Running
+    }
+}
+
+/// The OS-embedded stub (see the [module docs](self) for how it differs
+/// from the monitor-resident one). It serves none of the optional verbs.
+impl Target for EmbeddedStubPlatform {
+    fn stub(&mut self) -> &mut Stub {
+        &mut self.stub
+    }
+
+    fn recv_byte(&mut self) -> Option<u8> {
+        self.machine.uart.pop_rx()
+    }
+
+    fn transmit(&mut self, bytes: &[u8]) {
+        self.machine.uart.push_tx(bytes);
+    }
+
+    /// With its state block corrupt the stub died with its OS: the broken
+    /// kernel consumes the bytes and no reply ever comes.
+    fn serve(&mut self, pass: impl FnOnce(&mut Self)) {
+        if self.stub_alive() {
+            pass(self);
+        }
+    }
+
+    /// The in-kernel stub debugs the one CPU it runs on.
+    fn cores(&self) -> u32 {
+        1
+    }
+
+    fn pc(&self) -> u32 {
+        self.machine.cpu.pc()
+    }
+
+    fn register(&self, _core: u32, index: u8) -> u32 {
+        match Reg::new(index) {
+            Some(reg) => self.machine.cpu.reg(reg),
+            None => self.machine.cpu.pc(),
+        }
+    }
+
+    fn set_register(&mut self, _core: u32, index: u8, value: u32) {
+        match Reg::new(index) {
+            Some(reg) => self.machine.cpu.set_reg(reg, value),
+            None => self.machine.cpu.set_pc(value),
+        }
+    }
+
+    fn read_byte(&mut self, _core: u32, addr: u32) -> Option<u8> {
+        let b = self.machine.mem.read(addr, MemSize::Byte).ok()?;
+        Some(b as u8)
+    }
+
+    fn write_byte(&mut self, _core: u32, addr: u32, byte: u8) -> bool {
+        let mem = &mut self.machine.mem;
+        mem.write(addr, byte.into(), MemSize::Byte).is_ok()
+    }
+
+    fn has_breakpoint(&self, addr: u32) -> bool {
+        self.bp_slot(addr).is_some()
+    }
+
+    fn set_breakpoint(&mut self, _core: u32, addr: u32) -> Result<(), u8> {
+        let count = self.bp_count();
+        if count >= MAX_BREAKPOINTS {
+            return Err(err::BP);
+        }
+        let mem = &mut self.machine.mem;
+        let orig = mem.read(addr, MemSize::Word).map_err(|_| err::MEM)?;
+        let entry = STATE_BASE + OFF_TABLE + count * 8;
+        let ok = mem.write(entry, addr, MemSize::Word).is_ok()
+            && mem.write(entry + 4, orig, MemSize::Word).is_ok()
+            && mem.write(addr, EBREAK_WORD, MemSize::Word).is_ok()
+            && mem
+                .write(STATE_BASE + OFF_COUNT, count + 1, MemSize::Word)
+                .is_ok();
+        ok.then_some(()).ok_or(err::MEM)
+    }
+
+    fn clear_breakpoint(&mut self, addr: u32) -> bool {
+        let Some((slot, orig)) = self.bp_slot(addr) else {
+            return false;
+        };
+        // Move the last entry into the vacated slot (`slot < count`).
+        let count = self.bp_count();
+        let mem = &mut self.machine.mem;
+        let last = STATE_BASE + OFF_TABLE + (count - 1) * 8;
+        let slot_addr = STATE_BASE + OFF_TABLE + slot * 8;
+        let (la, lo) = (mem.word(last), mem.word(last + 4));
+        let _ = mem.write(slot_addr, la, MemSize::Word);
+        let _ = mem.write(slot_addr + 4, lo, MemSize::Word);
+        let _ = mem.write(STATE_BASE + OFF_COUNT, count - 1, MemSize::Word);
+        let _ = mem.write(addr, orig, MemSize::Word);
+        true
+    }
+
+    fn park(&mut self, _reason: &StopReason) -> u8 {
+        self.machine.cpu.set_status_bit(Status::TF, false);
+        self.replant();
+        0
+    }
+
+    fn unpark(&mut self, intent: Option<StepIntent>) {
+        if intent.is_none() {
             return;
         }
-        if !self.stub_alive() {
-            return; // the embedded stub died with its OS
-        }
-        self.parser.push(&bytes);
-        while let Some(ev) = self.parser.next_event() {
-            match ev {
-                WireEvent::BreakIn => {
-                    let pc = self.machine.cpu.pc();
-                    self.stop(StopReason::Halted { pc });
-                }
-                WireEvent::Packet(p) => {
-                    self.machine.uart.push_tx(&[wire::ACK]);
-                    let reply = match Command::parse(&p) {
-                        Some(cmd) => self.exec(cmd),
-                        None => Reply::Error(1),
-                    };
-                    self.send_packet(&reply.format());
-                }
-                WireEvent::Corrupt => self.machine.uart.push_tx(&[wire::NAK]),
-                WireEvent::Ack | WireEvent::Nak => {}
-            }
-        }
-    }
-
-    fn exec(&mut self, cmd: Command) -> Reply {
-        match cmd {
-            Command::Halt => {
-                let pc = self.machine.cpu.pc();
-                self.stop(StopReason::Halted { pc });
-                Reply::Ok
-            }
-            Command::QueryStop => match self.last_stop {
-                Some(r) if self.stopped => Reply::Stopped(r),
-                _ => Reply::Error(4),
-            },
-            Command::ReadRegisters => {
-                let mut bytes = Vec::with_capacity(33 * 4);
-                for r in self.machine.cpu.regs() {
-                    bytes.extend_from_slice(&r.to_le_bytes());
-                }
-                bytes.extend_from_slice(&self.machine.cpu.pc().to_le_bytes());
-                Reply::Hex(bytes)
-            }
-            Command::WriteRegister { index, value } => {
-                if index < 32 {
-                    self.machine
-                        .cpu
-                        .set_reg(hx_cpu::Reg::new(index).unwrap(), value);
-                    Reply::Ok
-                } else if index == rdbg::msg::REG_PC {
-                    self.machine.cpu.set_pc(value);
-                    Reply::Ok
-                } else {
-                    Reply::Error(2)
-                }
-            }
-            Command::ReadMemory { addr, len } => {
-                if len > rdbg::msg::MEM_CHUNK {
-                    return Reply::Error(1);
-                }
-                let mut out = Vec::with_capacity(len as usize);
-                for i in 0..len {
-                    match self.machine.mem.read(addr.wrapping_add(i), MemSize::Byte) {
-                        Ok(b) => out.push(b as u8),
-                        Err(_) => return Reply::Error(3),
-                    }
-                }
-                Reply::Hex(out)
-            }
-            Command::WriteMemory { addr, data } => {
-                for (i, &b) in data.iter().enumerate() {
-                    if self
-                        .machine
-                        .mem
-                        .write(addr.wrapping_add(i as u32), b as u32, MemSize::Byte)
-                        .is_err()
-                    {
-                        return Reply::Error(3);
-                    }
-                }
-                Reply::Ok
-            }
-            Command::SetBreakpoint { addr } => {
-                if self.bp_lookup(addr).is_some() {
-                    return Reply::Error(5);
-                }
-                let Ok(count) = self.machine.mem.read(STATE_BASE + OFF_COUNT, MemSize::Word) else {
-                    return Reply::Error(3);
-                };
-                if count >= MAX_BREAKPOINTS {
-                    return Reply::Error(5);
-                }
-                let Ok(orig) = self.machine.mem.read(addr, MemSize::Word) else {
-                    return Reply::Error(3);
-                };
-                let e = STATE_BASE + OFF_TABLE + count * 8;
-                let ok = self.machine.mem.write(e, addr, MemSize::Word).is_ok()
-                    && self.machine.mem.write(e + 4, orig, MemSize::Word).is_ok()
-                    && self
-                        .machine
-                        .mem
-                        .write(addr, EBREAK_WORD, MemSize::Word)
-                        .is_ok()
-                    && self
-                        .machine
-                        .mem
-                        .write(STATE_BASE + OFF_COUNT, count + 1, MemSize::Word)
-                        .is_ok();
-                if ok {
-                    Reply::Ok
-                } else {
-                    Reply::Error(3)
-                }
-            }
-            Command::ClearBreakpoint { addr } => {
-                let Some((slot, orig)) = self.bp_lookup(addr) else {
-                    return Reply::Error(5);
-                };
-                let count = self
-                    .machine
-                    .mem
-                    .read(STATE_BASE + OFF_COUNT, MemSize::Word)
-                    .unwrap_or(0);
-                // Move the last entry into the vacated slot.
-                let last = STATE_BASE + OFF_TABLE + (count - 1) * 8;
-                let slot_addr = STATE_BASE + OFF_TABLE + slot * 8;
-                let la = self.machine.mem.read(last, MemSize::Word).unwrap_or(0);
-                let lo = self.machine.mem.read(last + 4, MemSize::Word).unwrap_or(0);
-                let _ = self.machine.mem.write(slot_addr, la, MemSize::Word);
-                let _ = self.machine.mem.write(slot_addr + 4, lo, MemSize::Word);
-                let _ = self
-                    .machine
-                    .mem
-                    .write(STATE_BASE + OFF_COUNT, count - 1, MemSize::Word);
-                let _ = self.machine.mem.write(addr, orig, MemSize::Word);
-                Reply::Ok
-            }
-            Command::Step => {
-                if !self.stopped {
-                    return Reply::Error(4);
-                }
-                self.arm_step(true);
-                Reply::Ok
-            }
-            Command::Continue => {
-                if !self.stopped {
-                    return Reply::Error(4);
-                }
-                let pc = self.machine.cpu.pc();
-                if self.bp_lookup(pc).is_some() {
-                    self.arm_step(false);
-                } else {
-                    self.stopped = false;
-                }
-                Reply::Ok
-            }
-            Command::SetWatchpoint { .. }
-            | Command::ClearWatchpoint { .. }
-            | Command::SetBreakCondition { .. }
-            | Command::SetWatchCondition { .. }
-            | Command::SetLogpoint { .. }
-            | Command::ClearLogpoint { .. } => {
-                // No MMU tricks or condition evaluator available to an
-                // in-kernel stub on this hardware; watchpoints, conditions
-                // and logpoints are monitor-only features.
-                Reply::Error(9)
-            }
-            Command::Reset => Reply::Error(9),
-            Command::SetThread { core } | Command::ThreadAlive { core } => {
-                // The in-kernel stub debugs the one CPU it runs on: thread
-                // 0 exists, everything else is "no such core" (11).
-                if core == 0 {
-                    Reply::Ok
-                } else {
-                    Reply::Error(11)
-                }
-            }
-            Command::QueryStats | Command::QueryProf { .. } => {
-                // An in-kernel stub has no monitor accounting or profiler
-                // to report.
-                Reply::Error(9)
-            }
-            Command::QueryFlow => {
-                // No causal tracker lives inside the kernel; answer with
-                // the *named* code (`lvmm::stub::err::CAUSAL` = 12) so the
-                // host prints what is missing instead of a bare number.
-                Reply::Error(12)
-            }
-            Command::QueryMetrics => {
-                // An in-kernel stub has no host clock, so host-time
-                // metrics can never exist here. Answer with the *named*
-                // code (`lvmm::stub::err::METRICS` = 10, "metrics
-                // unavailable") rather than the generic 9, so the host
-                // prints what is missing instead of a bare number.
-                Reply::Error(10)
-            }
-            Command::ReverseStep
-            | Command::ReverseContinue
-            | Command::Seek { .. }
-            | Command::QueryFirst { .. } => {
-                // Time travel needs the monitor's flight recorder; an
-                // in-kernel stub cannot rewind the machine it runs on.
-                Reply::Error(9)
-            }
-        }
-    }
-
-    fn arm_step(&mut self, then_stop: bool) {
+        // Single-step the original instruction from under a breakpoint.
         let pc = self.machine.cpu.pc();
-        if let Some((_, orig)) = self.bp_lookup(pc) {
+        if let Some((_, orig)) = self.bp_slot(pc) {
             let _ = self.machine.mem.write(pc, orig, MemSize::Word);
             self.lifted = Some(pc);
         }
-        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-        self.machine
-            .cpu
-            .write_csr(Csr::Status, s.with(Status::TF, true).0);
-        self.stepping = true;
-        self.step_then_stop = then_stop;
-        self.stopped = false;
+        self.machine.cpu.set_status_bit(Status::TF, true);
+    }
+}
+
+impl ExitPolicy for EmbeddedStubPlatform {
+    fn mach(&self) -> &Machine {
+        &self.machine
+    }
+
+    fn mach_mut(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+
+    fn time_stats_mut(&mut self) -> &mut TimeStats {
+        &mut self.stats
+    }
+
+    fn handle_trap(&mut self, trap: Trap) {
+        match trap.cause {
+            Cause::Breakpoint if self.stub_alive() && self.has_breakpoint(trap.epc) => {
+                stop(self, StopReason::Breakpoint { pc: trap.epc });
+            }
+            Cause::DebugStep if self.stub.step_intent.is_some() => {
+                let intent = self.stub.step_intent.take();
+                self.machine.cpu.set_status_bit(Status::TF, false);
+                self.replant();
+                if intent == Some(StepIntent::Step) {
+                    stop(self, StopReason::Step { pc: trap.epc });
+                }
+            }
+            _ => {
+                let c = self.machine.deliver_trap(trap);
+                self.charge(TimeBucket::Guest, c);
+            }
+        }
+    }
+
+    fn handle_interrupt(&mut self, irq: u8, vector: u8) {
+        if irq == map::irq::UART {
+            // The kernel's UART ISR is the stub.
+            self.machine.pic.eoi(irq);
+            self.consume(TimeBucket::Guest, ISR_CYCLES);
+            service(self);
+        } else {
+            let trap = self.machine.interrupt_trap(vector);
+            let c = self.machine.deliver_trap(trap);
+            self.charge(TimeBucket::Guest, c);
+        }
     }
 }
 
@@ -381,68 +307,13 @@ impl Platform for EmbeddedStubPlatform {
     }
 
     fn step(&mut self) -> PlatformStep {
-        if self.stopped {
-            // Guest frozen; the stub (kernel code) polls the UART.
-            self.machine.consume(200);
-            self.stats.charge(TimeBucket::Guest, 200);
-            self.service_uart();
-            return PlatformStep::Running;
-        }
-        match self.machine.step() {
-            MachineStep::Executed { cycles } => {
-                self.stats.charge(TimeBucket::Guest, cycles);
-                PlatformStep::Running
-            }
-            MachineStep::Idle { cycles } => {
-                self.stats.charge(TimeBucket::Idle, cycles);
-                PlatformStep::Running
-            }
-            MachineStep::Interrupt { irq, vector } => {
-                if irq == map::irq::UART {
-                    // The kernel's UART ISR is the stub.
-                    self.machine.pic.eoi(irq);
-                    self.machine.consume(300);
-                    self.stats.charge(TimeBucket::Guest, 300);
-                    self.service_uart();
-                } else {
-                    let trap = self.machine.interrupt_trap(vector);
-                    let c = self.machine.deliver_trap(trap);
-                    self.stats.charge(TimeBucket::Guest, c);
-                }
-                PlatformStep::Running
-            }
-            MachineStep::Trapped { trap, cycles } => {
-                self.stats.charge(TimeBucket::Guest, cycles);
-                match trap.cause {
-                    Cause::Breakpoint
-                        if self.stub_alive() && self.bp_lookup(trap.epc).is_some() =>
-                    {
-                        self.stop(StopReason::Breakpoint { pc: trap.epc });
-                    }
-                    Cause::DebugStep if self.stepping => {
-                        self.stepping = false;
-                        let s = Status(self.machine.cpu.read_csr(Csr::Status));
-                        self.machine
-                            .cpu
-                            .write_csr(Csr::Status, s.with(Status::TF, false).0);
-                        if let Some(addr) = self.lifted.take() {
-                            if self.stub_alive() {
-                                let _ = self.machine.mem.write(addr, EBREAK_WORD, MemSize::Word);
-                            }
-                        }
-                        if self.step_then_stop {
-                            self.stop(StopReason::Step { pc: trap.epc });
-                        }
-                    }
-                    _ => {
-                        let c = self.machine.deliver_trap(trap);
-                        self.stats.charge(TimeBucket::Guest, c);
-                    }
-                }
-                PlatformStep::Running
-            }
-            MachineStep::Stuck => PlatformStep::Stuck,
-        }
+        // The profiler needs per-instruction PC boundaries.
+        let batch = !self.machine.obs.profiling();
+        self.step_state(batch)
+    }
+
+    fn step_precise(&mut self) -> PlatformStep {
+        self.step_state(false)
     }
 }
 
@@ -501,11 +372,8 @@ mod tests {
         // the *stable, named* code the host can explain — not a generic
         // unsupported-command error.
         let err = dbg.query_metrics().unwrap_err();
-        assert_eq!(err, rdbg::DbgError::Target(lvmm::stub::err::METRICS));
-        assert_eq!(
-            rdbg::err_name(lvmm::stub::err::METRICS),
-            Some("metrics unavailable")
-        );
+        assert_eq!(err, rdbg::DbgError::Target(err::METRICS));
+        assert_eq!(rdbg::err_name(err::METRICS), Some("metrics unavailable"));
     }
 
     #[test]
@@ -524,6 +392,48 @@ mod tests {
         let out = String::from_utf8_lossy(&out);
         assert!(out.contains("$E01#"), "reply: {out}");
         assert!(matches!(dbg.query_stop(), Ok(StopReason::Halted { .. })));
+    }
+
+    #[test]
+    fn clearing_a_breakpoint_survives_a_guest_scribbled_count() {
+        // The guest stores a huge breakpoint count into the stub's state
+        // block (it is guest RAM) and then hits the armed breakpoint.
+        let program = hx_asm::assemble(&format!(
+            "        .org 0x1000
+             start:  li   t0, {count:#x}
+                     li   t1, 0x40000000
+             main:   j    main
+             wreck:  sw   t1, 0(t0)
+                     j    main
+            ",
+            count = STATE_BASE + OFF_COUNT,
+        ))
+        .unwrap();
+        let main = program.symbols.get("main").unwrap();
+        let wreck = program.symbols.get("wreck").unwrap();
+        let orig = {
+            let mut p = boot(&program);
+            p.run_for(1_000);
+            p.machine().mem.word(main)
+        };
+        let mut dbg = Debugger::new(UartLink::new(boot(&program)));
+        dbg.link_mut().platform.run_for(1_000);
+        dbg.halt().unwrap();
+        dbg.set_breakpoint(main).unwrap();
+        dbg.write_register(rdbg::msg::REG_PC, wreck).unwrap();
+        let stop = dbg.continue_until_stop().unwrap();
+        assert_eq!(stop, StopReason::Breakpoint { pc: main });
+        let count = dbg
+            .link_ref()
+            .platform
+            .machine()
+            .mem
+            .word(STATE_BASE + OFF_COUNT);
+        assert_eq!(count, 0x4000_0000, "the guest's store landed");
+        // The count is read clamped: no overflow, and the original
+        // instruction goes back.
+        dbg.clear_breakpoint(main).unwrap();
+        assert_eq!(dbg.link_ref().platform.machine().mem.word(main), orig);
     }
 
     #[test]

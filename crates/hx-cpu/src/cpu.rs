@@ -132,6 +132,11 @@ impl Vcpu {
         }
     }
 
+    /// Sets or clears one `STATUS` bit (e.g. [`Status::TF`]).
+    pub fn set_status_bit(&mut self, bit: u32, on: bool) {
+        self.status = self.status.with(bit, on);
+    }
+
     /// All 32 registers, for debugger snapshots.
     pub fn regs(&self) -> &[u32; 32] {
         &self.regs

@@ -32,29 +32,46 @@ pub enum DbgError {
     Timeout,
     /// The target replied, but not with something this command permits.
     Protocol(String),
-    /// The stub reported an error code (see `lvmm::stub` for meanings).
+    /// The stub reported an error code (see [`err`] for meanings).
     Target(u8),
 }
 
-/// Human-readable name for a stub error code. The codes are defined by the
-/// in-monitor stub (`lvmm::stub::err`); this table mirrors them so the host
-/// can print `E04 (guest not stopped)` instead of a bare number. A test on
-/// the stub side keeps the two in sync.
+/// Declares each stub error code with its host-side name (also its doc) in
+/// one table, so a code cannot exist without a name.
+macro_rules! codes {
+    ($($code:ident = $n:literal, $name:literal;)*) => {
+        $(#[doc = $name] pub const $code: u8 = $n;)*
+        /// Every code with its host-side name, in code order.
+        pub const NAMES: &[(u8, &str)] = &[$(($code, $name)),*];
+    };
+}
+
+/// Stub error codes carried in `E..` replies, shared by every stub. Besides
+/// its name: `BP` also answers a full breakpoint table, `RECORDER` a request
+/// that falls off the recorded timeline, and `UNSUPPORTED` every verb a
+/// stub lacks (the OS-embedded stub's watchpoints, time travel, …).
+pub mod err {
+    codes! {
+        PARSE = 1, "malformed packet";
+        REG = 2, "bad register index";
+        MEM = 3, "unmapped guest memory";
+        NOT_STOPPED = 4, "guest not stopped";
+        BP = 5, "bad breakpoint or watchpoint";
+        RECORDER = 6, "flight recorder unavailable";
+        PROFILER = 7, "profiler unavailable";
+        QUERY = 8, "bad query expression";
+        UNSUPPORTED = 9, "unsupported command";
+        METRICS = 10, "metrics unavailable";
+        CORE = 11, "no such core";
+        CAUSAL = 12, "causal tracing unavailable";
+    }
+}
+
+/// Human-readable name for a stub error code ([`err::NAMES`]), so the host
+/// can print `E04 (guest not stopped)` instead of a bare number.
 pub fn err_name(code: u8) -> Option<&'static str> {
-    Some(match code {
-        1 => "malformed packet",
-        2 => "bad register index",
-        3 => "unmapped guest memory",
-        4 => "guest not stopped",
-        5 => "bad breakpoint or watchpoint",
-        6 => "flight recorder unavailable",
-        7 => "profiler unavailable",
-        8 => "bad query expression",
-        10 => "metrics unavailable",
-        11 => "no such core",
-        12 => "causal tracing unavailable",
-        _ => return None,
-    })
+    let (_, name) = err::NAMES.iter().find(|&&(c, _)| c == code)?;
+    Some(name)
 }
 
 impl fmt::Display for DbgError {
@@ -715,20 +732,19 @@ impl<L: Link> Debugger<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire;
+    use crate::stub::{service, stop, StepIntent, Stub, Target};
 
-    /// A trivial in-process stub behind a `Link`, simulating a target with
-    /// 64 KiB of memory and a register file.
+    /// A trivial in-process target behind a `Link`: the shared stub over
+    /// 64 KiB of memory and a register file, where "running" jumps straight
+    /// to the first breakpoint and a step advances the PC by one word.
     struct MockTarget {
         to_target: Vec<u8>,
         to_host: Vec<u8>,
-        parser: PacketParser,
+        stub: Stub,
         mem: Vec<u8>,
         regs: [u32; 33],
         breakpoints: Vec<u32>,
-        running: bool,
         drop_first_reply: bool,
-        last_sent: Vec<u8>,
     }
 
     impl MockTarget {
@@ -736,127 +752,68 @@ mod tests {
             MockTarget {
                 to_target: Vec::new(),
                 to_host: Vec::new(),
-                parser: PacketParser::new(),
+                stub: Stub {
+                    stopped: true,
+                    last_stop: Some(StopReason::Halted { pc: 0 }),
+                    ..Stub::default()
+                },
                 mem: vec![0; 65536],
                 regs: [0; 33],
                 breakpoints: Vec::new(),
-                running: false,
                 drop_first_reply: false,
-                last_sent: Vec::new(),
             }
         }
+    }
 
-        fn reply(&mut self, r: Reply) {
-            let pkt = wire::encode_packet(&r.format());
-            // Like the real stub, keep the clean packet for NAK-driven
-            // retransmission.
-            self.last_sent = pkt.clone();
-            if self.drop_first_reply {
+    impl Target for MockTarget {
+        fn stub(&mut self) -> &mut Stub {
+            &mut self.stub
+        }
+        fn recv_byte(&mut self) -> Option<u8> {
+            (!self.to_target.is_empty()).then(|| self.to_target.remove(0))
+        }
+        fn transmit(&mut self, bytes: &[u8]) {
+            self.to_host.extend_from_slice(bytes);
+            if self.drop_first_reply && bytes.len() > 1 {
                 // Corrupt the first reply once, to exercise NAK/resend.
                 self.drop_first_reply = false;
-                let mut bad = pkt;
-                let n = bad.len();
-                bad[n - 1] ^= 0xff;
-                self.to_host.extend_from_slice(&bad);
-                return;
-            }
-            self.to_host.extend_from_slice(&pkt);
-        }
-
-        fn service(&mut self) {
-            let bytes = std::mem::take(&mut self.to_target);
-            self.parser.push(&bytes);
-            while let Some(ev) = self.parser.next_event() {
-                match ev {
-                    WireEvent::BreakIn => {
-                        self.running = false;
-                        let stop = StopReason::Halted { pc: self.regs[32] };
-                        self.to_host
-                            .extend_from_slice(&wire::encode_packet(&stop.format()));
-                    }
-                    WireEvent::Packet(p) => {
-                        self.to_host.push(ACK);
-                        let Some(cmd) = Command::parse(&p) else {
-                            self.reply(Reply::Error(1));
-                            continue;
-                        };
-                        match cmd {
-                            Command::ReadRegisters => {
-                                let mut bytes = Vec::new();
-                                for r in self.regs {
-                                    bytes.extend_from_slice(&r.to_le_bytes());
-                                }
-                                self.reply(Reply::Hex(bytes));
-                            }
-                            Command::WriteRegister { index, value } => {
-                                if (index as usize) < 33 {
-                                    self.regs[index as usize] = value;
-                                    self.reply(Reply::Ok);
-                                } else {
-                                    self.reply(Reply::Error(2));
-                                }
-                            }
-                            Command::ReadMemory { addr, len } => {
-                                let (a, l) = (addr as usize, len as usize);
-                                if a + l <= self.mem.len() {
-                                    self.reply(Reply::Hex(self.mem[a..a + l].to_vec()));
-                                } else {
-                                    self.reply(Reply::Error(3));
-                                }
-                            }
-                            Command::WriteMemory { addr, data } => {
-                                let a = addr as usize;
-                                if a + data.len() <= self.mem.len() {
-                                    self.mem[a..a + data.len()].copy_from_slice(&data);
-                                    self.reply(Reply::Ok);
-                                } else {
-                                    self.reply(Reply::Error(3));
-                                }
-                            }
-                            Command::SetBreakpoint { addr } => {
-                                self.breakpoints.push(addr);
-                                self.reply(Reply::Ok);
-                            }
-                            Command::ClearBreakpoint { addr } => {
-                                self.breakpoints.retain(|&a| a != addr);
-                                self.reply(Reply::Ok);
-                            }
-                            Command::Continue => {
-                                self.running = true;
-                                self.reply(Reply::Ok);
-                                // "Run" until the first breakpoint.
-                                if let Some(&bp) = self.breakpoints.first() {
-                                    self.regs[32] = bp;
-                                    self.running = false;
-                                    let stop = StopReason::Breakpoint { pc: bp };
-                                    self.to_host
-                                        .extend_from_slice(&wire::encode_packet(&stop.format()));
-                                }
-                            }
-                            Command::Step => {
-                                self.regs[32] += 4;
-                                self.reply(Reply::Ok);
-                                let stop = StopReason::Step { pc: self.regs[32] };
-                                self.to_host
-                                    .extend_from_slice(&wire::encode_packet(&stop.format()));
-                            }
-                            Command::QueryStop => {
-                                self.reply(Reply::Stopped(StopReason::Halted {
-                                    pc: self.regs[32],
-                                }));
-                            }
-                            Command::Halt | Command::Reset => self.reply(Reply::Ok),
-                            _ => self.reply(Reply::Error(9)),
-                        }
-                    }
-                    WireEvent::Nak => {
-                        let pkt = self.last_sent.clone();
-                        self.to_host.extend_from_slice(&pkt);
-                    }
-                    _ => {}
-                }
+                *self.to_host.last_mut().unwrap() ^= 0xff;
             }
         }
+        fn cores(&self) -> u32 {
+            1
+        }
+        fn pc(&self) -> u32 {
+            self.regs[32]
+        }
+        fn register(&self, _core: u32, index: u8) -> u32 {
+            self.regs[index as usize]
+        }
+        fn set_register(&mut self, _core: u32, index: u8, value: u32) {
+            self.regs[index as usize] = value;
+        }
+        fn read_byte(&mut self, _core: u32, addr: u32) -> Option<u8> {
+            self.mem.get(addr as usize).copied()
+        }
+        fn write_byte(&mut self, _core: u32, addr: u32, byte: u8) -> bool {
+            self.mem.get_mut(addr as usize).map(|b| *b = byte).is_some()
+        }
+        fn has_breakpoint(&self, addr: u32) -> bool {
+            self.breakpoints.contains(&addr)
+        }
+        fn set_breakpoint(&mut self, _core: u32, addr: u32) -> Result<(), u8> {
+            self.breakpoints.push(addr);
+            Ok(())
+        }
+        fn clear_breakpoint(&mut self, addr: u32) -> bool {
+            let before = self.breakpoints.len();
+            self.breakpoints.retain(|&a| a != addr);
+            self.breakpoints.len() < before
+        }
+        fn park(&mut self, _reason: &StopReason) -> u8 {
+            0
+        }
+        fn unpark(&mut self, _intent: Option<StepIntent>) {}
     }
 
     impl Link for MockTarget {
@@ -864,9 +821,36 @@ mod tests {
             self.to_target.extend_from_slice(bytes);
         }
         fn pump(&mut self) -> Vec<u8> {
-            self.service();
+            service(self);
+            if !self.stub.stopped {
+                if self.stub.step_intent == Some(StepIntent::Step) {
+                    self.regs[32] += 4;
+                    stop(self, StopReason::Step { pc: self.regs[32] });
+                } else if let Some(&bp) = self.breakpoints.first() {
+                    self.regs[32] = bp;
+                    stop(self, StopReason::Breakpoint { pc: bp });
+                }
+            }
             std::mem::take(&mut self.to_host)
         }
+    }
+
+    #[test]
+    fn err_names_cover_all_stub_codes() {
+        // One table: every code has a name, and codes and names are unique.
+        let mut codes: Vec<u8> = err::NAMES.iter().map(|&(c, _)| c).collect();
+        let mut names: Vec<&str> = err::NAMES.iter().map(|&(_, n)| n).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(codes.len(), err::NAMES.len(), "duplicate code");
+        assert_eq!(names.len(), err::NAMES.len(), "duplicate name");
+        for &(code, name) in err::NAMES {
+            assert_eq!(err_name(code), Some(name));
+        }
+        assert_eq!(err_name(err::UNSUPPORTED), Some("unsupported command"));
+        assert_eq!(err_name(0), None);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Remote-debugging wire protocol and host-side debugger client.
+//! Remote-debugging wire protocol, host-side debugger client, and the one
+//! target-side debug stub.
 //!
 //! This crate is the "software remote debugger" half of the paper's Fig. 2.1
-//! plus the wire protocol it shares with the debug stub embedded in the
-//! lightweight virtual machine monitor (`lvmm` crate). The split mirrors
-//! classical remote debugging:
+//! plus everything it shares with the target: the wire protocol and the
+//! stub itself ([`stub`]), whose two residencies — the lightweight monitor
+//! and the OS-embedded baseline — are each a [`stub::Target`] impl:
 //!
 //! ```text
 //!  host machine                          target machine
-//!  +---------------+   serial bytes    +--------------------------+
-//!  | Debugger (us) | <---------------> | stub in the monitor      |
-//!  +---------------+                   | (rdbg::msg is shared)    |
-//!                                      +--------------------------+
+//!  +---------------+   serial bytes    +------------------------------+
+//!  | Debugger (us) | <---------------> | rdbg::stub over a Target:    |
+//!  +---------------+                   | the monitor, or the guest OS |
+//!                                      +------------------------------+
 //! ```
 //!
 //! The protocol is GDB-remote-serial-protocol-shaped: `$payload#ck` framing
@@ -33,9 +34,10 @@
 pub mod debugger;
 pub mod lossy;
 pub mod msg;
+pub mod stub;
 pub mod wire;
 
-pub use debugger::{err_name, DbgError, Debugger, Link, Registers};
+pub use debugger::{err, err_name, DbgError, Debugger, Link, Registers};
 pub use lossy::LossyLink;
 pub use msg::{Command, ProfSample, Reply, StatsSample, StopReason, WatchKind};
 pub use wire::{encode_packet, from_hex, to_hex, PacketParser, WireEvent, ACK, BREAK_BYTE, NAK};

@@ -593,7 +593,7 @@ impl fmt::Display for StopReason {
 pub enum Reply {
     /// Command succeeded with no data.
     Ok,
-    /// Command failed; the code is stub-defined (see `lvmm::stub`).
+    /// Command failed; the code is one of [`crate::err`].
     Error(u8),
     /// Asynchronous or queried stop reason.
     Stopped(StopReason),
