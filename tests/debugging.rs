@@ -446,6 +446,105 @@ fn breakpoint_follows_a_guest_remap() {
     assert_eq!(bytes(&dbg, frame("frame_b")), orig_b);
 }
 
+/// The debugger's address view: under guest paging `m`/`M`/`Z0` go through
+/// the guest's own page tables, ignore the leaf's permission bits, and
+/// refuse with `E03` any address whose leaf or level-1 pointer lands in
+/// monitor memory; with paging off `m` reads physical memory.
+#[test]
+fn debugger_sees_guest_virtual_memory_and_never_the_monitor() {
+    let (mut dbg, program) = asm_session(
+        "        .equ PT_ROOT, 0x100000
+                 .equ PT_L2,   0x101000
+                 .equ MON,     0x600000       ; monitor base of an 8 MiB machine
+                 .org 0x1000
+         start:  csrw tvec, fault
+                 li   t0, PT_ROOT
+                 li   t1, PT_L2 + 1          ; V: L1[0] -> L2
+                 sw   t1, 0(t0)
+                 li   t1, MON + 1            ; V: L1[1] -> a table in the monitor
+                 sw   t1, 4(t0)
+                 li   t0, PT_L2              ; identity-map 16 pages RWX
+                 li   t1, 0x0000000f
+                 li   t2, 16
+         map:    sw   t1, 0(t0)
+                 addi t0, t0, 4
+                 li   t3, 0x1000
+                 add  t1, t1, t3
+                 addi t2, t2, -1
+                 bnez t2, map
+                 li   t0, PT_L2 + 0x400      ; the page tables themselves
+                 li   t1, PT_ROOT + 0xf
+                 sw   t1, 0(t0)
+                 li   t1, PT_L2 + 0xf
+                 sw   t1, 4(t0)
+                 li   t0, PT_L2 + 0x84       ; 0x21000 -> secret, execute-only
+                 li   t1, secret + 9         ; V|X
+                 sw   t1, 0(t0)
+                 li   t1, MON + 0xf          ; 0x22000 -> monitor memory
+                 sw   t1, 4(t0)
+                 li   t0, PT_ROOT + 1
+                 csrw ptbr, t0
+                 tlbflush
+         loop:   addi s0, s0, 1
+                 j    loop
+         fault:  j    fault
+                 .org 0x5000
+         secret: .word 0xc0de600d
+        ",
+    );
+    let (xo, leaf_in_monitor, l1_in_monitor) = (0x21000, 0x22000, 0x40_0000);
+    dbg.link_mut().platform.run_for(100_000);
+    dbg.halt().unwrap();
+    let platform = &dbg.link_ref().platform;
+    assert!(
+        platform.vcpu().paging_enabled(),
+        "the guest turned paging on"
+    );
+    assert_eq!(platform.monitor_base(), 0x60_0000);
+    assert_eq!(program.symbols.get("secret"), Some(0x5000));
+    assert_eq!(platform.machine().mem.word(xo), 0, "physically blank");
+    assert_eq!(
+        dbg.read_memory(xo, 4).unwrap(),
+        0xc0de_600du32.to_le_bytes(),
+        "an execute-only page reads through its mapping"
+    );
+    assert_eq!(dbg.read_memory(0x1000, 4).unwrap(), {
+        let mem = &dbg.link_ref().platform.machine().mem;
+        mem.word(0x1000).to_le_bytes()
+    });
+    let monitor =
+        |dbg: &Dbg| dbg.link_ref().platform.machine().mem.as_bytes()[0x60_0000..].to_vec();
+    let before = monitor(&dbg);
+    for va in [leaf_in_monitor, l1_in_monitor] {
+        assert_eq!(
+            dbg.read_memory(va, 4),
+            Err(DbgError::Target(3)),
+            "m {va:#x}"
+        );
+        assert_eq!(
+            dbg.write_memory(va, &[0xa5; 4]),
+            Err(DbgError::Target(3)),
+            "M {va:#x}"
+        );
+        assert_eq!(
+            dbg.set_breakpoint(va),
+            Err(DbgError::Target(3)),
+            "Z0 {va:#x}"
+        );
+    }
+    assert!(monitor(&dbg) == before, "monitor memory untouched");
+
+    // Paging off: addresses are physical.
+    let (mut dbg, program) = counter_session();
+    dbg.link_mut().platform.run_for(20_000);
+    dbg.halt().unwrap();
+    assert!(!dbg.link_ref().platform.vcpu().paging_enabled());
+    let counter = program.symbols.get("counter").unwrap();
+    let word = dbg.link_ref().platform.machine().mem.word(counter);
+    assert_ne!(word, 0, "the guest has counted");
+    assert_eq!(dbg.read_memory(counter, 4).unwrap(), word.to_le_bytes());
+}
+
 /// A hook on a misaligned address could never meet a fetch: `Z0` and `Ql`
 /// refuse it as malformed, and guest RAM is untouched.
 #[test]
