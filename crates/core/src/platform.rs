@@ -23,15 +23,15 @@
 
 use crate::costs;
 use crate::replay::{reexecute, FlightRecorder};
-use crate::shadow::ShadowStats;
+use crate::shadow::{GuestRam, ShadowStats};
 use crate::stub::{parse_condition, Watchpoint, Watchpoints};
 use crate::vcpu::VCpu;
 use crate::virt::{ExitCosts, ExitStats, RunState, VirtCore, VirtPolicy};
 use hx_cpu::csr::Status;
-use hx_cpu::isa::{Instr, LoadKind, StoreKind};
-use hx_cpu::mmu::{pte, Access, PAGE_MASK};
+use hx_cpu::isa::Instr;
+use hx_cpu::mmu::{self, pte, Access};
 use hx_cpu::trap::{Cause, Trap};
-use hx_cpu::MemSize;
+use hx_cpu::{Bus, MemSize};
 use hx_machine::engine::ExitPolicy;
 use hx_machine::platform::PlatformStep;
 use hx_machine::{map, Machine, Platform, TimeBucket, TimeStats};
@@ -274,60 +274,38 @@ impl LvmmPlatform {
         }
     }
 
-    /// Completes one guest store that faulted only because a watchpoint
-    /// shares its page.
-    fn emulate_guest_store(&mut self, trap: Trap, gpa: u32) {
-        self.consume_monitor(costs::EMUL_ACCESS);
-        self.core.exits.emulated_stores += 1;
-        let Some(instr) = self.core.fetch_guest_instr(trap.epc) else {
-            self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
-            return;
-        };
-        if let Instr::Store { kind, rs2, .. } = instr {
-            let size = match kind {
-                StoreKind::B => MemSize::Byte,
-                StoreKind::H => MemSize::Half,
-                StoreKind::W => MemSize::Word,
-            };
-            let val = self.core.machine.cpu.reg(rs2);
-            if self.core.machine.mem.write(gpa, val, size).is_ok() {
-                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4));
-                return;
-            }
-        }
-        self.inject_guest_trap(Cause::StoreAccessFault, trap.epc, trap.tval);
-    }
-
-    /// Completes one guest load that faulted only because a read
+    /// Completes one guest load or store that faulted only because a
     /// watchpoint shares its page.
-    fn emulate_guest_load(&mut self, trap: Trap, gpa: u32) {
+    fn emulate_guest_access(&mut self, trap: Trap, gpa: u32, access: Access) {
         self.consume_monitor(costs::EMUL_ACCESS);
-        self.core.exits.emulated_loads += 1;
+        let is_store = access == Access::Store;
+        if is_store {
+            self.core.exits.emulated_stores += 1;
+        } else {
+            self.core.exits.emulated_loads += 1;
+        }
         let Some(instr) = self.core.fetch_guest_instr(trap.epc) else {
             self.inject_guest_trap(Cause::InstrPageFault, trap.epc, trap.epc);
             return;
         };
-        if let Instr::Load { kind, rd, .. } = instr {
-            let size = match kind {
-                LoadKind::B | LoadKind::Bu => MemSize::Byte,
-                LoadKind::H | LoadKind::Hu => MemSize::Half,
-                LoadKind::W => MemSize::Word,
-            };
-            if let Ok(raw) = self.core.machine.mem.read(gpa, size) {
-                // Same extension rules as the CPU's own load path.
-                let val = match kind {
-                    LoadKind::B => raw as u8 as i8 as i32 as u32,
-                    LoadKind::Bu => raw & 0xff,
-                    LoadKind::H => raw as u16 as i16 as i32 as u32,
-                    LoadKind::Hu => raw & 0xffff,
-                    LoadKind::W => raw,
-                };
-                self.core.machine.cpu.set_reg(rd, val);
-                self.retire_emulated(trap.epc, trap.epc.wrapping_add(4));
-                return;
+        let c = &mut self.core;
+        let mut ram = GuestRam::new(&mut c.machine.mem, c.monitor_base);
+        let cpu = &mut c.machine.cpu;
+        let done = match instr {
+            Instr::Load { kind, rd, .. } if !is_store => ram
+                .read(gpa, kind.size())
+                .map(|raw| cpu.set_reg(rd, kind.extend(raw)))
+                .is_ok(),
+            Instr::Store { kind, rs2, .. } if is_store => {
+                ram.write(gpa, cpu.reg(rs2), kind.size()).is_ok()
             }
+            _ => false,
+        };
+        if done {
+            self.retire_emulated(trap.epc, trap.epc.wrapping_add(4));
+        } else {
+            self.inject_guest_trap(access.fault_cause(), trap.epc, trap.tval);
         }
-        self.inject_guest_trap(Cause::LoadAccessFault, trap.epc, trap.tval);
     }
 
     /// Does the condition attached to the breakpoint at `pc` hold?
@@ -368,35 +346,21 @@ impl LvmmPlatform {
     /// `core`'s address space: its guest page tables (if paging is on) are
     /// honoured but permission bits are not (the debugger may read
     /// execute-only pages). Only guest RAM is reachable.
-    fn translate_for_debug(&self, core: u32, va: u32) -> Option<u32> {
+    fn translate_for_debug(&mut self, core: u32, va: u32) -> Option<u32> {
         let core = core as usize;
         let v = if core == self.core.cur_core {
             &self.core.vcpu
         } else {
             &self.core.vcpus[core]
         };
-        let gpa = if v.paging_enabled() {
-            let l1_addr = v.page_table_root() + hx_cpu::mmu::l1_index(va) * 4;
-            if l1_addr + 4 > self.core.monitor_base {
-                return None;
-            }
-            let l1e = self.core.machine.mem.read(l1_addr, MemSize::Word).ok()?;
-            if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
-                return None;
-            }
-            let l2_addr = (l1e & pte::PPN_MASK) + hx_cpu::mmu::l2_index(va) * 4;
-            if l2_addr + 4 > self.core.monitor_base {
-                return None;
-            }
-            let leaf = self.core.machine.mem.read(l2_addr, MemSize::Word).ok()?;
-            if leaf & pte::V == 0 {
-                return None;
-            }
-            (leaf & pte::PPN_MASK) | (va & PAGE_MASK)
+        let (paging, root) = (v.paging_enabled(), v.page_table_root());
+        let mut ram = self.core.guest_ram();
+        let gpa = if paging {
+            mmu::walk_tables(&mut ram, root, va).ok()?.paddr
         } else {
             va
         };
-        (gpa < self.core.monitor_base).then_some(gpa)
+        ram.contains(gpa).then_some(gpa)
     }
 }
 
@@ -515,14 +479,14 @@ impl Target for LvmmPlatform {
 
     fn read_byte(&mut self, core: u32, addr: u32) -> Option<u8> {
         let pa = self.translate_for_debug(core, addr)?;
-        let b = self.core.machine.mem.read(pa, MemSize::Byte).ok()?;
+        let b = self.core.guest_ram().read(pa, MemSize::Byte).ok()?;
         Some(b as u8)
     }
 
     fn write_byte(&mut self, core: u32, addr: u32, byte: u8) -> bool {
         let pa = self.translate_for_debug(core, addr);
-        let mem = &mut self.core.machine.mem;
-        pa.is_some_and(|pa| mem.write(pa, byte as u32, MemSize::Byte).is_ok())
+        let mut ram = self.core.guest_ram();
+        pa.is_some_and(|pa| ram.write(pa, byte as u32, MemSize::Byte).is_ok())
     }
 
     fn has_breakpoint(&self, addr: u32) -> bool {
@@ -880,11 +844,7 @@ impl VirtPolicy for LvmmPlatform {
         }
         // Unwatched (or condition-false) access that merely shares the
         // page: the monitor completes it on the guest's behalf.
-        if is_store {
-            self.emulate_guest_store(trap, gpa);
-        } else {
-            self.emulate_guest_load(trap, gpa);
-        }
+        self.emulate_guest_access(trap, gpa, access);
         Err(ExitCause::Debug)
     }
 

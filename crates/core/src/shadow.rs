@@ -7,6 +7,8 @@
 //! * The monitor reserves the top of physical RAM for itself (shadow tables
 //!   live there). **No shadow entry ever maps this region**, so neither the
 //!   guest kernel nor its applications can touch the monitor — level 3.
+//!   What the monitor itself reads or writes for the guest goes through
+//!   [`GuestRam`], which ends where this region begins.
 //! * Each guest address space gets **two** shadow tables: the *kernel view*
 //!   (all guest mappings) and the *user view* (only guest pages with the
 //!   user bit). The monitor activates the view matching the guest's
@@ -22,7 +24,7 @@
 //! lands.
 
 use hx_cpu::mmu::{self, pte, PAGE_SIZE};
-use hx_cpu::Mode;
+use hx_cpu::{Bus, BusFault, MemSize, Mode};
 use hx_machine::{map, Ram};
 use std::collections::HashMap;
 
@@ -59,87 +61,51 @@ pub fn classify(pa: u32, monitor_base: u32, ram_size: u32) -> PageClass {
     }
 }
 
-/// A guest page-table walk result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GuestWalk {
-    /// Guest-physical address the guest mapping yields.
-    pub gpa: u32,
-    /// The leaf PTE value (after any A/D update).
-    pub pte: u32,
-    /// Physical address of the leaf PTE in guest memory.
-    pub pte_addr: u32,
+/// Guest RAM as the monitor touches it on the guest's behalf: the physical
+/// range below the monitor's region, as a [`Bus`]. This is protection
+/// level 3 as a type. Every monitor-side walk of a guest page table (with
+/// its accessed/dirty write-back), every fetch and access of an instruction
+/// the monitor emulates and every debugger byte goes through it, so no
+/// guest table, PTE or stale shadow entry can aim any of them at monitor
+/// memory or a device.
+#[derive(Debug)]
+pub struct GuestRam<'a> {
+    mem: &'a mut Ram,
+    end: u32,
 }
 
-/// Why a guest walk failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuestWalkErr {
-    /// The guest's own tables deny the access — inject a guest page fault.
-    GuestFault,
-    /// A page-table pointer leaves guest RAM (e.g. aims at the monitor) —
-    /// a protection violation, also surfaced to the guest as a fault.
-    BadTable,
-}
-
-/// Walks the guest's page table with full validation: every table access is
-/// confined to guest RAM below `monitor_base`. When `update_ad` is set, the
-/// accessed bit (and dirty bit for stores) is written back into the guest
-/// PTE, exactly as the hardware walker would on real hardware.
-pub fn guest_walk(
-    mem: &mut Ram,
-    root: u32,
-    va: u32,
-    access: mmu::Access,
-    vmode: Mode,
-    monitor_base: u32,
-    update_ad: bool,
-) -> Result<GuestWalk, GuestWalkErr> {
-    let in_guest_ram = |addr: u32| addr.checked_add(4).is_some() && addr + 4 <= monitor_base;
-    let root = root & pte::PPN_MASK;
-    let l1_addr = root + mmu::l1_index(va) * 4;
-    if !in_guest_ram(l1_addr) {
-        return Err(GuestWalkErr::BadTable);
-    }
-    let l1e = mem
-        .read(l1_addr, hx_cpu::MemSize::Word)
-        .map_err(|_| GuestWalkErr::BadTable)?;
-    if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
-        return Err(GuestWalkErr::GuestFault);
-    }
-    let l2_addr = (l1e & pte::PPN_MASK) + mmu::l2_index(va) * 4;
-    if !in_guest_ram(l2_addr) {
-        return Err(GuestWalkErr::BadTable);
-    }
-    let mut leaf = mem
-        .read(l2_addr, hx_cpu::MemSize::Word)
-        .map_err(|_| GuestWalkErr::BadTable)?;
-    let ok = leaf & pte::V != 0
-        && (vmode != Mode::User || leaf & pte::U != 0)
-        && match access {
-            mmu::Access::Fetch => leaf & pte::X != 0,
-            mmu::Access::Load => leaf & pte::R != 0,
-            mmu::Access::Store => leaf & pte::W != 0,
-        };
-    if !ok {
-        return Err(GuestWalkErr::GuestFault);
-    }
-    if update_ad {
-        let want = pte::A
-            | if access == mmu::Access::Store {
-                pte::D
-            } else {
-                0
-            };
-        if leaf & want != want {
-            leaf |= want;
-            mem.write(l2_addr, leaf, hx_cpu::MemSize::Word)
-                .map_err(|_| GuestWalkErr::BadTable)?;
+impl<'a> GuestRam<'a> {
+    /// The part of `mem` below `monitor_base`.
+    pub fn new(mem: &'a mut Ram, monitor_base: u32) -> GuestRam<'a> {
+        GuestRam {
+            mem,
+            end: monitor_base,
         }
     }
-    Ok(GuestWalk {
-        gpa: (leaf & pte::PPN_MASK) | (va & mmu::PAGE_MASK),
-        pte: leaf,
-        pte_addr: l2_addr,
-    })
+
+    /// Whether the byte at `pa` is guest RAM.
+    pub fn contains(&self, pa: u32) -> bool {
+        pa < self.end
+    }
+
+    fn check(&self, pa: u32, size: MemSize) -> Result<(), BusFault> {
+        match pa.checked_add(size.bytes()) {
+            Some(end) if end <= self.end => Ok(()),
+            _ => Err(BusFault::Denied),
+        }
+    }
+}
+
+impl Bus for GuestRam<'_> {
+    fn read(&mut self, pa: u32, size: MemSize) -> Result<u32, BusFault> {
+        self.check(pa, size)?;
+        self.mem.read(pa, size)
+    }
+
+    fn write(&mut self, pa: u32, val: u32, size: MemSize) -> Result<(), BusFault> {
+        self.check(pa, size)?;
+        self.mem.write(pa, val, size)
+    }
 }
 
 /// Counters exposed for the ablation experiments.
@@ -307,7 +273,7 @@ impl ShadowPager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hx_cpu::mmu::Access;
+    use hx_cpu::mmu::{Access, TranslateErr};
 
     const RAM: u32 = 4 * 1024 * 1024;
     const MON: u32 = RAM - 512 * 1024;
@@ -405,6 +371,17 @@ mod tests {
         assert!(pager.contexts.len() <= MAX_CONTEXTS + 1);
     }
 
+    /// The monitor's guest walk: the hardware walker over guest RAM only.
+    fn guest_walk(
+        mem: &mut Ram,
+        root: u32,
+        va: u32,
+        access: Access,
+        vmode: Mode,
+    ) -> Result<mmu::Walk, TranslateErr> {
+        mmu::walk(&mut GuestRam::new(mem, MON), root, va, access, vmode, true)
+    }
+
     #[test]
     fn guest_walk_validates_and_updates_ad() {
         let (_, mut mem) = setup();
@@ -420,81 +397,60 @@ mod tests {
         )
         .unwrap();
 
-        let w = guest_walk(
-            &mut mem,
-            root,
-            0x8010,
-            Access::Load,
-            Mode::Supervisor,
-            MON,
-            true,
-        )
-        .unwrap();
-        assert_eq!(w.gpa, 0x5010);
-        assert!(w.pte & pte::A != 0);
-        assert!(w.pte & pte::D == 0);
+        let w = guest_walk(&mut mem, root, 0x8010, Access::Load, Mode::Supervisor).unwrap();
+        assert_eq!(w.paddr, 0x5010);
+        assert!(w.leaf & pte::A != 0);
+        assert!(w.leaf & pte::D == 0);
         assert_eq!(
-            mem.word(w.pte_addr) & pte::A,
+            mem.word(w.leaf_addr) & pte::A,
             pte::A,
             "A written to guest PTE"
         );
 
-        let w = guest_walk(
-            &mut mem,
-            root,
-            0x8010,
-            Access::Store,
-            Mode::Supervisor,
-            MON,
-            true,
-        )
-        .unwrap();
-        assert!(w.pte & pte::D != 0);
+        let w = guest_walk(&mut mem, root, 0x8010, Access::Store, Mode::Supervisor).unwrap();
+        assert!(w.leaf & pte::D != 0);
 
         // User access to non-U page denied.
         assert_eq!(
-            guest_walk(&mut mem, root, 0x8010, Access::Load, Mode::User, MON, true),
-            Err(GuestWalkErr::GuestFault)
+            guest_walk(&mut mem, root, 0x8010, Access::Load, Mode::User),
+            Err(TranslateErr::PageFault)
         );
         // Unmapped VA.
         assert_eq!(
-            guest_walk(
-                &mut mem,
-                root,
-                0x0100_0000,
-                Access::Load,
-                Mode::Supervisor,
-                MON,
-                true
-            ),
-            Err(GuestWalkErr::GuestFault)
+            guest_walk(&mut mem, root, 0x0100_0000, Access::Load, Mode::Supervisor),
+            Err(TranslateErr::PageFault)
         );
     }
 
     #[test]
     fn guest_walk_rejects_tables_outside_guest_ram() {
         let (_, mut mem) = setup();
+        let denied = Err(TranslateErr::Bus(BusFault::Denied));
         // Root inside the monitor region.
         assert_eq!(
-            guest_walk(
-                &mut mem,
-                MON + 0x1000,
-                0,
-                Access::Load,
-                Mode::Supervisor,
-                MON,
-                true
-            ),
-            Err(GuestWalkErr::BadTable)
+            guest_walk(&mut mem, MON + 0x1000, 0, Access::Load, Mode::Supervisor),
+            denied
         );
         // L1 pointer into the monitor region.
         let root = 0x1_0000u32;
         mem.write(root, pte::table(MON), hx_cpu::MemSize::Word)
             .unwrap();
         assert_eq!(
-            guest_walk(&mut mem, root, 0, Access::Load, Mode::Supervisor, MON, true),
-            Err(GuestWalkErr::BadTable)
+            guest_walk(&mut mem, root, 0, Access::Load, Mode::Supervisor),
+            denied
         );
+    }
+
+    #[test]
+    fn guest_ram_ends_at_the_monitor() {
+        let (_, mut mem) = setup();
+        let mut ram = GuestRam::new(&mut mem, MON);
+        assert!(ram.contains(MON - 1) && !ram.contains(MON));
+        assert_eq!(ram.read(MON - 4, MemSize::Word), Ok(0));
+        assert_eq!(ram.read(MON - 2, MemSize::Word), Err(BusFault::Denied));
+        assert_eq!(ram.write(MON, 1, MemSize::Byte), Err(BusFault::Denied));
+        assert_eq!(ram.read(u32::MAX, MemSize::Word), Err(BusFault::Denied));
+        assert_eq!(mem.word(MON), 0, "nothing written past the end");
     }
 
     #[test]

@@ -26,13 +26,13 @@
 
 use crate::chipset::VChipset;
 use crate::costs;
-use crate::shadow::{classify, guest_walk, GuestWalkErr, PageClass, ShadowPager};
+use crate::shadow::{classify, GuestRam, PageClass, ShadowPager};
 use crate::vcpu::VCpu;
 use hx_cpu::csr::{Csr, Status};
 use hx_cpu::isa::{CsrOp, Instr, LoadKind, StoreKind, SysOp};
-use hx_cpu::mmu::{pte, Access, PAGE_MASK};
+use hx_cpu::mmu::{self, pte, Access, TranslateErr, PAGE_MASK};
 use hx_cpu::trap::{Cause, Trap};
-use hx_cpu::{MemSize, Mode, Reg};
+use hx_cpu::{Bus, MemSize, Mode, Reg};
 use hx_machine::engine::{ExitPolicy, ProgressGuard};
 use hx_machine::platform::PlatformStep;
 use hx_machine::{map, smp, Machine, TimeBucket, TimeStats};
@@ -255,27 +255,26 @@ impl VirtCore {
         }
     }
 
+    /// The guest RAM the monitor may touch on the guest's behalf.
+    pub fn guest_ram(&mut self) -> GuestRam<'_> {
+        GuestRam::new(&mut self.machine.mem, self.monitor_base)
+    }
+
     /// Fetches the instruction at a guest virtual PC through the guest's
-    /// own page tables, as the hardware fetch that trapped saw it.
+    /// own page tables, as the hardware fetch that trapped saw it. `None`
+    /// when the guest's tables deny the fetch or lead out of guest RAM.
     pub fn fetch_guest_instr(&mut self, pc: u32) -> Option<Instr> {
-        let gpa = if self.vcpu.paging_enabled() {
-            let root = self.vcpu.page_table_root();
-            let vmode = self.vcpu.vmode;
-            let walk = guest_walk(
-                &mut self.machine.mem,
-                root,
-                pc,
-                Access::Fetch,
-                vmode,
-                self.monitor_base,
-                false,
-            );
-            walk.ok()?.gpa
+        let v = &self.vcpu;
+        let (paging, root, vmode) = (v.paging_enabled(), v.page_table_root(), v.vmode);
+        let mut ram = self.guest_ram();
+        let gpa = if paging {
+            mmu::walk(&mut ram, root, pc, Access::Fetch, vmode, false)
+                .ok()?
+                .paddr
         } else {
             pc
         };
-        let word = self.machine.mem.read(gpa, MemSize::Word).ok()?;
-        Instr::decode(word).ok()
+        Instr::decode(ram.read(gpa, MemSize::Word).ok()?).ok()
     }
 }
 
@@ -609,21 +608,13 @@ pub trait VirtPolicy: ExitPolicy + Sized {
         // tables themselves leave guest RAM.
         let resolved = if c.vcpu.paging_enabled() {
             let root = c.vcpu.page_table_root();
-            match guest_walk(
-                &mut c.machine.mem,
-                root,
-                va,
-                access,
-                vmode,
-                c.monitor_base,
-                true,
-            ) {
-                Ok(w) => Some((w.gpa, w.pte)),
-                Err(GuestWalkErr::GuestFault) => {
+            match mmu::walk(&mut c.guest_ram(), root, va, access, vmode, true) {
+                Ok(w) => Some((w.paddr, w.leaf)),
+                Err(TranslateErr::PageFault) => {
                     self.inject_guest_trap(trap.cause, trap.epc, va);
                     return ExitCause::Shadow;
                 }
-                Err(GuestWalkErr::BadTable) => None,
+                Err(TranslateErr::Bus(_)) => None,
             }
         } else {
             // Identity: kernel-era physical addressing.

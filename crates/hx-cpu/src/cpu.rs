@@ -3,10 +3,10 @@
 use crate::cost;
 use crate::csr::{Csr, Status};
 use crate::decode::{DecodeCache, DecodeStats};
-use crate::isa::{CsrOp, Instr, LoadKind, Reg, StoreKind, SysOp};
+use crate::isa::{CsrOp, Instr, Reg, SysOp};
 use crate::mmu::{self, Access, Tlb, TranslateErr};
 use crate::trap::{Cause, Trap};
-use crate::{Bus, MemSize, Mode};
+use crate::{Bus, Mode};
 
 /// Result of one [`Cpu::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +289,7 @@ impl Vcpu {
                     *extra += cost::TLB_AD_UPDATE;
                 }
                 self.tlb.insert(va, w.leaf);
-                Ok((w.leaf & mmu::pte::PPN_MASK) | (va & mmu::PAGE_MASK))
+                Ok(w.paddr)
             }
             Err(TranslateErr::PageFault) => {
                 let cause = match access {
@@ -299,14 +299,7 @@ impl Vcpu {
                 };
                 Err(Trap::new(cause, self.pc, va))
             }
-            Err(TranslateErr::Bus(_)) => {
-                let cause = match access {
-                    Access::Fetch => Cause::InstrAccessFault,
-                    Access::Load => Cause::LoadAccessFault,
-                    Access::Store => Cause::StoreAccessFault,
-                };
-                Err(Trap::new(cause, self.pc, va))
-            }
+            Err(TranslateErr::Bus(_)) => Err(Trap::new(access.fault_cause(), self.pc, va)),
         }
     }
 
@@ -502,11 +495,7 @@ impl Vcpu {
             } => {
                 *cycles += cost::MEM_EXTRA;
                 let va = self.reg(rs1).wrapping_add(offset as i32 as u32);
-                let size = match kind {
-                    LoadKind::B | LoadKind::Bu => MemSize::Byte,
-                    LoadKind::H | LoadKind::Hu => MemSize::Half,
-                    LoadKind::W => MemSize::Word,
-                };
+                let size = kind.size();
                 if va & (size.bytes() - 1) != 0 {
                     return Err(Trap::new(Cause::LoadAddrMisaligned, pc, va));
                 }
@@ -514,14 +503,7 @@ impl Vcpu {
                 let raw = bus
                     .read(pa, size)
                     .map_err(|_| Trap::new(Cause::LoadAccessFault, pc, va))?;
-                let v = match kind {
-                    LoadKind::B => raw as u8 as i8 as i32 as u32,
-                    LoadKind::Bu => raw & 0xff,
-                    LoadKind::H => raw as u16 as i16 as i32 as u32,
-                    LoadKind::Hu => raw & 0xffff,
-                    LoadKind::W => raw,
-                };
-                self.set_reg(rd, v);
+                self.set_reg(rd, kind.extend(raw));
                 Ok(Flow::Next)
             }
             Instr::Store {
@@ -532,11 +514,7 @@ impl Vcpu {
             } => {
                 *cycles += cost::MEM_EXTRA;
                 let va = self.reg(rs1).wrapping_add(offset as i32 as u32);
-                let size = match kind {
-                    StoreKind::B => MemSize::Byte,
-                    StoreKind::H => MemSize::Half,
-                    StoreKind::W => MemSize::Word,
-                };
+                let size = kind.size();
                 if va & (size.bytes() - 1) != 0 {
                     return Err(Trap::new(Cause::StoreAddrMisaligned, pc, va));
                 }
@@ -632,9 +610,9 @@ impl Vcpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{AluOp, BranchCond};
+    use crate::isa::{AluOp, BranchCond, LoadKind, StoreKind};
     use crate::mmu::pte;
-    use crate::FlatRam;
+    use crate::{FlatRam, MemSize};
 
     fn run_program(words: &[u32], steps: usize) -> (Cpu, FlatRam) {
         let mut ram = FlatRam::new(64 * 1024);

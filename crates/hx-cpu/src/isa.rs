@@ -14,6 +14,7 @@
 //! Branch and jump immediates are in **bytes**, PC-relative from the address
 //! of the instruction itself, and must be multiples of four.
 
+use crate::MemSize;
 use core::fmt;
 
 /// A general-purpose register index (`r0`–`r31`).
@@ -314,6 +315,31 @@ pub enum LoadKind {
     W,
 }
 
+impl LoadKind {
+    /// Access width.
+    #[inline]
+    pub fn size(self) -> MemSize {
+        match self {
+            LoadKind::B | LoadKind::Bu => MemSize::Byte,
+            LoadKind::H | LoadKind::Hu => MemSize::Half,
+            LoadKind::W => MemSize::Word,
+        }
+    }
+
+    /// Sign- or zero-extends the low [`Self::size`] bytes of `raw`, the
+    /// value the bus read, into the register value.
+    #[inline]
+    pub fn extend(self, raw: u32) -> u32 {
+        match self {
+            LoadKind::B => raw as u8 as i8 as i32 as u32,
+            LoadKind::Bu => raw & 0xff,
+            LoadKind::H => raw as u16 as i16 as i32 as u32,
+            LoadKind::Hu => raw & 0xffff,
+            LoadKind::W => raw,
+        }
+    }
+}
+
 /// Width selector for stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreKind {
@@ -323,6 +349,18 @@ pub enum StoreKind {
     H,
     /// Word.
     W,
+}
+
+impl StoreKind {
+    /// Access width.
+    #[inline]
+    pub fn size(self) -> MemSize {
+        match self {
+            StoreKind::B => MemSize::Byte,
+            StoreKind::H => MemSize::Half,
+            StoreKind::W => MemSize::Word,
+        }
+    }
 }
 
 /// Zero-operand system operation (`SYS` opcode, selector in the `imm16`

@@ -13,8 +13,11 @@
 //!
 //! [`walk`] is exported for software that needs to translate through a page
 //! table it does *not* currently run on: the monitor walks **guest** page
-//! tables to build shadow tables, and the debug stub walks them to read guest
-//! memory by virtual address.
+//! tables to build shadow tables and to fetch the instructions it emulates,
+//! and the debug stub reads guest memory by virtual address through
+//! [`walk_tables`], the structure-only step of [`walk`] that ignores
+//! permission bits. Both pass a bus that bounds every table access, so one
+//! walker serves the hardware, the monitors and the debugger.
 
 use crate::{Bus, BusFault, MemSize, Mode};
 use core::fmt;
@@ -152,11 +155,47 @@ fn perm_ok(flags: u32, access: Access, mode: Mode) -> bool {
     }
 }
 
-/// Walks the page table rooted at `root` (a physical page address) for `va`.
+/// The structure-only step of a walk: follows the level-1 pointer for `va`
+/// in the page table rooted at `root` and reads the valid leaf it selects,
+/// checking no permission bit and writing nothing. The returned
+/// [`Walk::paddr`] is where the leaf maps `va`; the debugger translates
+/// this way, since it may read execute-only pages.
+///
+/// # Errors
+///
+/// [`TranslateErr::PageFault`] for an invalid level-1 pointer, a (reserved)
+/// superpage leaf at level 1 or an invalid leaf; [`TranslateErr::Bus`] if a
+/// table entry cannot be read.
+pub fn walk_tables<B: Bus + ?Sized>(bus: &mut B, root: u32, va: u32) -> Result<Walk, TranslateErr> {
+    let l1_addr = (root & pte::PPN_MASK) + l1_index(va) * 4;
+    let l1e = bus
+        .read(l1_addr, MemSize::Word)
+        .map_err(TranslateErr::Bus)?;
+    if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
+        return Err(TranslateErr::PageFault);
+    }
+    let leaf_addr = (l1e & pte::PPN_MASK) + l2_index(va) * 4;
+    let leaf = bus
+        .read(leaf_addr, MemSize::Word)
+        .map_err(TranslateErr::Bus)?;
+    if leaf & pte::V == 0 {
+        return Err(TranslateErr::PageFault);
+    }
+    Ok(Walk {
+        paddr: (leaf & pte::PPN_MASK) | (va & PAGE_MASK),
+        leaf,
+        leaf_addr,
+        updated_ad: false,
+    })
+}
+
+/// Walks the page table rooted at `root` (a physical page address) for `va`:
+/// [`walk_tables`], then the leaf's permission check for `access` in
+/// `mode`.
 ///
 /// When `update_ad` is `true` the walker behaves like the hardware MMU and
 /// writes back accessed/dirty bits; pass `false` for side-effect-free
-/// translation (monitor and debugger use).
+/// translation.
 ///
 /// # Errors
 ///
@@ -170,37 +209,18 @@ pub fn walk<B: Bus + ?Sized>(
     mode: Mode,
     update_ad: bool,
 ) -> Result<Walk, TranslateErr> {
-    let l1_addr = (root & pte::PPN_MASK) + l1_index(va) * 4;
-    let l1e = bus
-        .read(l1_addr, MemSize::Word)
-        .map_err(TranslateErr::Bus)?;
-    if l1e & pte::V == 0 || l1e & (pte::R | pte::W | pte::X) != 0 {
-        // Invalid pointer, or a (reserved) superpage leaf.
+    let mut w = walk_tables(bus, root, va)?;
+    if !perm_ok(w.leaf, access, mode) {
         return Err(TranslateErr::PageFault);
     }
-    let l2_addr = (l1e & pte::PPN_MASK) + l2_index(va) * 4;
-    let mut leaf = bus
-        .read(l2_addr, MemSize::Word)
-        .map_err(TranslateErr::Bus)?;
-    if !perm_ok(leaf, access, mode) {
-        return Err(TranslateErr::PageFault);
+    let want = pte::A | if access == Access::Store { pte::D } else { 0 };
+    if update_ad && w.leaf & want != want {
+        w.leaf |= want;
+        bus.write(w.leaf_addr, w.leaf, MemSize::Word)
+            .map_err(TranslateErr::Bus)?;
+        w.updated_ad = true;
     }
-    let mut updated = false;
-    if update_ad {
-        let want = pte::A | if access == Access::Store { pte::D } else { 0 };
-        if leaf & want != want {
-            leaf |= want;
-            bus.write(l2_addr, leaf, MemSize::Word)
-                .map_err(TranslateErr::Bus)?;
-            updated = true;
-        }
-    }
-    Ok(Walk {
-        paddr: (leaf & pte::PPN_MASK) | (va & PAGE_MASK),
-        leaf,
-        leaf_addr: l2_addr,
-        updated_ad: updated,
-    })
+    Ok(w)
 }
 
 /// Installs a single `va → pa` leaf mapping in the page table rooted at
@@ -489,6 +509,25 @@ mod tests {
     }
 
     #[test]
+    fn walk_tables_ignores_permissions_but_not_validity() {
+        let mut ram = FlatRam::new(64 * 1024);
+        let root = 0x1000;
+        let mut alloc = 0x2000;
+        map_page(&mut ram, root, &mut alloc, 0x3000, 0x5000, pte::V | pte::X).unwrap();
+        map_page(&mut ram, root, &mut alloc, 0x4000, 0x6000, pte::R | pte::W).unwrap();
+        let before = ram.clone();
+        let w = walk_tables(&mut ram, root, 0x3010).unwrap();
+        assert_eq!((w.paddr, w.leaf_addr), (0x5010, 0x2000 + 3 * 4));
+        assert!(!w.updated_ad);
+        assert_eq!(
+            walk_tables(&mut ram, root, 0x4000),
+            Err(TranslateErr::PageFault),
+            "an invalid leaf maps nothing"
+        );
+        assert_eq!(ram, before, "nothing written");
+    }
+
+    #[test]
     fn tlb_store_needs_dirty() {
         let mut tlb = Tlb::new();
         tlb.insert(0x4000, pte::leaf(0x7000, pte::V | pte::R | pte::W | pte::A));
@@ -548,6 +587,8 @@ mod tests {
             let access = [Access::Fetch, Access::Load, Access::Store][access_sel as usize];
             let mode = if user { Mode::User } else { Mode::Supervisor };
 
+            let tables = walk_tables(&mut ram, root, va | offset);
+            prop_assert_eq!(tables.ok().map(|w| w.paddr), (flags & pte::V != 0).then_some(pa | offset));
             let got = walk(&mut ram, root, va | offset, access, mode, false);
             let expect_ok = perm_ok(flags, access, mode);
             match got {

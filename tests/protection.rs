@@ -187,3 +187,97 @@ fn monitor_region_size_is_configurable() {
     );
     assert_eq!(vmm.monitor_base(), (16 << 20) - (4 << 20));
 }
+
+/// Guest code page retargeted into monitor memory, without a `tlbflush`.
+const STALE_TARGET: u32 = 0xf0_0000;
+
+/// A guest that points its own code page's PTE at monitor memory without a
+/// `tlbflush` keeps running the old page through the stale shadow entry;
+/// then it reads an emulated device register.
+fn stale_code_mapping_guest() -> hx_asm::Program {
+    let src = format!(
+        "        .equ PT_ROOT, 0x100000
+                 .equ PT_L2,   0x101000
+                 .org 0x1000
+         start:  csrw tvec, caught
+                 li   t0, PT_ROOT
+                 li   t1, PT_L2 + 1
+                 sw   t1, 0(t0)
+                 li   t0, PT_L2            ; identity-map 16 pages RWX
+                 li   t1, 0xf
+                 li   t2, 16
+         lp:     sw   t1, 0(t0)
+                 addi t0, t0, 4
+                 li   t3, 0x1000
+                 add  t1, t1, t3
+                 addi t2, t2, -1
+                 bnez t2, lp
+                 li   t0, PT_L2 + 0x400    ; the page tables themselves
+                 li   t1, PT_ROOT + 0xf
+                 sw   t1, 0(t0)
+                 li   t1, PT_L2 + 0xf
+                 sw   t1, 4(t0)
+                 li   t0, PT_L2 + 0x80     ; VA 0x20000 -> the PIC, RW
+                 li   t1, {pic:#x} + 7
+                 sw   t1, 0(t0)
+                 li   t0, PT_ROOT + 1
+                 csrw ptbr, t0
+                 tlbflush
+                 li   t0, 0x20000
+                 li   t1, PT_L2 + 4        ; this code page's PTE
+                 li   t2, {target:#x} + 0xf
+                 sw   t2, 0(t1)            ; retarget it; no tlbflush
+         mmio:   lw   s1, 0(t0)            ; emulated: the monitor fetches it
+                 li   s0, 1
+         halt:   j    halt
+         caught: csrr s3, cause
+                 csrr s4, epc
+         spin:   j    spin
+        ",
+        pic = lwvmm::machine::map::PIC_BASE,
+        target = STALE_TARGET,
+    );
+    hx_asm::assemble(&src).unwrap()
+}
+
+/// The monitor fetches an instruction it emulates through the guest's
+/// tables but only from guest RAM: a leaf aimed at monitor memory makes
+/// that fetch fault like a fetch the guest's tables deny, and the word
+/// planted there is never decoded.
+fn stale_code_mapping_faults_the_fetch<P: Platform>(boot: impl FnOnce(Machine, u32) -> P) {
+    let program = stale_code_mapping_guest();
+    let mmio = program.symbols.get("mmio").unwrap();
+    let planted = hx_asm::assemble("lw s5, 0(t0)").unwrap();
+    let mut machine = machine_with(&program);
+    let at = STALE_TARGET + (mmio & 0xfff);
+    machine
+        .mem
+        .write(at, planted.word_at(planted.base()), hx_cpu::MemSize::Word)
+        .unwrap();
+    let mut vmm = boot(machine, program.symbols.get("start").unwrap());
+    vmm.run_for(2_000_000);
+    let reg = |r| vmm.machine().cpu.reg(r);
+    assert_eq!(reg(hx_cpu::Reg::R18), 0, "the access must not retire");
+    assert_eq!(reg(hx_cpu::Reg::R23), 0, "the planted lw never ran");
+    assert_eq!(
+        reg(hx_cpu::Reg::R21),
+        hx_cpu::Cause::InstrPageFault.code(),
+        "the guest sees an instruction page fault"
+    );
+    assert_eq!(reg(hx_cpu::Reg::R22), mmio, "at the emulated access");
+}
+
+#[test]
+fn emulated_fetch_stays_in_guest_ram_lvmm() {
+    stale_code_mapping_faults_the_fetch(|m, entry| {
+        let vmm = LvmmPlatform::new(m, entry);
+        assert!(STALE_TARGET >= vmm.monitor_base());
+        vmm
+    });
+}
+
+#[test]
+fn emulated_fetch_stays_in_guest_ram_hosted() {
+    // The hosted monitor's region starts at 12 MiB of this 16 MiB machine.
+    stale_code_mapping_faults_the_fetch(HostedPlatform::new);
+}
