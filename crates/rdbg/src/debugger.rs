@@ -572,12 +572,14 @@ impl<L: Link> Debugger<L> {
     ///
     /// # Errors
     ///
-    /// Propagates target errors.
+    /// Propagates target errors: a running target answers
+    /// [`err::NOT_STOPPED`] at once.
     pub fn query_stop(&mut self) -> Result<StopReason, DbgError> {
         // The reply to `?` is itself a stop packet, so it arrives through
-        // the asynchronous stop path.
+        // the asynchronous stop path; only a refusal comes back as an
+        // error reply.
         self.link.send(&encode_packet(&Command::QueryStop.format()));
-        self.wait_stop()
+        self.next_stop(true)
     }
 
     /// Waits for an asynchronous stop report.
@@ -586,6 +588,13 @@ impl<L: Link> Debugger<L> {
     ///
     /// [`DbgError::Timeout`] when the pump budget runs out.
     pub fn wait_stop(&mut self) -> Result<StopReason, DbgError> {
+        self.next_stop(false)
+    }
+
+    /// The next stop report; with `errors`, an error reply that arrives
+    /// first ends the wait as [`DbgError::Target`]. Other packets are ACKed
+    /// and dropped.
+    fn next_stop(&mut self, errors: bool) -> Result<StopReason, DbgError> {
         if let Some((r, core)) = self.stops.pop_front() {
             self.last_core = core;
             return Ok(r);
@@ -606,6 +615,9 @@ impl<L: Link> Debugger<L> {
                         if let Some((r, core)) = StopReason::parse_with_core(&p) {
                             self.last_core = core;
                             return Ok(r);
+                        }
+                        if let (true, Some(Reply::Error(code))) = (errors, Reply::parse(&p)) {
+                            return Err(DbgError::Target(code));
                         }
                     }
                     // A mangled stop packet: NAK so the stub retransmits it.

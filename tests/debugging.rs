@@ -191,6 +191,22 @@ fn step_and_continue_require_stopped_guest() {
     ));
 }
 
+/// `?` on a running guest is refused at once with `E04`, not left to time
+/// out; once the guest is stopped it reports why.
+#[test]
+fn query_stop_on_a_running_guest_is_refused_at_once() {
+    let (mut dbg, _program) = counter_session();
+    let start = dbg.link_ref().platform.machine().now();
+    assert_eq!(dbg.query_stop(), Err(DbgError::Target(4)));
+    let spent = dbg.link_ref().platform.machine().now() - start;
+    assert!(
+        spent < 100_000,
+        "answered within a few pumps, not {spent} cycles"
+    );
+    dbg.halt().unwrap();
+    assert!(matches!(dbg.query_stop(), Ok(StopReason::Halted { .. })));
+}
+
 #[test]
 fn debugging_while_streaming_at_full_rate() {
     // The paper's core scenario: debug commands served while the guest
