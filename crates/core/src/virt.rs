@@ -256,7 +256,7 @@ impl VirtCore {
     }
 
     /// The guest RAM the monitor may touch on the guest's behalf.
-    pub fn guest_ram(&mut self) -> GuestRam<'_> {
+    pub(crate) fn guest_ram(&mut self) -> GuestRam<'_> {
         GuestRam::new(&mut self.machine.mem, self.monitor_base)
     }
 
