@@ -561,6 +561,77 @@ fn debugger_sees_guest_virtual_memory_and_never_the_monitor() {
     assert_eq!(dbg.read_memory(counter, 4).unwrap(), word.to_le_bytes());
 }
 
+/// The monitor completes an unwatched store that shares a watched page by
+/// fetching it through the guest's tables, but only from guest RAM: a
+/// guest that points its code page's PTE at monitor memory (no
+/// `tlbflush`, so it keeps running the old page) gets an instruction page
+/// fault, and the word planted at the monitor-side target is never decoded.
+#[test]
+fn watch_page_emulation_fetches_only_guest_ram() {
+    const TARGET: u32 = 0x70_0000;
+    let (mut dbg, program) = asm_session(&format!(
+        "        .equ PT_ROOT, 0x100000
+                 .equ PT_L2,   0x101000
+                 .org 0x1000
+         start:  csrw tvec, caught
+                 li   t0, PT_ROOT
+                 li   t1, PT_L2 + 1          ; V: L1[0] -> L2
+                 sw   t1, 0(t0)
+                 li   t0, PT_L2              ; identity-map 16 pages RWX
+                 li   t1, 0x0000000f
+                 li   t2, 16
+         map:    sw   t1, 0(t0)
+                 addi t0, t0, 4
+                 li   t3, 0x1000
+                 add  t1, t1, t3
+                 addi t2, t2, -1
+                 bnez t2, map
+                 li   t0, PT_L2 + 0x400      ; the page tables themselves
+                 li   t1, PT_ROOT + 0xf
+                 sw   t1, 0(t0)
+                 li   t1, PT_L2 + 0xf
+                 sw   t1, 4(t0)
+                 li   t0, PT_ROOT + 1
+                 csrw ptbr, t0
+                 tlbflush
+                 la   s5, data
+                 li   t1, 0x1234
+         wait:   beqz s6, wait               ; until the debugger sets s6
+                 li   t0, PT_L2 + 4          ; this code page's PTE
+                 li   t2, {TARGET:#x} + 0xf
+                 sw   t2, 0(t0)              ; retarget it; no tlbflush
+         store:  sw   t1, 4(s5)              ; unwatched, on the watched page
+                 li   s0, 1
+         halt:   j    halt
+         caught: csrr s3, cause
+                 csrr s4, epc
+         spin:   j    spin
+                 .org 0x5000
+         data:   .word 0, 0
+        "
+    ));
+    let sym = |name: &str| program.symbols.get(name).unwrap();
+    let planted = hx_asm::assemble("sw s5, 4(s5)").unwrap();
+    let at = TARGET + (sym("store") & 0xfff);
+    let mem = &mut dbg.link_mut().platform.machine_mut().mem;
+    mem.write(at, planted.word_at(planted.base()), hx_cpu::MemSize::Word)
+        .unwrap();
+    dbg.link_mut().platform.run_for(50_000);
+    dbg.halt().unwrap();
+    dbg.set_watchpoint(sym("data"), 4).unwrap();
+    dbg.write_register(24, 1).unwrap();
+    dbg.resume().unwrap();
+    dbg.link_mut().platform.run_for(100_000);
+    let platform = &dbg.link_ref().platform;
+    assert!(!platform.guest_stopped(), "no watch hit, no park");
+    assert_eq!(platform.monitor_stats().emulated_stores, 1);
+    assert_eq!(platform.machine().mem.word(sym("data") + 4), 0);
+    let regs = dbg.read_registers().unwrap();
+    assert_eq!(regs.gpr(18), 0, "the store must not retire");
+    assert_eq!(regs.gpr(21), hx_cpu::Cause::InstrPageFault.code());
+    assert_eq!(regs.gpr(22), sym("store"));
+}
+
 /// A hook on a misaligned address could never meet a fetch: `Z0` and `Ql`
 /// refuse it as malformed, and guest RAM is untouched.
 #[test]
